@@ -1758,7 +1758,7 @@ fn retract_bench(scale: usize) {
         let mut scratch_quality = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let writer = ResumableAssessment::new(context.clone(), surviving.clone());
+            let mut writer = ResumableAssessment::new(context.clone(), surviving.clone());
             scratch_time = scratch_time.min(start.elapsed());
             scratch_quality = Some(writer.extract().0);
         }

@@ -47,19 +47,22 @@
 //! snapshots.
 
 use crate::eval::{
-    ensure_indexes, evaluate_delta_with, evaluate_with, extend_over_atoms, for_each_trigger,
-    has_extension, plan_uses_wco, JoinEngine,
+    ensure_index, ensure_indexes, evaluate_delta_with, evaluate_with, extend_over_atoms,
+    for_each_trigger, has_extension, plan_uses_wco, JoinEngine,
 };
 use crate::profile::{ChaseProfile, DredTiming};
 use crate::provenance::{ChaseStats, ChaseStep, Provenance, SupportGraph, TriggerRecord};
 use crate::violation::{EgdViolation, NcViolation, Violations};
 use ontodq_datalog::analysis::{magic_transform, DemandProgram};
-use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd, Variable};
+use ontodq_datalog::{
+    Assignment, Atom, Conjunction, NegativeConstraint, Program, Term, Tgd, Variable,
+};
 use ontodq_datalog::{Diagnostic, Severity, TerminationCertificate};
 use ontodq_obs::SharedClock;
-use ontodq_relational::{Database, NullGenerator, Tuple, Value};
+use ontodq_relational::{same_relation, Database, NullGenerator, RelationInstance, Tuple, Value};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which chase variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -390,27 +393,31 @@ pub struct ChaseState {
     tgd_floor: Vec<Option<u64>>,
     egd_floor: Vec<Option<u64>>,
     next_null: u64,
+    /// Per negative constraint (indexed like `program.constraints`), the
+    /// outcome of its last check — see [`ChaseState::constraint_witnesses`].
+    /// Not persisted: a restored state re-checks everything once.
+    checked: Vec<Option<CheckedConstraint>>,
+}
+
+/// The last check of one negative constraint: the versions of its body
+/// relations it ran against (pinned handles) and the witnesses it found.
+#[derive(Debug, Clone)]
+struct CheckedConstraint {
+    sources: Vec<Option<Arc<RelationInstance>>>,
+    witnesses: Vec<Assignment>,
 }
 
 impl ChaseState {
-    /// Seed a resumable state from `database` (cloned) for `program`: the
-    /// program's facts are loaded, every predicate the program mentions is
+    /// Seed a resumable state from `database` (cloned — its relations stay
+    /// shared until the chase writes them) for `program`: the program's
+    /// facts are loaded, every predicate the program mentions is
     /// registered, and all rule watermarks start at `None` (never
     /// evaluated), so the first [`ChaseEngine::resume`] performs a full
     /// chase.
     pub fn new(program: &Program, database: &Database) -> Self {
-        let mut db = database.clone();
-        program.facts_into_database(&mut db);
-        for (predicate, arity) in program.predicates() {
-            db.relation_or_create(&predicate, arity);
-        }
-        let next_null = db.max_null_id().map(|n| n + 1).unwrap_or(0);
-        Self {
-            database: db,
-            tgd_floor: vec![None; program.tgds.len()],
-            egd_floor: vec![None; program.egds.len()],
-            next_null,
-        }
+        let mut state = Self::from_parts(database.clone(), Vec::new(), Vec::new(), 0);
+        state.sync_with(program);
+        state
     }
 
     /// The current working instance (extensional facts plus everything the
@@ -518,25 +525,159 @@ impl ChaseState {
             tgd_floor,
             egd_floor,
             next_null: next_null.max(floor),
+            checked: Vec::new(),
         }
+    }
+
+    /// The witnesses of negative constraint `index` (`nc`) over the current
+    /// instance — every resume reports them all, but a constraint is only
+    /// re-evaluated when a relation its body reads has changed since its
+    /// last check.  Relations are copied on write, so "unchanged" is
+    /// pointer identity with the handles pinned then
+    /// ([`ontodq_relational::same_relation`]): a commit re-audits the
+    /// constraints over the relations it touched, not the whole instance.
+    fn constraint_witnesses(
+        &mut self,
+        index: usize,
+        nc: &NegativeConstraint,
+        join: JoinEngine,
+    ) -> &[Assignment] {
+        let sources: Vec<Option<Arc<RelationInstance>>> = nc
+            .body
+            .atoms
+            .iter()
+            .chain(nc.body.negated.iter())
+            .map(|atom| self.database.shared_relation(&atom.predicate).cloned())
+            .collect();
+        if self.checked.len() <= index {
+            self.checked.resize(index + 1, None);
+        }
+        let slot = &mut self.checked[index];
+        let current = slot.as_ref().is_some_and(|last| {
+            last.sources.len() == sources.len()
+                && last
+                    .sources
+                    .iter()
+                    .zip(&sources)
+                    .all(|(then, now)| same_relation(then.as_ref(), now.as_ref()))
+        });
+        if !current {
+            *slot = Some(CheckedConstraint {
+                witnesses: evaluate_with(&self.database, &nc.body, join),
+                sources,
+            });
+        }
+        &slot.as_ref().expect("filled above").witnesses
+    }
+
+    /// Build the rule-body indexes of `program` on the working instance now
+    /// ([`ensure_rule_indexes`]) instead of on the next resume — for callers
+    /// about to share the instance with a snapshot (index before you share).
+    pub fn ensure_rule_indexes(&mut self, program: &Program) {
+        ensure_rule_indexes(program, &mut self.database);
     }
 
     /// Re-align the state with `program` before a resume: load any new
     /// program facts, register new predicates, and extend the watermark
     /// vectors so appended rules get a full first evaluation.
+    ///
+    /// Runs before every resume and retraction, so it only writes what is
+    /// actually missing: a fact already present or a predicate already
+    /// registered opens no relation (nothing shared with a snapshot is
+    /// copied), and the null counter — kept above every null of the
+    /// instance since construction — is only raised over the nulls of the
+    /// facts just loaded, never by re-scanning the instance.
     fn sync_with(&mut self, program: &Program) {
-        if program.facts_into_database(&mut self.database) > 0 {
+        let mut loaded = false;
+        for fact in &program.facts {
+            let predicate = &fact.atom().predicate;
+            let tuple = fact.tuple();
+            if self.database.contains(predicate, &tuple) {
+                continue;
+            }
+            if let Some(max) = tuple.nulls().iter().map(|n| n.id()).max() {
+                self.next_null = self.next_null.max(max + 1);
+            }
+            self.database
+                .relation_or_create(predicate, tuple.arity())
+                .insert_unchecked(tuple);
+            loaded = true;
+        }
+        if loaded {
             // Fresh program facts must land in every rule's delta; they were
             // stamped at the current epoch, which may equal an EGD floor.
             self.database.advance_epoch();
         }
         for (predicate, arity) in program.predicates() {
-            self.database.relation_or_create(&predicate, arity);
+            if !self.database.has_relation(&predicate) {
+                self.database.relation_or_create(&predicate, arity);
+            }
         }
         self.tgd_floor.resize(program.tgds.len(), None);
         self.egd_floor.resize(program.egds.len(), None);
-        let floor = self.database.max_null_id().map(|n| n + 1).unwrap_or(0);
-        self.next_null = self.next_null.max(floor);
+    }
+}
+
+/// Build hash indexes on the join positions of every rule body of `program`
+/// (TGDs, EGDs, negative constraints); they are maintained incrementally by
+/// `ontodq-relational` from then on.  What every chase strategy runs first
+/// under [`ChaseConfig::build_indexes`]; relations that do not exist (yet)
+/// are skipped, and a relation whose indexes all exist is not opened.
+///
+/// Existential TGDs additionally get an index on every *frontier*
+/// position of each head atom: the restricted chase probes the head
+/// relation once per trigger (`has_extension`), and without an index
+/// that probe is a scan of a relation that grows with every fired
+/// trigger — a quadratic term that dominated large instances.
+///
+/// **Index before you share.**  Relations are copied on write, and building
+/// an index is a write: callers that are about to clone a long-lived
+/// instance (into a [`ChaseState`], a snapshot, …) should run this on it
+/// *first*, so the clones start out with the indexes and never have to
+/// unshare a relation just to index it.
+pub fn ensure_rule_indexes(program: &Program, db: &mut Database) {
+    for tgd in &program.tgds {
+        ensure_indexes(db, &tgd.body);
+        if !tgd.is_full() {
+            let frontier = tgd.frontier();
+            for atom in &tgd.head {
+                for (position, term) in atom.terms.iter().enumerate() {
+                    let probed = match term {
+                        Term::Const(_) => true,
+                        Term::Var(v) => frontier.contains(v),
+                    };
+                    if probed {
+                        ensure_index(db, &atom.predicate, position);
+                    }
+                }
+            }
+        }
+    }
+    for egd in &program.egds {
+        ensure_indexes(db, &egd.body);
+    }
+    for nc in &program.constraints {
+        ensure_indexes(db, &nc.body);
+    }
+}
+
+/// [`ensure_rule_indexes`], plus the indexes any **magic-set
+/// specialization** of `program` ([`ChaseEngine::chase_for_query`]) can ask
+/// for: a guarded copy of a single-head rule prepends a magic atom over
+/// some of the head's terms to the body, which turns every body position
+/// holding a head variable into a join position.  Run once on a long-lived
+/// extensional base, it lets every later demand chase run entirely on
+/// shared relations — a `?d-` then allocates only what it derives.
+pub fn ensure_demand_indexes(program: &Program, db: &mut Database) {
+    ensure_rule_indexes(program, db);
+    for tgd in &program.tgds {
+        if let [head] = &tgd.head[..] {
+            let mut guarded = tgd.body.clone();
+            guarded
+                .atoms
+                .insert(0, Atom::new("__magic_guard", head.terms.clone()));
+            ensure_indexes(db, &guarded);
+        }
     }
 }
 
@@ -788,18 +929,21 @@ impl ChaseEngine {
     }
 
     /// Run the chase of `program` over `database` (which is not modified; the
-    /// result carries the chased copy).
+    /// result carries the chased instance, sharing with `database` every
+    /// relation the chase did not write).
     pub fn run(&self, program: &Program, database: &Database) -> ChaseResult {
-        let mut db = database.clone();
-        program.facts_into_database(&mut db);
-        // Make sure every predicate mentioned by the program exists, so that
-        // evaluation of unknown-but-declared predicates is consistent.
-        for (predicate, arity) in program.predicates() {
-            db.relation_or_create(&predicate, arity);
-        }
+        // Seeded exactly like a resumable state: a clone sharing every
+        // relation of `database` (only what the chase writes is copied),
+        // the program's facts loaded, every predicate it mentions
+        // registered, and the null counter above every null present.
+        let ChaseState {
+            database: mut db,
+            next_null,
+            ..
+        } = ChaseState::new(program, database);
 
         let mut state = RunState {
-            nulls: NullGenerator::starting_at(db.max_null_id().map(|n| n + 1).unwrap_or(0)),
+            nulls: NullGenerator::starting_at(next_null),
             stats: ChaseStats::default(),
             violations: Violations::default(),
             provenance: self.fresh_provenance(),
@@ -852,9 +996,13 @@ impl ChaseEngine {
     /// its stored watermark, so only consequences of the new facts are
     /// recomputed.  The state's watermarks, null counter and working
     /// instance are updated in place; the returned [`ChaseResult`] carries a
-    /// snapshot (clone) of the chased instance plus the statistics and
-    /// violations of *this* resume step (negative constraints are re-checked
-    /// on the full final instance every time).
+    /// snapshot of the chased instance — a clone that *shares* every
+    /// relation with the state (one reference-count bump each; the state
+    /// copies a relation only when it next writes it) — plus the statistics
+    /// and violations of *this* resume step (the negative-constraint
+    /// violations of the full final instance are reported every time; a
+    /// constraint is re-evaluated only when a relation its body reads
+    /// changed since the previous resume).
     ///
     /// The incremental result is a universal model of the program over the
     /// accumulated facts, so certain query answers agree with a from-scratch
@@ -896,12 +1044,12 @@ impl ChaseEngine {
 
         if self.config.check_constraints {
             for (index, nc) in program.constraints.iter().enumerate() {
-                for witness in evaluate_with(&state.database, &nc.body, self.config.join) {
+                for witness in state.constraint_witnesses(index, nc, self.config.join) {
                     run.stats.nc_violations += 1;
                     run.violations.nc.push(NcViolation {
                         constraint_index: index,
                         label: nc.label.clone(),
-                        witness,
+                        witness: witness.clone(),
                     });
                 }
             }
@@ -933,7 +1081,7 @@ impl ChaseEngine {
         // comparisons isolate the delta-evaluation gain rather than
         // conflating it with hash-index vs full-scan joins.
         if self.config.build_indexes {
-            self.build_rule_indexes(program, db);
+            ensure_rule_indexes(program, db);
         }
         let mut termination = TerminationReason::Fixpoint;
         'rounds: for round in 1..=self.config.max_rounds {
@@ -1031,49 +1179,6 @@ impl ChaseEngine {
     // Semi-naive strategy: delta-driven trigger discovery.
     // ------------------------------------------------------------------
 
-    /// Build hash indexes on the join positions of every rule body; they
-    /// are maintained incrementally by `ontodq-relational` from then on.
-    ///
-    /// Existential TGDs additionally get an index on one *frontier*
-    /// position of each head atom: the restricted chase probes the head
-    /// relation once per trigger (`has_extension`), and without an index
-    /// that probe is a scan of a relation that grows with every fired
-    /// trigger — a quadratic term that dominated large instances.
-    fn build_rule_indexes(&self, program: &Program, db: &mut Database) {
-        for tgd in &program.tgds {
-            ensure_indexes(db, &tgd.body);
-            if !tgd.is_full() {
-                let frontier = tgd.frontier();
-                for atom in &tgd.head {
-                    let positions: Vec<usize> = atom
-                        .terms
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, term)| match term {
-                            ontodq_datalog::Term::Const(_) => true,
-                            ontodq_datalog::Term::Var(v) => frontier.contains(v),
-                        })
-                        .map(|(position, _)| position)
-                        .collect();
-                    if let Ok(relation) = db.relation_mut(&atom.predicate) {
-                        for position in positions {
-                            if position < relation.schema().arity() && !relation.has_index(position)
-                            {
-                                relation.build_index(position);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for egd in &program.egds {
-            ensure_indexes(db, &egd.body);
-        }
-        for nc in &program.constraints {
-            ensure_indexes(db, &nc.body);
-        }
-    }
-
     fn run_seminaive(
         &self,
         program: &Program,
@@ -1100,7 +1205,7 @@ impl ChaseEngine {
         egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
         if self.config.build_indexes {
-            self.build_rule_indexes(program, db);
+            ensure_rule_indexes(program, db);
         }
 
         let mut termination = TerminationReason::Fixpoint;
@@ -1263,7 +1368,7 @@ impl ChaseEngine {
         egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
         if self.config.build_indexes {
-            self.build_rule_indexes(program, db);
+            ensure_rule_indexes(program, db);
         }
         let threads = self.effective_threads(program.tgds.len());
 
@@ -1479,8 +1584,10 @@ impl ChaseEngine {
         let chunk: usize = tgd.head.iter().map(|a| a.arity()).sum();
         // `batchable` keeps zero-arity-head rules off this path (a 0-sized
         // chunk cannot encode trigger counts); guard anyway so a future
-        // caller cannot hit `chunks_exact(0)`'s panic.
-        if chunk == 0 {
+        // caller cannot hit `chunks_exact(0)`'s panic.  And with no trigger
+        // staged, do not even open the head relation: opening one shared
+        // with a snapshot would copy it for nothing.
+        if chunk == 0 || staged.is_empty() {
             return (false, false);
         }
         let mut changed = false;
@@ -1783,6 +1890,9 @@ impl ChaseEngine {
                 touched.insert(&fact.0);
             }
         }
+        // No row id is in flight between the phases: the point at which
+        // relations that are now mostly tombstones are rebuilt.
+        state.database.compact_sparse();
         // Phase 3: re-open exactly the rules that can write a touched
         // relation, then resume — the restricted chase's dedup makes the
         // re-evaluation a no-op on everything that survived.  Rules whose
@@ -2226,6 +2336,69 @@ mod tests {
             assert_eq!(result.stats.nc_violations, 1);
             assert!(!result.is_consistent_model());
         }
+    }
+
+    /// Every resume reports every violation of the current instance, though
+    /// a constraint is re-evaluated only when a relation its body reads
+    /// changed: unrelated batches carry the witnesses forward, and inserts,
+    /// retractions and negated atoms all bring the answer up to date.
+    #[test]
+    fn constraint_violations_stay_current_across_resumes() {
+        let program = parse_program(
+            "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
+             ! :- PatientWard(w, d, p), UnitWard(Intensive, w).\n\
+             ! :- PatientUnit(u, d, p), not Unit(u).\n\
+             Unit(Standard).\nUnit(Intensive).\n",
+        )
+        .unwrap();
+        let engine = ChaseEngine::with_defaults();
+        let fact = |relation: &str, values: &[&str]| {
+            (
+                relation.to_string(),
+                Tuple::from_iter(values.iter().copied()),
+            )
+        };
+        let mut state = ChaseState::new(&program, &hospital_db());
+        // One patient-day in the intensive ward; no `Terminal` unit declared
+        // (no patient is in its ward W4 yet, so nothing refers to it).
+        let by_constraint = |result: &ChaseResult| {
+            let mut counts = [0usize; 2];
+            for violation in &result.violations.nc {
+                counts[violation.constraint_index] += 1;
+            }
+            counts
+        };
+        assert_eq!(by_constraint(&engine.resume(&program, &mut state)), [1, 0]);
+        // A batch touching neither constraint: both are carried forward.
+        state
+            .insert_batch([fact(
+                "WorkingSchedules",
+                &["Standard", "Sep/7", "Ann", "cert"],
+            )])
+            .unwrap();
+        assert_eq!(by_constraint(&engine.resume(&program, &mut state)), [1, 0]);
+        // A new fact in a body relation, and a derived one under negation.
+        state
+            .insert_batch([
+                fact("PatientWard", &["W3", "Sep/8", "Lou Reed"]),
+                fact("PatientWard", &["W4", "Sep/8", "Nick Cave"]),
+            ])
+            .unwrap();
+        assert_eq!(by_constraint(&engine.resume(&program, &mut state)), [2, 1]);
+        // Declaring the unit repairs the referential constraint only.
+        state.insert_batch([fact("Unit", &["Terminal"])]).unwrap();
+        assert_eq!(by_constraint(&engine.resume(&program, &mut state)), [2, 0]);
+        // A retraction withdraws the witnesses it supported.
+        let mut surviving = hospital_db();
+        surviving
+            .insert_values("PatientWard", ["W4", "Sep/8", "Nick Cave"])
+            .unwrap();
+        let gone = [
+            fact("PatientWard", &["W3", "Sep/8", "Lou Reed"]),
+            fact("PatientWard", &["W3", "Sep/7", "Tom Waits"]),
+        ];
+        let result = engine.retract(&program, &mut state, &surviving, &gone, None);
+        assert_eq!(by_constraint(&result.chase), [0, 0]);
     }
 
     #[test]

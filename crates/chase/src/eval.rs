@@ -577,12 +577,26 @@ pub fn index_positions(conjunction: &Conjunction) -> Vec<(String, usize)> {
 /// run — and so does any query evaluated on the chased instance afterwards.
 /// Both join kernels exploit them: the hash path for its probes, the
 /// worst-case-optimal path for postings-list intersections.
+///
+/// Relations are tested read-only first and opened for writing only when an
+/// index is really missing, so running this over a database whose relations
+/// are shared with a snapshot (see `ontodq_relational::Database`) copies
+/// nothing once the indexes exist.
 pub fn ensure_indexes(db: &mut Database, conjunction: &Conjunction) {
     for (predicate, position) in index_positions(conjunction) {
-        if let Ok(relation) = db.relation_mut(&predicate) {
-            if position < relation.schema().arity() && !relation.has_index(position) {
-                relation.build_index(position);
-            }
+        ensure_index(db, &predicate, position);
+    }
+}
+
+/// Build the hash index on `position` of `predicate` unless the relation is
+/// unknown, the position is out of range, or the index already exists.
+pub(crate) fn ensure_index(db: &mut Database, predicate: &str, position: usize) {
+    let missing = db
+        .relation(predicate)
+        .is_ok_and(|r| position < r.schema().arity() && !r.has_index(position));
+    if missing {
+        if let Ok(relation) = db.relation_mut(predicate) {
+            relation.build_index(position);
         }
     }
 }
@@ -1034,6 +1048,38 @@ mod tests {
         assert!(positions.contains(&("UnitWard".to_string(), 1)));
         assert!(!positions.contains(&("PatientWard".to_string(), 1)));
         assert!(!positions.contains(&("PatientWard".to_string(), 2)));
+    }
+
+    /// Index building is a write, but only when an index is missing: on a
+    /// database sharing already-indexed relations it must copy nothing.
+    #[test]
+    fn ensure_indexes_leaves_indexed_shared_relations_shared() {
+        let conj = Conjunction::positive(vec![
+            Atom::with_vars("PatientWard", &["w", "d", "p"]),
+            Atom::with_vars("UnitWard", &["u", "w"]),
+        ]);
+        let mut indexed = hospital_db();
+        ensure_indexes(&mut indexed, &conj);
+        let mut copy = indexed.clone();
+        ensure_indexes(&mut copy, &conj);
+        for name in ["PatientWard", "UnitWard"] {
+            assert!(ontodq_relational::same_relation(
+                indexed.shared_relation(name),
+                copy.shared_relation(name)
+            ));
+        }
+        // A missing index unshares exactly the relation that lacks it.
+        let with_day = Conjunction::positive(vec![
+            Atom::with_vars("PatientWard", &["w", "d", "p"]),
+            Atom::with_vars("WorkingSchedules", &["u", "d", "n", "t"]),
+        ]);
+        ensure_indexes(&mut copy, &with_day);
+        assert!(copy.relation("PatientWard").unwrap().has_index(1));
+        assert!(!indexed.relation("PatientWard").unwrap().has_index(1));
+        assert!(ontodq_relational::same_relation(
+            indexed.shared_relation("UnitWard"),
+            copy.shared_relation("UnitWard")
+        ));
     }
 
     #[test]

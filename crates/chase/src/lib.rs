@@ -31,8 +31,8 @@ pub mod wco;
 
 pub use chase::{
     chase, chase_incremental, chase_naive, chase_on_demand, chase_parallel, egds_read_relations,
-    ChaseConfig, ChaseEngine, ChaseMode, ChaseResult, ChaseState, EvalStrategy, RetractResult,
-    RetractStats, TerminationReason,
+    ensure_demand_indexes, ensure_rule_indexes, ChaseConfig, ChaseEngine, ChaseMode, ChaseResult,
+    ChaseState, EvalStrategy, RetractResult, RetractStats, TerminationReason,
 };
 pub use eval::{
     ensure_indexes, evaluate, evaluate_delta, evaluate_delta_with, evaluate_limited,

@@ -15,8 +15,10 @@
 //! This implementation trades leapfrog's sorted-trie iterators for the
 //! structures the arena already maintains:
 //!
-//! * each atom holds a **candidate set** of row ids — initially its stamp
-//!   window (a contiguous id range) restricted by the atom's constants;
+//! * each atom holds a **candidate set** of *live* row ids — initially its
+//!   stamp window (a contiguous id range while the relation has no
+//!   tombstones, the window's live ids otherwise) restricted by the atom's
+//!   constants;
 //! * binding a variable `v` to a value restricts the candidates of every
 //!   atom containing `v`: through a sorted-postings intersection (galloping,
 //!   [`intersect_sorted`]) when the position is hash-indexed, or a column
@@ -36,7 +38,8 @@ use ontodq_relational::{counters, intersect_sorted, FxHashSet, Value};
 
 /// A per-atom candidate set of row ids, always sorted ascending.
 enum Cand {
-    /// A contiguous id range `[lo, hi)` — the initial stamp window.
+    /// A contiguous id range `[lo, hi)` — the initial stamp window of a
+    /// relation without tombstones.
     Range(u32, u32),
     /// An explicit sorted id list, produced by restrictions.
     Ids(Vec<u32>),
@@ -99,7 +102,12 @@ pub(crate) fn wco_join(
                 }
             }
         }
-        let cand = if bound.is_empty() {
+        // A contiguous range stands for "every row in the window", which is
+        // only right while the relation has no tombstones; otherwise the
+        // probe materializes the window's *live* ids.  Every later
+        // restriction narrows one of these sets, so no candidate set ever
+        // holds a dead row.
+        let cand = if bound.is_empty() && ra.relation.dead_rows() == 0 {
             let range = ra.relation.window_range(ra.window);
             Cand::Range(range.start, range.end)
         } else {

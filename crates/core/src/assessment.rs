@@ -10,13 +10,14 @@
 use crate::context::Context;
 use crate::metrics::{QualityMetrics, RelationQuality};
 use ontodq_chase::{
-    egds_read_relations, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
-    RetractStats,
+    egds_read_relations, ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState,
+    RetractResult, RetractStats,
 };
 use ontodq_datalog::{lint_with, Diagnostic, LintReport, Program};
 use ontodq_mdm::compile;
-use ontodq_relational::{Database, RelationSchema, Tuple};
-use std::collections::BTreeSet;
+use ontodq_relational::{same_relation, Database, RelationInstance, RelationSchema, Tuple};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The result of assessing an instance against a context.
 #[derive(Debug, Clone)]
@@ -170,42 +171,45 @@ pub fn extract_quality(
     chased: &Database,
 ) -> (Database, QualityMetrics) {
     let mut quality_database = Database::new();
-    for (original, spec) in &context.quality_versions {
-        let schema = instance
-            .relation(original)
-            .map(|r| r.schema().clone())
-            .unwrap_or_else(|_| RelationSchema::untyped(original, 0));
-        // Create even when empty, so callers can distinguish "empty quality
-        // version" from "not assessed".
-        let mut target = ontodq_relational::RelationInstance::new(schema);
-        if let Ok(source) = chased.relation(&spec.quality_name) {
-            for tuple in source.iter() {
-                // Quality versions are certain data: drop tuples with nulls.
-                if tuple.is_ground() {
-                    let _ = target.insert(tuple.clone());
-                }
-            }
-        }
-        quality_database.insert_relation(target);
-    }
-
     let mut metrics = QualityMetrics::default();
-    for original in context.quality_versions.keys() {
-        let original_tuples: Vec<Tuple> = instance
-            .relation(original)
-            .map(|r| r.tuples().to_vec())
-            .unwrap_or_default();
-        let quality_tuples: Vec<Tuple> = quality_database
-            .relation(original)
-            .map(|r| r.tuples().to_vec())
-            .unwrap_or_default();
-        metrics.relations.insert(
-            original.clone(),
-            RelationQuality::compare(original, &original_tuples, &quality_tuples),
+    for (original, spec) in &context.quality_versions {
+        let (version, quality) = extract_relation(
+            original,
+            instance.relation(original).ok(),
+            chased.relation(&spec.quality_name).ok(),
         );
+        quality_database.insert_relation(version);
+        metrics.relations.insert(original.clone(), quality);
     }
-
     (quality_database, metrics)
+}
+
+/// One relation's share of [`extract_quality`]: the quality version of
+/// `original` — the ground tuples of its chased `…_q` relation `source`,
+/// under the original name and schema — and its departure metrics against
+/// the `assessed` relation of the instance.  A missing `source` yields an
+/// empty quality version (created anyway, so callers can distinguish "empty
+/// quality version" from "not assessed").
+fn extract_relation(
+    original: &str,
+    assessed: Option<&RelationInstance>,
+    source: Option<&RelationInstance>,
+) -> (RelationInstance, RelationQuality) {
+    let schema = assessed
+        .map(|r| r.schema().clone())
+        .unwrap_or_else(|| RelationSchema::untyped(original, 0));
+    let mut version = RelationInstance::new(schema);
+    let mut quality_tuples = Vec::new();
+    for tuple in source.into_iter().flat_map(RelationInstance::iter) {
+        // Quality versions are certain data: drop tuples with nulls (and
+        // any the original schema rejects).
+        if tuple.is_ground() && version.insert(tuple.clone()).unwrap_or(false) {
+            quality_tuples.push(tuple);
+        }
+    }
+    let original_tuples = assessed.map(RelationInstance::tuples).unwrap_or_default();
+    let quality = RelationQuality::compare(original, &original_tuples, &quality_tuples);
+    (version, quality)
 }
 
 /// The outcome of folding one update batch into a [`ResumableAssessment`].
@@ -255,11 +259,28 @@ pub struct ResumableAssessment {
     /// The static-analysis report of the compiled program (computed once at
     /// construction; the program never changes afterwards).
     lint: LintReport,
+    /// What [`ResumableAssessment::extract`] produced last time.
+    extracted: Extracted,
+}
+
+/// The last extraction of a [`ResumableAssessment`], kept so the next one
+/// redoes only the relations that changed.
+#[derive(Debug, Clone, Default)]
+struct Extracted {
+    /// Per assessed relation, the two relations its entry was computed from
+    /// — the original in the instance and its `…_q` version in the chased
+    /// instance — pinned by their shared handles.  Relations are copied on
+    /// write, so a handle that is still pointer-identical to the database's
+    /// current one proves the relation has not changed since.
+    sources: BTreeMap<String, [Option<Arc<RelationInstance>>; 2]>,
+    quality: Database,
+    metrics: QualityMetrics,
 }
 
 /// The statistics/violations of the most recent chase step, kept **without**
-/// the instance snapshot a full [`ChaseResult`] carries — so a long-lived
-/// assessment does not pay an extra whole-database clone per batch.
+/// the instance snapshot a full [`ChaseResult`] carries — holding it would
+/// pin the superseded version of every relation, so the next batch would
+/// copy each relation it writes even when no snapshot is alive.
 #[derive(Debug, Clone)]
 struct ChaseSummary {
     stats: ontodq_chase::ChaseStats,
@@ -300,11 +321,19 @@ impl ResumableAssessment {
         options: &AssessmentOptions,
         clock: ontodq_obs::SharedClock,
     ) -> Self {
-        let (program, database) = compile_context(&context, &instance);
+        let (program, mut database) = compile_context(&context, &instance);
         let lint = lint_compiled(&context, &program, &database);
         let mut chase_config = options.chase.clone();
         if chase_config.certificate.is_none() {
             chase_config.certificate = Some(lint.certificate.clone());
+        }
+        // Index before sharing: the chase state below starts as a clone of
+        // the base, and every snapshot as a clone of both.  With the
+        // indexes in place first, the extensional relations the chase never
+        // writes stay one shared copy across base, state and snapshots, and
+        // a demand chase over the base finds every index it asks for.
+        if chase_config.build_indexes {
+            ensure_demand_indexes(&program, &mut database);
         }
         let engine = ChaseEngine::new(chase_config).with_clock(clock);
         let mut state = ChaseState::new(&program, &database);
@@ -321,6 +350,7 @@ impl ResumableAssessment {
             batches_applied: 0,
             profile: initial.profile,
             lint,
+            extracted: Extracted::default(),
         }
     }
 
@@ -358,7 +388,7 @@ impl ResumableAssessment {
     pub fn restore_with_clock(
         context: Context,
         instance: Database,
-        state: ChaseState,
+        mut state: ChaseState,
         batches_applied: u64,
         clock: ontodq_obs::SharedClock,
     ) -> Self {
@@ -378,6 +408,13 @@ impl ResumableAssessment {
         let lint = lint_compiled(&context, &program, &base);
         let mut chase_config = AssessmentOptions::default().chase;
         chase_config.certificate = Some(lint.certificate.clone());
+        // Index before sharing, as at construction (persisted relations
+        // come back without indexes; the first resume would otherwise copy
+        // every one of them out of the snapshot published in between).
+        if chase_config.build_indexes {
+            ensure_demand_indexes(&program, &mut base);
+            state.ensure_rule_indexes(&program);
+        }
         Self {
             context,
             program,
@@ -394,6 +431,7 @@ impl ResumableAssessment {
             batches_applied,
             profile: ontodq_chase::ChaseProfile::disabled(),
             lint,
+            extracted: Extracted::default(),
         }
     }
 
@@ -609,6 +647,10 @@ impl ResumableAssessment {
                 seeds.push((predicate, tuple));
             }
         }
+        // A long-lived assessment must not pay for every fact it ever
+        // retracted (the chase state reclaims its own in `retract`).
+        self.instance.compact_sparse();
+        self.base.compact_sparse();
         let result = if egds_read_relations(&self.program, touched.iter().map(|s| s.as_str())) {
             // EGD fallback: rebuild from the surviving extensional base.
             let requested = seeds.len();
@@ -726,16 +768,45 @@ impl ResumableAssessment {
     }
 
     /// Extract the current quality versions and metrics (steps 6–7 of the
-    /// pipeline) from the live chased instance.
-    pub fn extract(&self) -> (Database, QualityMetrics) {
-        extract_quality(&self.context, &self.instance, self.state.database())
+    /// pipeline) from the live chased instance — the same result as
+    /// [`extract_quality`], but only the assessed relations whose original
+    /// or `…_q` relation changed since the previous call are recomputed;
+    /// the rest are carried forward (shared, not copied).
+    pub fn extract(&mut self) -> (Database, QualityMetrics) {
+        let chased = self.state.database();
+        for (original, spec) in &self.context.quality_versions {
+            let sources = [
+                self.instance.shared_relation(original).cloned(),
+                chased.shared_relation(&spec.quality_name).cloned(),
+            ];
+            let unchanged = self.extracted.sources.get(original).is_some_and(|last| {
+                same_relation(last[0].as_ref(), sources[0].as_ref())
+                    && same_relation(last[1].as_ref(), sources[1].as_ref())
+            });
+            if unchanged {
+                continue;
+            }
+            let (version, quality) =
+                extract_relation(original, sources[0].as_deref(), sources[1].as_deref());
+            self.extracted.quality.insert_relation(version);
+            self.extracted
+                .metrics
+                .relations
+                .insert(original.clone(), quality);
+            self.extracted.sources.insert(original.clone(), sources);
+        }
+        (
+            self.extracted.quality.clone(),
+            self.extracted.metrics.clone(),
+        )
     }
 
     /// Package the current state as a full [`AssessmentResult`], equivalent
     /// (up to labeled-null renaming and chase statistics) to re-running
     /// [`assess`] over the accumulated instance.
     pub fn assessment(&self) -> AssessmentResult {
-        let (quality_database, metrics) = self.extract();
+        let (quality_database, metrics) =
+            extract_quality(&self.context, &self.instance, self.state.database());
         AssessmentResult {
             contextual_instance: self.state.database().clone(),
             quality_database,
@@ -916,6 +987,55 @@ mod tests {
 
         let mut survivors = full.clone();
         survivors.delete("Measurements", &victim);
+        let scratch = assess(&context, &survivors);
+        let mut incremental = resumable.assessment().quality_tuples("Measurements");
+        let mut from_scratch = scratch.quality_tuples("Measurements");
+        incremental.sort();
+        from_scratch.sort();
+        assert_eq!(incremental, from_scratch);
+    }
+
+    /// A long stream of corrections (each reading retracted a few batches
+    /// after it was inserted) leaves no database of the assessment holding
+    /// more tombstones than live rows, and still equals the from-scratch
+    /// assessment of what survived.
+    #[test]
+    fn a_long_correction_stream_does_not_accumulate_tombstones() {
+        let context = hospital_context();
+        let full = hospital::measurements_database();
+        let template = full.relation("Measurements").unwrap().tuples()[0].clone();
+        let reading = |i: usize| {
+            let mut values = template.values().to_vec();
+            values[2] = Value::double(40.0 + i as f64 / 100.0);
+            ("Measurements".to_string(), Tuple::new(values))
+        };
+
+        let mut resumable = ResumableAssessment::new(context.clone(), full.clone());
+        let mut survivors = full;
+        for i in 0..60 {
+            resumable.insert_batch([reading(i)]).unwrap();
+            survivors.insert("Measurements", reading(i).1).unwrap();
+            if i >= 3 {
+                let result = resumable.retract_batch([reading(i - 3)]);
+                assert_eq!(result.stats.retracted, 1);
+                survivors.delete("Measurements", &reading(i - 3).1);
+            }
+        }
+        for db in [
+            resumable.instance(),
+            resumable.base_database(),
+            resumable.contextual(),
+        ] {
+            for relation in db.relations() {
+                assert!(
+                    relation.dead_rows() <= relation.len(),
+                    "{} holds {} tombstones for {} live rows",
+                    relation.name(),
+                    relation.dead_rows(),
+                    relation.len()
+                );
+            }
+        }
         let scratch = assess(&context, &survivors);
         let mut incremental = resumable.assessment().quality_tuples("Measurements");
         let mut from_scratch = scratch.quality_tuples("Measurements");

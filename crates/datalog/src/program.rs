@@ -3,8 +3,7 @@
 
 use crate::atom::Atom;
 use crate::rule::{ConditionalDelete, Egd, Fact, NegativeConstraint, Retraction, Rule, Tgd};
-use crate::term::Term;
-use ontodq_relational::{Database, Tuple};
+use ontodq_relational::Database;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -263,17 +262,9 @@ impl Program {
         let mut added = 0;
         for fact in &self.facts {
             let atom = fact.atom();
-            let values: Vec<_> = atom
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(v) => *v,
-                    Term::Var(_) => unreachable!("facts are ground"),
-                })
-                .collect();
             if db
                 .relation_or_create(&atom.predicate, atom.arity())
-                .insert_unchecked(Tuple::new(values))
+                .insert_unchecked(fact.tuple())
             {
                 added += 1;
             }
@@ -306,8 +297,8 @@ mod tests {
     use super::*;
     use crate::atom::{Atom, Conjunction};
     use crate::rule::tgd;
-    use crate::term::Term;
-    use crate::term::Variable;
+    use crate::term::{Term, Variable};
+    use ontodq_relational::Tuple;
 
     fn sample_program() -> Program {
         Program::new()

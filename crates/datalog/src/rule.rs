@@ -11,7 +11,8 @@
 //!   parent–child atoms in the head.
 
 use crate::atom::{Atom, Conjunction};
-use crate::term::Variable;
+use crate::term::{Term, Variable};
+use ontodq_relational::Tuple;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -218,6 +219,20 @@ impl Fact {
     /// The underlying atom.
     pub fn atom(&self) -> &Atom {
         &self.0
+    }
+
+    /// The fact's arguments as a database tuple.
+    pub fn tuple(&self) -> Tuple {
+        Tuple::new(
+            self.0
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(v) => *v,
+                    Term::Var(_) => unreachable!("facts are ground"),
+                })
+                .collect(),
+        )
     }
 }
 

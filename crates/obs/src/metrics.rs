@@ -42,6 +42,13 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise the counter to `total` (never lowering it) — for mirroring a
+    /// monotone total whose owner is not a [`Counter`] (a process-wide
+    /// static, say) at scrape time; concurrent scrapes cannot double-count.
+    pub fn raise_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)

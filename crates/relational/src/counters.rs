@@ -34,6 +34,13 @@ static WCO_SEEKS: AtomicU64 = AtomicU64::new(0);
 /// row), which the id-returning probe path avoids entirely.
 static MATERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Relations deep-copied because a write reached them while another
+/// [`crate::Database`] (a published snapshot, typically) still shared them —
+/// the copy-on-write cost of structural sharing.  A commit should bump this
+/// once per relation it writes; a jump to "every relation" means some path
+/// opens relations it does not write.
+static RELATION_COPIES: AtomicU64 = AtomicU64::new(0);
+
 /// A point-in-time copy of the join counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinCounters {
@@ -45,6 +52,8 @@ pub struct JoinCounters {
     pub wco_seeks: u64,
     /// Total tuples materialized from the arena (one allocation each).
     pub materializations: u64,
+    /// Total relations deep-copied on write while shared.
+    pub relation_copies: u64,
 }
 
 impl JoinCounters {
@@ -58,6 +67,7 @@ impl JoinCounters {
             materializations: self
                 .materializations
                 .saturating_sub(earlier.materializations),
+            relation_copies: self.relation_copies.saturating_sub(earlier.relation_copies),
         }
     }
 }
@@ -90,6 +100,12 @@ pub fn record_materializations(n: u64) {
     }
 }
 
+/// Record one copy-on-write deep copy of a shared relation.
+#[inline]
+pub fn record_relation_copy() {
+    RELATION_COPIES.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The current totals.
 pub fn snapshot() -> JoinCounters {
     JoinCounters {
@@ -97,6 +113,7 @@ pub fn snapshot() -> JoinCounters {
         gallop_seeks: GALLOP_SEEKS.load(Ordering::Relaxed),
         wco_seeks: WCO_SEEKS.load(Ordering::Relaxed),
         materializations: MATERIALIZATIONS.load(Ordering::Relaxed),
+        relation_copies: RELATION_COPIES.load(Ordering::Relaxed),
     }
 }
 
@@ -111,6 +128,7 @@ mod tests {
         record_gallop_seeks(3);
         record_wco_seek();
         record_materializations(2);
+        record_relation_copy();
         record_gallop_seeks(0); // no-op
         record_materializations(0); // no-op
         let after = snapshot();
@@ -120,6 +138,7 @@ mod tests {
         assert!(delta.gallop_seeks >= 3);
         assert!(delta.wco_seeks >= 1);
         assert!(delta.materializations >= 2);
+        assert!(delta.relation_copies >= 1);
         // A stale (larger) baseline saturates instead of wrapping.
         assert_eq!(before.since(&after), JoinCounters::default());
     }

@@ -1,5 +1,15 @@
-//! Databases: named collections of relation instances.
+//! Databases: named collections of relation instances, shared structurally.
+//!
+//! A [`Database`] maps relation names to `Arc<RelationInstance>`, so
+//! `Database::clone` is one reference-count bump per relation and two
+//! databases (a published snapshot and the writer's working state, say)
+//! hold the same arena until one of them writes to it.  Every mutating path
+//! opens its relation through [`Database::relation_mut`], which deep-copies
+//! the relation only when another database still shares it
+//! (`Arc::make_mut`) — a write pays for the relations it touches, never for
+//! the instance.  See `docs/columnar.md`, "Structural sharing".
 
+use crate::counters;
 use crate::error::{RelationalError, Result};
 use crate::interner::SymbolInterner;
 use crate::null::NullId;
@@ -9,6 +19,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A database instance: a map from relation names to relation instances.
 ///
@@ -18,14 +29,46 @@ use std::fmt;
 /// * the extensional data `D_M` of the multidimensional ontology
 ///   (category members, parent–child relations, categorical relations),
 /// * the working instance of the chase.
+///
+/// Relations are reference-counted and copied on write (see the module
+/// docs): cloning a database is cheap, and operations that turn out to be
+/// no-ops — deleting an absent tuple, substituting a null that occurs
+/// nowhere, compacting without tombstones — leave every relation shared.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: BTreeMap<String, RelationInstance>,
+    relations: BTreeMap<String, Arc<RelationInstance>>,
     /// Monotone epoch counter stamped onto inserts; advanced by
     /// [`Database::advance_epoch`] (the chase advances it once per round so
     /// each relation's delta is exactly the rows produced since the previous
-    /// round).
+    /// round).  The epoch lives here, not on the relations: a relation
+    /// learns the current value when it is next opened for writing, so
+    /// ticking the clock never touches (and never unshares) a relation.
     epoch: u64,
+}
+
+/// Make `slot` uniquely owned — deep-copying the relation when another
+/// database still shares it — and hand it the database's current `epoch`.
+fn open(slot: &mut Arc<RelationInstance>, epoch: u64) -> &mut RelationInstance {
+    if Arc::get_mut(slot).is_none() {
+        counters::record_relation_copy();
+    }
+    let relation = Arc::make_mut(slot);
+    relation.set_epoch(epoch);
+    relation
+}
+
+/// Do two optional relation handles (see [`Database::shared_relation`])
+/// denote the same version of a relation — both absent, or both the very
+/// same allocation?  Relations are copied on write, so a handle pinned
+/// earlier that is still the same as the database's current one proves the
+/// relation has not changed in between: the test memoized derivations
+/// (quality versions, constraint checks) carry results forward on.
+pub fn same_relation(a: Option<&Arc<RelationInstance>>, b: Option<&Arc<RelationInstance>>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
 }
 
 impl Database {
@@ -50,32 +93,24 @@ impl Database {
         SymbolInterner::global()
     }
 
-    /// Advance the epoch by one and propagate it to every relation, so that
-    /// subsequent inserts are distinguishable from all existing rows via
-    /// [`RelationInstance::delta_since`].  Returns the new epoch.
+    /// Advance the epoch by one, so that subsequent inserts are
+    /// distinguishable from all existing rows via
+    /// [`RelationInstance::delta_since`].  Returns the new epoch.  No
+    /// relation is touched: each picks the epoch up when it is next opened
+    /// for writing.
     pub fn advance_epoch(&mut self) -> u64 {
         self.epoch += 1;
-        let epoch = self.epoch;
-        for relation in self.relations.values_mut() {
-            relation.set_epoch(epoch);
-        }
-        epoch
+        self.epoch
     }
 
-    /// Raise the epoch to at least `epoch` and propagate it to every
-    /// relation.  The reload path of persistence layers: a serialized
-    /// database records its epoch explicitly (it may sit above every row
-    /// stamp after batches that inserted nothing new), and rule watermarks
-    /// reference epochs, so the exact value must survive a round trip.
-    /// Unlike [`Database::advance_epoch`] this never decreases the epoch
-    /// and is a no-op when `epoch` is not ahead.
+    /// Raise the epoch to at least `epoch`.  The reload path of persistence
+    /// layers: a serialized database records its epoch explicitly (it may
+    /// sit above every row stamp after batches that inserted nothing new),
+    /// and rule watermarks reference epochs, so the exact value must
+    /// survive a round trip.  Unlike [`Database::advance_epoch`] this never
+    /// decreases the epoch and is a no-op when `epoch` is not ahead.
     pub fn raise_epoch(&mut self, epoch: u64) {
-        if epoch > self.epoch {
-            self.epoch = epoch;
-            for relation in self.relations.values_mut() {
-                relation.set_epoch(epoch);
-            }
-        }
+        self.epoch = self.epoch.max(epoch);
     }
 
     /// Register an empty relation with `schema`.
@@ -86,9 +121,8 @@ impl Database {
         let name = schema.name().to_string();
         match self.relations.get(&name) {
             None => {
-                let mut relation = RelationInstance::new(schema);
-                relation.set_epoch(self.epoch);
-                self.relations.insert(name, relation);
+                self.relations
+                    .insert(name, Arc::new(RelationInstance::new(schema)));
                 Ok(())
             }
             Some(existing) if existing.schema() == &schema => Ok(()),
@@ -99,9 +133,15 @@ impl Database {
     /// Register a relation instance wholesale (replacing any existing
     /// relation of the same name).  The database epoch absorbs the
     /// relation's stamps so delta queries stay meaningful.
-    pub fn insert_relation(&mut self, mut relation: RelationInstance) {
+    pub fn insert_relation(&mut self, relation: RelationInstance) {
+        self.adopt(Arc::new(relation));
+    }
+
+    /// Register an already shared relation (replacing any existing relation
+    /// of the same name) without copying it; the epoch absorbs its stamps
+    /// as in [`Database::insert_relation`].
+    fn adopt(&mut self, relation: Arc<RelationInstance>) {
         self.epoch = self.epoch.max(relation.last_stamp().unwrap_or(0));
-        relation.set_epoch(self.epoch);
         self.relations.insert(relation.name().to_string(), relation);
     }
 
@@ -114,26 +154,41 @@ impl Database {
     pub fn relation(&self, name: &str) -> Result<&RelationInstance> {
         self.relations
             .get(name)
+            .map(Arc::as_ref)
             .ok_or_else(|| RelationalError::UnknownRelation(name.to_string()))
     }
 
-    /// Mutable access to the relation called `name`.
+    /// The shared handle of the relation called `name`, if any.  Two
+    /// databases hold the *same* arena exactly when their handles are
+    /// [`Arc::ptr_eq`]; holding a clone of the handle pins that version of
+    /// the relation (the owning database copies on its next write).
+    pub fn shared_relation(&self, name: &str) -> Option<&Arc<RelationInstance>> {
+        self.relations.get(name)
+    }
+
+    /// Mutable access to the relation called `name`: the relation is opened
+    /// for writing, i.e. deep-copied first when another database still
+    /// shares it, and stamped with the current epoch.  Callers that may
+    /// turn out not to write should test through [`Database::relation`]
+    /// first so a no-op never unshares anything.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut RelationInstance> {
+        let epoch = self.epoch;
         self.relations
             .get_mut(name)
+            .map(|slot| open(slot, epoch))
             .ok_or_else(|| RelationalError::UnknownRelation(name.to_string()))
     }
 
-    /// The relation called `name`, creating an untyped one of arity
+    /// The relation called `name` opened for writing (see
+    /// [`Database::relation_mut`]), creating an untyped one of arity
     /// `arity` when missing.  Used by the Datalog± layer, whose predicates
     /// need not be declared in advance.
     pub fn relation_or_create(&mut self, name: &str, arity: usize) -> &mut RelationInstance {
         let epoch = self.epoch;
-        self.relations.entry(name.to_string()).or_insert_with(|| {
-            let mut relation = RelationInstance::new(RelationSchema::untyped(name, arity));
-            relation.set_epoch(epoch);
-            relation
-        })
+        let slot = self.relations.entry(name.to_string()).or_insert_with(|| {
+            Arc::new(RelationInstance::new(RelationSchema::untyped(name, arity)))
+        });
+        open(slot, epoch)
     }
 
     /// Insert a tuple into relation `name`, creating an untyped relation of
@@ -165,7 +220,7 @@ impl Database {
 
     /// Iterate over the relation instances in name order.
     pub fn relations(&self) -> impl Iterator<Item = &RelationInstance> {
-        self.relations.values()
+        self.relations.values().map(Arc::as_ref)
     }
 
     /// The names of all relations, in name order.
@@ -175,42 +230,60 @@ impl Database {
 
     /// Total number of **live** tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(RelationInstance::len).sum()
+        self.relations().map(RelationInstance::len).sum()
     }
 
     /// Total number of physical arena slots across all relations (live rows
     /// plus tombstones).
     pub fn total_rows(&self) -> usize {
-        self.relations
-            .values()
-            .map(RelationInstance::total_rows)
-            .sum()
+        self.relations().map(RelationInstance::total_rows).sum()
     }
 
     /// Total number of tombstoned rows across all relations.
     pub fn dead_rows(&self) -> usize {
-        self.relations
-            .values()
-            .map(RelationInstance::dead_rows)
-            .sum()
+        self.relations().map(RelationInstance::dead_rows).sum()
     }
 
     /// Tombstone the row holding exactly `tuple` in relation `name`.
     /// Returns whether a live row was deleted; unknown relations hold
-    /// nothing, so deleting from one is `false`, not an error.
+    /// nothing, so deleting from one is `false`, not an error.  Deleting an
+    /// absent tuple leaves the relation shared.
     pub fn delete(&mut self, name: &str, tuple: &Tuple) -> bool {
-        self.relations
-            .get_mut(name)
-            .map(|r| r.delete(tuple))
-            .unwrap_or(false)
+        self.contains(name, tuple)
+            && self
+                .relation_mut(name)
+                .map(|r| r.delete(tuple))
+                .unwrap_or(false)
     }
 
     /// Compact every relation's arena, dropping tombstoned slots.  Returns
-    /// the total number of slots reclaimed.
+    /// the total number of slots reclaimed.  Relations without tombstones
+    /// are not opened (and so stay shared).
     pub fn compact(&mut self) -> usize {
+        self.compact_where(|r| r.dead_rows() > 0)
+    }
+
+    /// Compact the relations whose tombstones outnumber their live rows;
+    /// the others keep theirs.  Returns the number of slots reclaimed.
+    ///
+    /// This is what a long-lived writer calls after each batch of
+    /// deletions: a relation is rebuilt only after at least as many
+    /// deletions as it has rows left, so reclamation is amortized constant
+    /// work per deletion, and no arena grows past twice its live rows —
+    /// whatever copies, scans or persists a relation pays for what it
+    /// holds, not for everything it ever held.  Row ids shift (stamps and
+    /// support counts are kept), so call it between batches, never while
+    /// row ids are in flight.
+    pub fn compact_sparse(&mut self) -> usize {
+        self.compact_where(|r| r.dead_rows() > r.len())
+    }
+
+    fn compact_where(&mut self, wanted: impl Fn(&RelationInstance) -> bool) -> usize {
+        let epoch = self.epoch;
         self.relations
             .values_mut()
-            .map(RelationInstance::compact)
+            .filter(|r| wanted(r))
+            .map(|slot| open(slot, epoch).compact())
             .sum()
     }
 
@@ -221,19 +294,17 @@ impl Database {
 
     /// Approximate heap footprint of the columnar arenas across all
     /// relations (value columns + stamp columns + index postings), in
-    /// bytes.  Surfaced by the server's `!stats`.
+    /// bytes.  Surfaced by the server's `!stats`.  A relation shared with
+    /// another database is counted in full by each of them: the figure is
+    /// what this database *references*, not what it exclusively owns.
     pub fn arena_bytes(&self) -> usize {
-        self.relations
-            .values()
-            .map(RelationInstance::arena_bytes)
-            .sum()
+        self.relations().map(RelationInstance::arena_bytes).sum()
     }
 
     /// Approximate bytes held by tombstoned rows across all relations — the
     /// space a [`Database::compact`] would reclaim.
     pub fn reclaimable_bytes(&self) -> usize {
-        self.relations
-            .values()
+        self.relations()
             .map(RelationInstance::reclaimable_bytes)
             .sum()
     }
@@ -242,42 +313,54 @@ impl Database {
     /// domain*), in sorted order.  Open conjunctive query answering draws
     /// candidate substitutions from this set.
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations
-            .values()
-            .flat_map(|r| r.constants())
-            .collect()
+        self.relations().flat_map(|r| r.constants()).collect()
     }
 
     /// All labeled nulls appearing anywhere in the database.
     pub fn nulls(&self) -> BTreeSet<NullId> {
-        self.relations.values().flat_map(|r| r.nulls()).collect()
+        self.relations().flat_map(|r| r.nulls()).collect()
     }
 
     /// The largest labeled-null id in the database, if any; used to seed
-    /// fresh-null generation when resuming a chase.
+    /// fresh-null generation when starting a chase.
     pub fn max_null_id(&self) -> Option<u64> {
-        self.nulls().iter().map(|n| n.id()).max()
+        self.relations()
+            .filter_map(RelationInstance::max_null_id)
+            .max()
     }
 
     /// Replace every occurrence of the labeled null `from` with `to` in every
-    /// relation; returns the number of tuples changed.
+    /// relation; returns the number of tuples changed.  Only relations that
+    /// mention `from` are opened.
     pub fn substitute_null(&mut self, from: NullId, to: &Value) -> usize {
+        let epoch = self.epoch;
         self.relations
             .values_mut()
-            .map(|r| r.substitute_null(from, to))
+            .filter(|r| r.mentions_null(from))
+            .map(|slot| open(slot, epoch).substitute_null(from, to))
             .sum()
     }
 
     /// Merge another database into this one: relations are created as needed
     /// and tuples unioned.  Returns the number of new tuples.
+    ///
+    /// A relation this database does not have yet is **adopted** — the two
+    /// databases share it until either writes — and an existing relation is
+    /// opened only when `other` actually holds tuples it lacks.
     pub fn merge(&mut self, other: &Database) -> Result<usize> {
         let mut added = 0;
-        for relation in other.relations() {
-            if !self.has_relation(relation.name()) {
-                self.create_relation(relation.schema().clone())?;
+        for (name, theirs) in &other.relations {
+            let Some(ours) = self.relations.get(name) else {
+                added += theirs.len();
+                self.adopt(Arc::clone(theirs));
+                continue;
+            };
+            let missing: Vec<Tuple> = theirs.iter().filter(|t| !ours.contains(t)).collect();
+            if missing.is_empty() {
+                continue;
             }
-            let target = self.relation_mut(relation.name())?;
-            for tuple in relation.iter() {
+            let target = self.relation_mut(name)?;
+            for tuple in missing {
                 if target.insert(tuple)? {
                     added += 1;
                 }
@@ -287,13 +370,13 @@ impl Database {
     }
 
     /// A database holding only the relations named in `names` (unknown names
-    /// are skipped).
+    /// are skipped), shared with this one.
     pub fn restrict_to(&self, names: &[&str]) -> Database {
         let mut db = Database::new();
         db.epoch = self.epoch;
         for name in names {
             if let Some(rel) = self.relations.get(*name) {
-                db.insert_relation(rel.clone());
+                db.adopt(Arc::clone(rel));
             }
         }
         db
@@ -302,7 +385,7 @@ impl Database {
 
 impl fmt::Display for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for relation in self.relations.values() {
+        for relation in self.relations() {
             write!(f, "{relation}")?;
         }
         Ok(())
@@ -498,6 +581,138 @@ mod tests {
         assert_eq!(db.dead_rows(), 0);
         assert_eq!(db.reclaimable_bytes(), 0);
         assert!(!db.contains("UnitWard", &Tuple::from_iter(["Standard", "W1"])));
+    }
+
+    /// `compact_sparse` rebuilds a relation only once its tombstones
+    /// outnumber its live rows, keeps stamps, and leaves a relation that is
+    /// not yet sparse — shared or not — alone.
+    #[test]
+    fn compact_sparse_reclaims_only_mostly_dead_relations() {
+        let mut db = sample();
+        db.advance_epoch();
+        db.insert_values("UnitWard", ["Standard", "W3"]).unwrap();
+        let held = db.clone();
+        assert!(db.delete("UnitWard", &Tuple::from_iter(["Standard", "W1"])));
+        assert!(db.delete(
+            "PatientWard",
+            &Tuple::from_iter(["W1", "Sep/5", "Tom Waits"])
+        ));
+        // One dead row against two (resp. one) live ones: nothing is sparse.
+        assert_eq!(db.compact_sparse(), 0);
+        assert_eq!(db.dead_rows(), 2);
+        assert!(db.delete("UnitWard", &Tuple::from_iter(["Standard", "W2"])));
+        assert_eq!(db.compact_sparse(), 2);
+        let unit_ward = db.relation("UnitWard").unwrap();
+        assert_eq!((unit_ward.total_rows(), unit_ward.dead_rows()), (1, 0));
+        assert_eq!(
+            unit_ward.delta_since(0),
+            &[Tuple::from_iter(["Standard", "W3"])]
+        );
+        assert_eq!(db.relation("PatientWard").unwrap().dead_rows(), 1);
+        assert_eq!(held.total_tuples(), 5);
+        assert_eq!(held.dead_rows(), 0);
+    }
+
+    /// The relations of `a` that are the very same allocation in `b`.
+    fn shared(a: &Database, b: &Database) -> Vec<String> {
+        a.relation_names()
+            .into_iter()
+            .filter(|n| same_relation(a.shared_relation(n), b.shared_relation(n)))
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn clones_share_relations_until_one_writes() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert_eq!(shared(&original, &copy), ["PatientWard", "UnitWard"]);
+        let before = counters::snapshot().relation_copies;
+        copy.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
+        // Exactly the written relation was copied; the original is intact.
+        assert!(counters::snapshot().relation_copies > before);
+        assert_eq!(shared(&original, &copy), ["PatientWard"]);
+        assert_eq!(original.relation("UnitWard").unwrap().len(), 2);
+        assert_eq!(copy.relation("UnitWard").unwrap().len(), 3);
+        // A second write to the now-private relation copies nothing more.
+        let private = Arc::clone(copy.shared_relation("PatientWard").unwrap());
+        copy.insert_values("UnitWard", ["Oncology", "W10"]).unwrap();
+        assert!(Arc::ptr_eq(
+            &private,
+            copy.shared_relation("PatientWard").unwrap()
+        ));
+    }
+
+    #[test]
+    fn no_op_writes_leave_every_relation_shared() {
+        let mut original = sample();
+        original
+            .insert(
+                "Shifts",
+                Tuple::new(vec![Value::str("W1"), Value::null(NullId(3))]),
+            )
+            .unwrap();
+        let all = ["PatientWard", "Shifts", "UnitWard"];
+        let mut copy = original.clone();
+        copy.advance_epoch();
+        copy.raise_epoch(9);
+        assert_eq!(copy.substitute_null(NullId(7), &Value::str("x")), 0);
+        assert_eq!(copy.compact(), 0);
+        assert!(!copy.delete("UnitWard", &Tuple::from_iter(["Standard", "W9"])));
+        assert!(!copy.delete("Nope", &Tuple::from_iter(["x"])));
+        copy.create_relation(original.relation("UnitWard").unwrap().schema().clone())
+            .unwrap();
+        assert_eq!(copy.merge(&original).unwrap(), 0);
+        assert_eq!(shared(&original, &copy), all);
+        // Each real write opens only the relation it changes.
+        assert_eq!(copy.substitute_null(NullId(3), &Value::str("x")), 1);
+        assert_eq!(shared(&original, &copy), ["PatientWard", "UnitWard"]);
+        assert!(copy.delete("UnitWard", &Tuple::from_iter(["Standard", "W1"])));
+        assert_eq!(copy.compact(), 1);
+        assert_eq!(shared(&original, &copy), ["PatientWard"]);
+        assert_eq!(original.total_tuples(), 5);
+        assert_eq!(original.nulls().len(), 1);
+    }
+
+    #[test]
+    fn merge_and_restrict_adopt_relations_instead_of_copying() {
+        let source = sample();
+        let mut target = Database::new();
+        target.insert_values("Other", ["x"]).unwrap();
+        assert_eq!(target.merge(&source).unwrap(), 4);
+        assert_eq!(shared(&source, &target), ["PatientWard", "UnitWard"]);
+        let restricted = source.restrict_to(&["UnitWard"]);
+        assert_eq!(shared(&restricted, &source), ["UnitWard"]);
+    }
+
+    /// The epoch lives on the database: a relation that sat out several
+    /// ticks while shared must stamp its next rows with the *current* epoch
+    /// once it is opened, or delta windows would miss them.
+    #[test]
+    fn rows_written_after_sharing_carry_the_current_epoch() {
+        let mut db = sample();
+        let snapshot = db.clone();
+        let before = db.advance_epoch();
+        db.advance_epoch();
+        db.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
+        let relation = db.relation("UnitWard").unwrap();
+        assert_eq!(relation.last_stamp(), Some(db.epoch()));
+        assert_eq!(
+            relation.delta_since(before),
+            [Tuple::from_iter(["Oncology", "W9"])]
+        );
+        assert!(relation.delta_since(db.epoch()).is_empty());
+        // The snapshot still sees the old rows at the old stamps.
+        let frozen = snapshot.relation("UnitWard").unwrap();
+        assert_eq!(frozen.len(), 2);
+        assert_eq!(frozen.last_stamp(), Some(0));
+        // A clone taken at a lower epoch keeps stamping at its own.
+        let mut stale = snapshot.clone();
+        stale.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
+        assert_eq!(
+            stale.relation("UnitWard").unwrap().last_stamp(),
+            Some(snapshot.epoch())
+        );
     }
 
     /// Regression test for the stale-index hazard: substituting a null

@@ -38,7 +38,7 @@ pub mod tuple;
 pub mod value;
 
 pub use counters::JoinCounters;
-pub use database::Database;
+pub use database::{same_relation, Database};
 pub use error::{RelationalError, Result};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{clamp_sorted, contains_sorted, intersect_sorted, HashIndex};

@@ -136,8 +136,9 @@ pub struct RelationInstance {
     /// shorthand for "all 1" until the first duplicate (or explicit set), so
     /// the append hot path touches neither vector.
     supports: Vec<u32>,
-    /// Epoch stamped onto new inserts; advanced by the owning
-    /// [`crate::Database`].  Invariant: `epoch >= stamps.last()`.
+    /// Epoch stamped onto new inserts; handed over by the owning
+    /// [`crate::Database`] each time it opens the relation for writing (it
+    /// may be stale in between).  Invariant: `epoch >= stamps.last()`.
     epoch: u64,
 }
 
@@ -731,7 +732,7 @@ impl RelationInstance {
     /// rows are re-appended); untouched relations keep their indexes as-is.
     pub fn substitute_null(&mut self, from: NullId, to: &Value) -> usize {
         let target = Value::Null(from);
-        if !self.columns.iter().any(|c| c.contains(&target)) {
+        if !self.mentions_null(from) {
             return 0;
         }
         let arity = self.columns.len();
@@ -856,6 +857,31 @@ impl RelationInstance {
             }
         }
         out
+    }
+
+    /// Does the labeled null `id` occur in any arena slot?  The read-only
+    /// test [`RelationInstance::substitute_null`] starts with, exposed so
+    /// [`crate::Database::substitute_null`] opens (and possibly unshares)
+    /// only the relations it will rewrite.
+    pub fn mentions_null(&self, id: NullId) -> bool {
+        let target = Value::Null(id);
+        self.columns.iter().any(|c| c.contains(&target))
+    }
+
+    /// The largest labeled-null id occurring in any **live** row, if any —
+    /// a single pass over the columns, no set is built.
+    pub fn max_null_id(&self) -> Option<u64> {
+        let mut max = None;
+        for column in &self.columns {
+            for (row, value) in column.iter().enumerate() {
+                if let Some(n) = value.as_null() {
+                    if self.is_live(row as u32) {
+                        max = max.max(Some(n.id()));
+                    }
+                }
+            }
+        }
+        max
     }
 
     /// All constant values occurring in any **live** row.

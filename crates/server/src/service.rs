@@ -686,15 +686,16 @@ impl QualityService {
         &self,
         name: &str,
         context: Context,
-        writer: ResumableAssessment,
+        mut writer: ResumableAssessment,
     ) -> Result<(), ServiceError> {
         let program = Arc::new(writer.program().clone());
+        let chased = writer.contextual().clone();
         let snapshot = Self::build_snapshot(
             name,
             writer.batches_applied(),
-            &writer,
+            &mut writer,
             Arc::clone(&program),
-            writer.contextual().clone(),
+            chased,
         )?;
         let lint = writer.lint_report().clone();
         if !lint.certificate.terminating {
@@ -839,7 +840,7 @@ impl QualityService {
         let snapshot = Self::build_snapshot(
             context,
             version,
-            &writer,
+            &mut writer,
             Arc::clone(&entry.program),
             outcome.chase.database,
         )?;
@@ -920,7 +921,7 @@ impl QualityService {
         let snapshot = Self::build_snapshot(
             context,
             version,
-            &writer,
+            &mut writer,
             Arc::clone(&entry.program),
             result.chase.database,
         )?;
@@ -1194,6 +1195,15 @@ impl QualityService {
                 &[],
             )
             .set(self.slow_query_threshold());
+        // Copy-on-write traffic of the storage layer: a process-wide total
+        // owned by `ontodq-relational`, mirrored here at scrape time.
+        self.registry
+            .counter(
+                "ontodq_relation_copies_total",
+                "Relations deep-copied because a write reached them while a snapshot still shared them.",
+                &[],
+            )
+            .raise_to(ontodq_relational::counters::snapshot().relation_copies);
         // Per-context snapshot state and chase profiles.
         let entries: Vec<(String, Arc<ContextEntry>)> = self
             .read_contexts()
@@ -1340,24 +1350,29 @@ impl QualityService {
     }
 
     /// Assemble a snapshot from the writer state: the chased contextual
-    /// instance (`chased` — the clone the re-chase step already produced, so
-    /// no further whole-database copy is paid), merged with the original
-    /// relations of the instance under assessment, plus freshly extracted
-    /// quality versions and metrics — and the pre-chase extensional base +
-    /// program the demand-driven `?d-` path reads instead of any of the
-    /// above.
+    /// instance (`chased` — the clone the re-chase step already produced),
+    /// merged with the original relations of the instance under assessment,
+    /// plus the quality versions and metrics — and the pre-chase extensional
+    /// base + program the demand-driven `?d-` path reads instead of any of
+    /// the above.
     ///
     /// The base is the writer's pre-chase extensional instance merged with
     /// the **original-name** relations, so `?d-` sees exactly the relations
     /// `?q-` can reference (a mapped relation without a quality version
-    /// keeps its original name through the rewrite).  The merge-and-clone
-    /// is one more pointer-copy pass over the extensional data, the same
-    /// order of work as the materialized-instance merge above; `program` is
-    /// shared per context (`Arc`), never re-cloned per batch.
+    /// keeps its original name through the rewrite).
+    ///
+    /// Nothing here copies a relation.  Databases share relations
+    /// structurally: `chased` and the base clone are reference-count bumps,
+    /// both merges *adopt* the original relations (neither target has a
+    /// relation of those names), and extraction recomputes only the quality
+    /// versions whose sources changed.  The copies a commit does pay happen
+    /// earlier, in the writer: one per relation the batch writes, because
+    /// the previous snapshot still holds it.  `program` is shared per
+    /// context (`Arc`), never re-cloned per batch.
     fn build_snapshot(
         name: &str,
         version: u64,
-        writer: &ResumableAssessment,
+        writer: &mut ResumableAssessment,
         program: Arc<ontodq_datalog::Program>,
         mut database: Database,
     ) -> Result<Snapshot, ServiceError> {

@@ -130,6 +130,20 @@ pub fn violation_summary(violations: &Violations) -> Vec<String> {
     out
 }
 
+/// Build the `-fact.`-shaped retraction program the server flushes: one
+/// ground [`ontodq_datalog::Retraction`] per fact.
+pub fn retraction_program(facts: &[(String, Tuple)]) -> ontodq_datalog::Program {
+    use ontodq_datalog::{Atom, Retraction, Term};
+    let mut program = ontodq_datalog::Program::new();
+    for (relation, tuple) in facts {
+        let terms: Vec<Term> = tuple.values().iter().map(|v| Term::constant(*v)).collect();
+        let retraction =
+            Retraction::new(Atom::new(relation.clone(), terms)).expect("workload facts are ground");
+        program.retractions.push(retraction);
+    }
+    program
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

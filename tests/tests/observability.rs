@@ -360,6 +360,7 @@ fn metrics_are_valid_prometheus_and_cover_every_layer() {
         "ontodq_lint_errors", // static analysis
         "ontodq_lint_warnings",
         "ontodq_chase_uncertified_total",
+        "ontodq_relation_copies_total", // storage layer copy-on-write
     ] {
         let family = families
             .get(name)

@@ -8,10 +8,10 @@
 
 use ontodq_chase::{chase_naive, ChaseConfig, ChaseEngine, ChaseState, EvalStrategy};
 use ontodq_core::{compile_context, scenarios};
-use ontodq_datalog::{Atom, Program, Retraction, Term};
-use ontodq_integration_tests::{canonicalize_database, databases_equivalent};
+use ontodq_datalog::Program;
+use ontodq_integration_tests::{canonicalize_database, databases_equivalent, retraction_program};
 use ontodq_mdm::fixtures::hospital;
-use ontodq_relational::{Database, Tuple};
+use ontodq_relational::{Database, Tuple, Value};
 use ontodq_server::QualityService;
 use ontodq_workload::{
     generate, generate_corrections, CorrectionOp, CorrectionScale, HospitalScale,
@@ -136,19 +136,6 @@ fn scaled_workload_retractions_match_fresh_chase_on_every_strategy() {
     assert_retract_matches_fresh(&program, &database, &contextual, &victims, "scaled");
 }
 
-/// Build the `-fact.`-shaped retraction program the server flushes: one
-/// ground [`Retraction`] per fact.
-fn retraction_program(facts: &[(String, Tuple)]) -> Program {
-    let mut program = Program::new();
-    for (relation, tuple) in facts {
-        let terms: Vec<Term> = tuple.values().iter().map(|v| Term::constant(*v)).collect();
-        let retraction =
-            Retraction::new(Atom::new(relation.clone(), terms)).expect("workload facts are ground");
-        program.retractions.push(retraction);
-    }
-    program
-}
-
 /// Randomized (seeded, reproducible) insert/retract interleavings applied
 /// through the live service must land on the same snapshot — same chased
 /// instance modulo null renaming, same quality answers — as registering
@@ -235,4 +222,92 @@ fn randomized_interleavings_through_the_server_match_from_scratch() {
             "seed {seed}: retraction counter does not match the stream",
         );
     }
+}
+
+/// The navigation join the socket benchmark's oracle caught returning a
+/// retracted reading (three atoms sharing variables, so `JoinEngine::Auto`
+/// picks the leapfrog kernel, which used to enumerate tombstoned rows).
+const NAVIGATION: &str = "Measurements(t, p, v), DayTime(d, t), PatientUnit(Unit_0, d, p)";
+const ON_DAY_4: &str = "Measurements(t, p, v), DayTime(d, t), PatientUnit(Unit_0, d, p), d = Day_4";
+
+/// Insert a reading, retract it, query: through the service, `?q-` over
+/// the materialized snapshot and `?d-` over the demand chase must both
+/// forget the reading.
+#[test]
+fn a_retracted_reading_leaves_the_navigation_join() {
+    let workload = generate(&HospitalScale::with_measurements(200));
+    let service = QualityService::new();
+    service
+        .register_context("scaled", workload.context(), workload.instance.clone())
+        .unwrap();
+    let before = service.quality_answers("scaled", ON_DAY_4).unwrap();
+    // The README repro of the benchmark that found the defect: Patient_15
+    // is in a Unit_0 ward on Day_4, so the reading joins through.
+    let reading = (
+        "Measurements".to_string(),
+        Tuple::new(vec![
+            Value::parse_time("Jan/5-12:00").unwrap(),
+            Value::str("Patient_15"),
+            Value::double(41.5),
+        ]),
+    );
+    service
+        .insert_facts("scaled", vec![reading.clone()])
+        .unwrap();
+    let with_reading = service.quality_answers("scaled", ON_DAY_4).unwrap();
+    assert_eq!(with_reading.answers.len(), before.answers.len() + 1);
+
+    let report = service
+        .retract_facts("scaled", &retraction_program(&[reading]))
+        .unwrap();
+    assert_eq!(report.retracted, 1);
+    let quality = service.quality_answers("scaled", ON_DAY_4).unwrap();
+    let demand = service.demand_answers("scaled", ON_DAY_4).unwrap();
+    assert_eq!(*quality.answers, *before.answers, "?q- kept the reading");
+    assert_eq!(*demand.answers, *before.answers, "?d- kept the reading");
+}
+
+/// The same join straight on the engine: after a `delete`, the forced
+/// leapfrog kernel must agree with the hash kernel — with and without hash
+/// indexes on the tombstoned relation (its un-indexed scan paths were the
+/// ones reading dead rows).
+#[test]
+fn leapfrog_and_hash_agree_after_a_delete() {
+    use ontodq_chase::{chase, ensure_indexes, evaluate_with, JoinEngine};
+    let workload = generate(&HospitalScale::with_measurements(200));
+    let context = workload.context();
+    let (program, database) = compile_context(&context, &workload.instance);
+    let mut chased = chase(&program, &database).database;
+    chased.merge(&workload.instance).unwrap();
+    let query = ontodq_integration_tests::query(&format!("Q(t, p, v, d) :- {NAVIGATION}."));
+
+    let answers = |db: &Database, engine: JoinEngine| {
+        let mut found: Vec<String> = evaluate_with(db, &query.body, engine)
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        found.sort();
+        found
+    };
+    let full = answers(&chased, JoinEngine::Hash);
+    assert!(!full.is_empty());
+    assert_eq!(answers(&chased, JoinEngine::Leapfrog), full);
+
+    // Tombstone every other reading the join reaches.
+    let victims: Vec<Tuple> = chased
+        .relation("Measurements")
+        .unwrap()
+        .iter()
+        .step_by(2)
+        .collect();
+    for victim in &victims {
+        assert!(chased.delete("Measurements", victim));
+    }
+    let survivors = answers(&chased, JoinEngine::Hash);
+    assert!(survivors.len() < full.len(), "the deletes missed the join");
+    assert_eq!(answers(&chased, JoinEngine::Leapfrog), survivors);
+    assert_eq!(answers(&chased, JoinEngine::Auto), survivors);
+    ensure_indexes(&mut chased, &query.body);
+    assert_eq!(answers(&chased, JoinEngine::Leapfrog), survivors);
+    assert_eq!(answers(&chased, JoinEngine::Hash), survivors);
 }
