@@ -50,8 +50,7 @@ use crate::eval::{
     ensure_index, ensure_indexes, evaluate_delta_with, evaluate_with, extend_over_atoms,
     for_each_trigger, has_extension, plan_uses_wco, JoinEngine,
 };
-use crate::profile::{ChaseProfile, DredTiming};
-use crate::provenance::{ChaseStats, ChaseStep, Provenance, SupportGraph, TriggerRecord};
+use crate::profile::{ChaseProfile, ChaseStats, DredTiming};
 use crate::violation::{EgdViolation, NcViolation, Violations};
 use ontodq_datalog::analysis::{magic_transform, DemandProgram};
 use ontodq_datalog::{
@@ -117,17 +116,8 @@ pub struct ChaseConfig {
     /// Maximum number of tuples the chase may add before stopping with
     /// [`TerminationReason::TupleLimit`].
     pub max_new_tuples: usize,
-    /// Whether to enforce EGDs.
-    pub apply_egds: bool,
     /// Whether to check negative constraints on the final instance.
     pub check_constraints: bool,
-    /// Record per-step provenance (disable for large synthetic runs).
-    pub record_provenance: bool,
-    /// Build hash indexes on every rule body's join positions before the
-    /// run (both strategies; they are then maintained incrementally as the
-    /// chase inserts, and naive-vs-semi-naive comparisons isolate the
-    /// delta-evaluation gain).
-    pub build_indexes: bool,
     /// Worker threads for [`EvalStrategy::Parallel`] trigger discovery; `0`
     /// means "one per available CPU".  Ignored by the sequential
     /// strategies.  The effective team size is additionally capped by the
@@ -139,15 +129,6 @@ pub struct ChaseConfig {
     /// explicit variants force one kernel for A/B comparisons and the
     /// equivalence suites.
     pub join: JoinEngine,
-    /// Record the dependency graph ([`SupportGraph`]) while chasing: one
-    /// [`TriggerRecord`] per fired trigger, linking grounded body facts to
-    /// derived head facts.  Tracking needs the body assignment of every
-    /// trigger, so full rules come off the staged batch-firing path — use
-    /// only when the graph is actually wanted (DRed diagnostics, provenance
-    /// queries).  Support counts are exact under delta-driven discovery
-    /// (each trigger is recorded once); the naive strategy re-discovers
-    /// triggers every round and over-counts accordingly.
-    pub track_support: bool,
     /// Collect a per-rule [`ChaseProfile`] (join time, delta sizes, fires,
     /// kernel choice) while chasing.  On by default — the cost is a few
     /// clock reads per rule per round; `false` skips every measurement
@@ -172,13 +153,9 @@ impl Default for ChaseConfig {
             strategy: EvalStrategy::SemiNaive,
             max_rounds: 1_000,
             max_new_tuples: 1_000_000,
-            apply_egds: true,
             check_constraints: true,
-            record_provenance: false,
-            build_indexes: true,
             threads: 0,
             join: JoinEngine::Auto,
-            track_support: false,
             profile: true,
             certificate: None,
         }
@@ -254,8 +231,6 @@ pub struct ChaseResult {
     pub stats: ChaseStats,
     /// EGD and negative-constraint violations observed.
     pub violations: Violations,
-    /// Per-step provenance (empty unless enabled in the config).
-    pub provenance: Provenance,
     /// Why the run stopped.
     pub termination: TerminationReason,
     /// Per-rule profile (join time, delta sizes, kernel choice); disabled
@@ -620,9 +595,9 @@ impl ChaseState {
 
 /// Build hash indexes on the join positions of every rule body of `program`
 /// (TGDs, EGDs, negative constraints); they are maintained incrementally by
-/// `ontodq-relational` from then on.  What every chase strategy runs first
-/// under [`ChaseConfig::build_indexes`]; relations that do not exist (yet)
-/// are skipped, and a relation whose indexes all exist is not opened.
+/// `ontodq-relational` from then on.  What every chase strategy runs first;
+/// relations that do not exist (yet) are skipped, and a relation whose
+/// indexes all exist is not opened.
 ///
 /// Existential TGDs additionally get an index on every *frontier*
 /// position of each head atom: the restricted chase probes the head
@@ -737,7 +712,6 @@ struct RunState {
     nulls: NullGenerator,
     stats: ChaseStats,
     violations: Violations,
-    provenance: Provenance,
     /// Oblivious-mode dedup of fired triggers.
     fired: HashSet<(usize, Vec<(Variable, Value)>)>,
     /// Per-rule measurements (disabled unless [`ChaseConfig::profile`]).
@@ -859,19 +833,6 @@ impl ChaseEngine {
         rule.tuples_added += (stats.tuples_added - added_before) as u64;
     }
 
-    /// A fresh provenance log honoring the engine's recording flags.
-    fn fresh_provenance(&self) -> Provenance {
-        let mut provenance = if self.config.record_provenance {
-            Provenance::recording()
-        } else {
-            Provenance::disabled()
-        };
-        if self.config.track_support {
-            provenance.support = SupportGraph::tracking();
-        }
-        provenance
-    }
-
     /// The certificate cross-check diagnostics for a run that stopped with
     /// `termination` (see [`ChaseConfig::certificate`]), also folding the
     /// certificate and diagnostic counts into `profile`.
@@ -946,7 +907,6 @@ impl ChaseEngine {
             nulls: NullGenerator::starting_at(next_null),
             stats: ChaseStats::default(),
             violations: Violations::default(),
-            provenance: self.fresh_provenance(),
             fired: HashSet::new(),
             profile: self.fresh_profile(program),
         };
@@ -980,7 +940,6 @@ impl ChaseEngine {
             database: db,
             stats: state.stats,
             violations: state.violations,
-            provenance: state.provenance,
             termination,
             profile: state.profile,
             diagnostics,
@@ -1014,7 +973,6 @@ impl ChaseEngine {
             nulls: NullGenerator::starting_at(state.next_null),
             stats: ChaseStats::default(),
             violations: Violations::default(),
-            provenance: self.fresh_provenance(),
             fired: HashSet::new(),
             profile: self.fresh_profile(program),
         };
@@ -1060,7 +1018,6 @@ impl ChaseEngine {
             database: state.database.clone(),
             stats: run.stats,
             violations: run.violations,
-            provenance: run.provenance,
             termination,
             profile: run.profile,
             diagnostics,
@@ -1077,12 +1034,10 @@ impl ChaseEngine {
         db: &mut Database,
         state: &mut RunState,
     ) -> TerminationReason {
-        // Both strategies honor `build_indexes`, so naive-vs-semi-naive
-        // comparisons isolate the delta-evaluation gain rather than
-        // conflating it with hash-index vs full-scan joins.
-        if self.config.build_indexes {
-            ensure_rule_indexes(program, db);
-        }
+        // Every strategy joins through the same indexes, so
+        // naive-vs-semi-naive comparisons isolate the delta-evaluation gain
+        // rather than conflating it with hash-index vs full-scan joins.
+        ensure_rule_indexes(program, db);
         let mut termination = TerminationReason::Fixpoint;
         'rounds: for round in 1..=self.config.max_rounds {
             state.stats.rounds = round;
@@ -1111,7 +1066,7 @@ impl ChaseEngine {
                         limited = true;
                         break;
                     }
-                    changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state, round);
+                    changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
                 }
                 Self::note_outcome(
                     &mut state.profile,
@@ -1127,14 +1082,12 @@ impl ChaseEngine {
             }
 
             // EGD enforcement (to local fixpoint within the round).
-            if self.config.apply_egds {
-                let egd_start = self.profile_now();
-                let egd_changed = self.apply_egds_naive(program, db, state);
-                if self.config.profile {
-                    state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-                }
-                changed = changed || egd_changed;
+            let egd_start = self.profile_now();
+            let egd_changed = self.enforce_egds_naive(program, db, state);
+            if self.config.profile {
+                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
             }
+            changed = changed || egd_changed;
 
             if !changed {
                 termination = TerminationReason::Fixpoint;
@@ -1149,7 +1102,12 @@ impl ChaseEngine {
 
     /// Enforce the program's EGDs on `db` by full re-evaluation until no
     /// further change; returns whether anything changed.
-    fn apply_egds_naive(&self, program: &Program, db: &mut Database, state: &mut RunState) -> bool {
+    fn enforce_egds_naive(
+        &self,
+        program: &Program,
+        db: &mut Database,
+        state: &mut RunState,
+    ) -> bool {
         let mut changed_any = false;
         loop {
             let mut changed = false;
@@ -1204,9 +1162,7 @@ impl ChaseEngine {
         tgd_floor: &mut [Option<u64>],
         egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
-        if self.config.build_indexes {
-            ensure_rule_indexes(program, db);
-        }
+        ensure_rule_indexes(program, db);
 
         let mut termination = TerminationReason::Fixpoint;
         'rounds: for round in 1..=self.config.max_rounds {
@@ -1237,7 +1193,7 @@ impl ChaseEngine {
                     }
                     db.advance_epoch();
                     let (batch_changed, limited) =
-                        self.apply_staged_triggers(tgd_index, tgd, &staged, db, state, round);
+                        self.apply_staged_triggers(tgd, &staged, db, state);
                     changed |= batch_changed;
                     Self::note_outcome(
                         &mut state.profile,
@@ -1277,7 +1233,7 @@ impl ChaseEngine {
                             limited = true;
                             break;
                         }
-                        changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state, round);
+                        changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
                     }
                     Self::note_outcome(
                         &mut state.profile,
@@ -1296,14 +1252,12 @@ impl ChaseEngine {
                 tgd_floor[tgd_index] = Some(watermark);
             }
 
-            if self.config.apply_egds {
-                let egd_start = self.profile_now();
-                let egd_changed = self.apply_egds_seminaive(program, db, state, egd_floor);
-                if self.config.profile {
-                    state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-                }
-                changed = changed || egd_changed;
+            let egd_start = self.profile_now();
+            let egd_changed = self.enforce_egds_seminaive(program, db, state, egd_floor);
+            if self.config.profile {
+                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
             }
+            changed = changed || egd_changed;
 
             if !changed {
                 termination = TerminationReason::Fixpoint;
@@ -1367,9 +1321,7 @@ impl ChaseEngine {
         tgd_floor: &mut [Option<u64>],
         egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
-        if self.config.build_indexes {
-            ensure_rule_indexes(program, db);
-        }
+        ensure_rule_indexes(program, db);
         let threads = self.effective_threads(program.tgds.len());
 
         let mut termination = TerminationReason::Fixpoint;
@@ -1433,7 +1385,7 @@ impl ChaseEngine {
                 match batch {
                     TriggerBatch::Staged(staged) => {
                         let (batch_changed, batch_limited) =
-                            self.apply_staged_triggers(tgd_index, tgd, &staged, db, state, round);
+                            self.apply_staged_triggers(tgd, &staged, db, state);
                         changed |= batch_changed;
                         if batch_limited {
                             termination = TerminationReason::TupleLimit;
@@ -1447,8 +1399,7 @@ impl ChaseEngine {
                                 limited = true;
                                 break;
                             }
-                            changed |=
-                                self.fire_trigger(tgd_index, tgd, &assignment, db, state, round);
+                            changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
                         }
                     }
                 }
@@ -1466,14 +1417,12 @@ impl ChaseEngine {
                 tgd_floor[tgd_index] = Some(watermark);
             }
 
-            if self.config.apply_egds {
-                let egd_start = self.profile_now();
-                let egd_changed = self.apply_egds_seminaive(program, db, state, egd_floor);
-                if self.config.profile {
-                    state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-                }
-                changed = changed || egd_changed;
+            let egd_start = self.profile_now();
+            let egd_changed = self.enforce_egds_seminaive(program, db, state, egd_floor);
+            if self.config.profile {
+                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
             }
+            changed = changed || egd_changed;
 
             if !changed {
                 termination = TerminationReason::Fixpoint;
@@ -1493,7 +1442,7 @@ impl ChaseEngine {
     /// EGD's floor is only advanced once an evaluation drains with no
     /// substitution — so triggers invalidated by a substitution are simply
     /// re-discovered on the next sweep instead of being acted on stale.
-    fn apply_egds_seminaive(
+    fn enforce_egds_seminaive(
         &self,
         program: &Program,
         db: &mut Database,
@@ -1553,7 +1502,6 @@ impl ChaseEngine {
     /// triggers fired" at all.
     fn batchable(&self, tgd: &Tgd) -> bool {
         self.config.mode == ChaseMode::Restricted
-            && !self.config.track_support
             && tgd.is_full()
             && tgd.head.iter().map(|a| a.arity()).sum::<usize>() > 0
     }
@@ -1574,12 +1522,10 @@ impl ChaseEngine {
     /// rediscovers them).
     fn apply_staged_triggers(
         &self,
-        tgd_index: usize,
         tgd: &Tgd,
         staged: &[Value],
         db: &mut Database,
         state: &mut RunState,
-        round: usize,
     ) -> (bool, bool) {
         let chunk: usize = tgd.head.iter().map(|a| a.arity()).sum();
         // `batchable` keeps zero-arity-head rules off this path (a 0-sized
@@ -1604,14 +1550,6 @@ impl ChaseEngine {
                     state.stats.tuples_added += 1;
                     state.stats.triggers_fired += 1;
                     changed = true;
-                    if state.provenance.recorded {
-                        state.provenance.record(ChaseStep {
-                            rule_index: tgd_index,
-                            rule_label: tgd.label.clone(),
-                            produced: vec![(atom.predicate.clone(), Tuple::new(row.to_vec()))],
-                            round,
-                        });
-                    }
                 } else {
                     state.stats.triggers_satisfied += 1;
                 }
@@ -1624,7 +1562,6 @@ impl ChaseEngine {
             }
             let mut offset = 0;
             let mut any_added = false;
-            let mut produced = Vec::new();
             for atom in &tgd.head {
                 let slice = &row[offset..offset + atom.arity()];
                 offset += atom.arity();
@@ -1634,22 +1571,11 @@ impl ChaseEngine {
                 {
                     state.stats.tuples_added += 1;
                     any_added = true;
-                    if state.provenance.recorded {
-                        produced.push((atom.predicate.clone(), Tuple::new(slice.to_vec())));
-                    }
                 }
             }
             if any_added {
                 state.stats.triggers_fired += 1;
                 changed = true;
-                if !produced.is_empty() {
-                    state.provenance.record(ChaseStep {
-                        rule_index: tgd_index,
-                        rule_label: tgd.label.clone(),
-                        produced,
-                        round,
-                    });
-                }
             } else {
                 state.stats.triggers_satisfied += 1;
             }
@@ -1668,7 +1594,6 @@ impl ChaseEngine {
         assignment: &ontodq_datalog::Assignment,
         db: &mut Database,
         state: &mut RunState,
-        round: usize,
     ) -> bool {
         match self.config.mode {
             ChaseMode::Oblivious => {
@@ -1688,8 +1613,7 @@ impl ChaseEngine {
                 // some extension of the assignment.  Full TGDs fall through
                 // instead: their only extension is the trigger itself, so
                 // the inserts below double as the satisfaction check
-                // (all-duplicates == satisfied), and a duplicate insert
-                // bumps the existing row's support count.
+                // (all-duplicates == satisfied).
                 if !tgd.is_full() {
                     let head_atoms: Vec<_> = tgd.head.iter().collect();
                     if has_extension(db, &head_atoms, assignment) {
@@ -1706,59 +1630,24 @@ impl ChaseEngine {
             state.stats.nulls_created += 1;
             extended.bind(var, fresh);
         }
-        let mut produced = Vec::new();
-        let mut derived = Vec::new();
-        let track = state.provenance.support.is_enabled();
         let mut changed = false;
         for head_atom in &tgd.head {
             let tuple = extended
                 .ground_atom(head_atom)
                 .expect("head variables are bound by the trigger and fresh nulls");
-            if track {
-                derived.push((head_atom.predicate.clone(), tuple.clone()));
-            }
-            let added = db
+            if db
                 .relation_or_create(&head_atom.predicate, head_atom.arity())
-                .insert_unchecked(tuple.clone());
-            if added {
+                .insert_unchecked(tuple)
+            {
                 state.stats.tuples_added += 1;
                 changed = true;
-                produced.push((head_atom.predicate.clone(), tuple));
             }
-        }
-        if track {
-            // Record even a satisfied trigger: it is an alternative
-            // derivation of its (already-present) head facts.
-            let body = tgd
-                .body
-                .atoms
-                .iter()
-                .filter_map(|atom| {
-                    assignment
-                        .ground_atom(atom)
-                        .map(|tuple| (atom.predicate.clone(), tuple))
-                })
-                .collect();
-            state.provenance.support.record(TriggerRecord {
-                rule_index: tgd_index,
-                body,
-                derived,
-                round,
-            });
         }
         if self.config.mode == ChaseMode::Restricted && tgd.is_full() && !changed {
             state.stats.triggers_satisfied += 1;
             return false;
         }
         state.stats.triggers_fired += 1;
-        if !produced.is_empty() {
-            state.provenance.record(ChaseStep {
-                rule_index: tgd_index,
-                rule_label: tgd.label.clone(),
-                produced,
-                round,
-            });
-        }
         changed
     }
 
@@ -1817,12 +1706,11 @@ impl ChaseEngine {
     /// 1. **Over-approximate.**  Compute the transitive consequence closure
     ///    of `requested` *against the still-visible instance* — triggers are
     ///    enumerated before anything is tombstoned, so simultaneous
-    ///    deletions cannot hide each other's triggers.  When `graph` carries
-    ///    a recorded [`SupportGraph`], the closure walks its edges; otherwise
-    ///    it is re-derived by evaluation: each condemned fact is unified into
-    ///    every matching rule-body atom, the rest of the body is joined out,
-    ///    and the grounded heads (or, for existential heads, every row
-    ///    matching the frontier-ground positions) are condemned in turn.
+    ///    deletions cannot hide each other's triggers.  The closure is
+    ///    computed by evaluation: each condemned fact is unified into every
+    ///    matching rule-body atom, the rest of the body is joined out, and
+    ///    the grounded heads (or, for existential heads, every row matching
+    ///    the frontier-ground positions) are condemned in turn.
     ///    Facts in `protected` — the surviving extensional base — are never
     ///    condemned (explicitly requested facts bypass protection).
     /// 2. **Delete.**  Tombstone every condemned fact
@@ -1840,15 +1728,16 @@ impl ChaseEngine {
     /// The resulting instance satisfies retract-then-rederive ==
     /// fresh-chase-of-the-surviving-EDB (modulo labeled-null renaming).
     /// **EGD caveat**: historical null unifications cannot be unwound, so
-    /// callers must check [`egds_read_relations`] over the touched
-    /// relations first and fall back to a full re-chase when it fires.
+    /// callers must check [`egds_read_relations`] over every relation the
+    /// retracted ones can reach in the predicate graph
+    /// ([`ontodq_datalog::graph::PredicateGraph::reachable_from`]) and fall back to
+    /// a full re-chase when it fires.
     pub fn retract(
         &self,
         program: &Program,
         state: &mut ChaseState,
         protected: &Database,
         requested: &[(String, Tuple)],
-        graph: Option<&SupportGraph>,
     ) -> RetractResult {
         state.sync_with(program);
         // Seeds: the requested facts actually present (deduplicated,
@@ -1866,12 +1755,7 @@ impl ChaseEngine {
         // Phase 1: over-approximated consequence closure, computed while
         // every fact is still visible.
         let cascade_start = self.profile_now();
-        let condemned = match graph {
-            Some(g) if g.is_enabled() => g.cascade(&seeds, &|relation, tuple| {
-                protected.contains(relation, tuple)
-            }),
-            _ => self.cascade_consequences(program, &state.database, protected, &seeds),
-        };
+        let condemned = self.cascade_consequences(program, &state.database, protected, &seeds);
         // Phase 2: tombstone the closure.
         let delete_start = self.profile_now();
         let seed_set: HashSet<&(String, Tuple)> = seeds.iter().collect();
@@ -1927,10 +1811,9 @@ impl ChaseEngine {
         RetractResult { stats, chase }
     }
 
-    /// The evaluation-driven DRed delete-phase closure (the fallback when no
-    /// recorded [`SupportGraph`] is at hand): worklist over condemned facts,
-    /// each unified into every matching body atom of every rule, the rest of
-    /// the body joined against the (still fully visible) instance.
+    /// The DRed delete-phase closure: worklist over condemned facts, each
+    /// unified into every matching body atom of every rule, the rest of the
+    /// body joined against the (still fully visible) instance.
     fn cascade_consequences(
         &self,
         program: &Program,
@@ -2119,6 +2002,7 @@ pub fn chase_incremental(program: &Program, state: &mut ChaseState) -> ChaseResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ontodq_datalog::graph::PredicateGraph;
     use ontodq_datalog::parse_program;
     use ontodq_relational::Tuple;
 
@@ -2397,7 +2281,7 @@ mod tests {
             fact("PatientWard", &["W3", "Sep/8", "Lou Reed"]),
             fact("PatientWard", &["W3", "Sep/7", "Tom Waits"]),
         ];
-        let result = engine.retract(&program, &mut state, &surviving, &gone, None);
+        let result = engine.retract(&program, &mut state, &surviving, &gone);
         assert_eq!(by_constraint(&result.chase), [0, 0]);
     }
 
@@ -2448,28 +2332,6 @@ mod tests {
             assert_eq!(unit_in_iu, unit_in_pu);
             assert_eq!(result.stats.nulls_created, 1);
         }
-    }
-
-    #[test]
-    fn provenance_records_producing_rules() {
-        let program =
-            parse_program("PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n")
-                .unwrap();
-        let config = ChaseConfig {
-            record_provenance: true,
-            ..Default::default()
-        };
-        let result = ChaseEngine::new(config).run(&program, &hospital_db());
-        assert!(result.provenance.recorded);
-        assert_eq!(result.provenance.steps_for_relation("PatientUnit").len(), 6);
-        let produced = result
-            .provenance
-            .producer_of(
-                "PatientUnit",
-                &Tuple::from_iter(["Standard", "Sep/5", "Tom Waits"]),
-            )
-            .unwrap();
-        assert_eq!(produced.rule_index, 0);
     }
 
     #[test]
@@ -2768,13 +2630,6 @@ mod tests {
         // comparisons isolate the delta-evaluation gain.
         let naive = chase_naive(&program, &hospital_db());
         assert!(naive.database.relation("PatientWard").unwrap().has_index(0));
-        // Disabled by config.
-        let config = ChaseConfig {
-            build_indexes: false,
-            ..Default::default()
-        };
-        let bare = ChaseEngine::new(config).run(&program, &hospital_db());
-        assert!(!bare.database.relation("PatientWard").unwrap().has_index(0));
     }
 
     // ------------------------------------------------------------------
@@ -2991,7 +2846,6 @@ mod tests {
             &mut state,
             &protected,
             &[("E".to_string(), Tuple::from_iter(["a", "b"]))],
-            None,
         );
         assert_eq!(result.stats.requested, 1);
         assert_eq!(result.stats.retracted, 1);
@@ -3030,7 +2884,6 @@ mod tests {
                 ("E".to_string(), Tuple::from_iter(["a", "b"])),
                 ("E".to_string(), Tuple::from_iter(["b", "a"])),
             ],
-            None,
         );
         assert_eq!(result.stats.retracted, 2);
         assert_eq!(result.stats.rederived, 0);
@@ -3050,7 +2903,6 @@ mod tests {
             &mut state,
             &db,
             &[("E".to_string(), Tuple::from_iter(["x", "y"]))],
-            None,
         );
         assert_eq!(result.stats.requested, 1);
         assert_eq!(result.stats.retracted, 0);
@@ -3084,7 +2936,6 @@ mod tests {
             &mut state,
             &protected,
             &[("WorkingSchedules".to_string(), cathy)],
-            None,
         );
         assert_eq!(result.stats.retracted, 1);
         assert_eq!(result.stats.cascaded, 1);
@@ -3109,51 +2960,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_with_support_graph_matches_evaluation_driven_cascade() {
-        let program = closure_program();
-        let db = edge_facts(&[("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]);
-        let engine = ChaseEngine::new(ChaseConfig {
-            track_support: true,
-            ..Default::default()
-        });
-        let protected = edge_facts(&[("b", "c"), ("a", "c"), ("c", "d")]);
-        let requested = [("E".to_string(), Tuple::from_iter(["a", "b"]))];
-
-        // Graph-driven path.
-        let mut graph_state = ChaseState::new(&program, &db);
-        let initial = engine.resume(&program, &mut graph_state);
-        let graph = &initial.provenance.support;
-        assert!(graph.is_enabled());
-        assert!(!graph.is_empty());
-        // T(a,c) is derived both from the direct edge and through b.
-        assert_eq!(graph.support_count("T", &Tuple::from_iter(["a", "c"])), 2);
-        let via_graph = engine.retract(
-            &program,
-            &mut graph_state,
-            &protected,
-            &requested,
-            Some(graph),
-        );
-        assert_eq!(via_graph.stats.retracted, 1);
-
-        // Evaluation-driven path.
-        let mut eval_state = ChaseState::new(&program, &db);
-        engine.resume(&program, &mut eval_state);
-        engine.retract(&program, &mut eval_state, &protected, &requested, None);
-
-        assert_eq!(
-            relation_tuples(graph_state.database(), "T"),
-            relation_tuples(eval_state.database(), "T"),
-        );
-        // Both equal the fresh chase of the surviving EDB.
-        let fresh = chase(&program, &protected);
-        assert_eq!(
-            relation_tuples(graph_state.database(), "T"),
-            relation_tuples(&fresh.database, "T"),
-        );
-    }
-
-    #[test]
     fn retract_keeps_incremental_inserts_working_afterwards() {
         // Interleave: insert, chase, retract, insert again — the watermarks
         // must stay exact through the whole sequence.
@@ -3173,7 +2979,6 @@ mod tests {
             &mut state,
             &protected,
             &[("E".to_string(), Tuple::from_iter(["a", "b"]))],
-            None,
         );
         assert_eq!(state.database().relation("T").unwrap().len(), 1);
 
@@ -3198,6 +3003,22 @@ mod tests {
         assert!(egds_read_relations(&program, ["Pref"]));
         assert!(!egds_read_relations(&program, ["E", "T"]));
         assert!(!egds_read_relations(&program, []));
+
+        // An EGD over *derived* relations: `A` reaches the EGD body only
+        // through `K`, so the retracted relations alone do not flag it, but
+        // their downstream closure in the predicate graph does.
+        let derived = parse_program(
+            "B(x, z) :- P(x).\n\
+             K(x, y) :- A(x, y).\n\
+             z1 = z2 :- B(x, z1), K(x, z2).\n",
+        )
+        .unwrap();
+        assert!(!egds_read_relations(&derived, ["A"]));
+        let reached = PredicateGraph::build(&derived).reachable_from(&["A"]);
+        assert!(egds_read_relations(
+            &derived,
+            reached.iter().map(String::as_str)
+        ));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   query-answering algorithms in `ontodq-qa`),
 //! * [`mod@chase`] — the restricted and oblivious chase with EGD enforcement
 //!   (null unification or hard violations) and negative-constraint checking,
-//! * [`violation`] and [`provenance`] — structured reports of what the chase
-//!   found and did.
+//!   and delete-and-rederive retraction ([`ChaseEngine::retract`]),
+//! * [`violation`] and [`profile`] — structured reports of what the chase
+//!   found and did ([`ChaseStats`]) and where its time went
+//!   ([`ChaseProfile`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +27,6 @@ pub mod chase;
 pub mod eval;
 pub mod par;
 pub mod profile;
-pub mod provenance;
 pub mod violation;
 pub mod wco;
 
@@ -40,8 +41,7 @@ pub use eval::{
     JoinEngine,
 };
 pub use par::parallel_map;
-pub use profile::{ChaseProfile, DredTiming, RuleProfile};
-pub use provenance::{ChaseStats, ChaseStep, Provenance, SupportGraph, TriggerRecord};
+pub use profile::{ChaseProfile, ChaseStats, DredTiming, RuleProfile};
 pub use violation::{EgdViolation, NcViolation, Violations};
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
-//! Per-rule chase profiling: where the chase actually spends its time.
+//! Chase statistics and per-rule profiling: what the chase did, and where
+//! it spent its time.
 //!
+//! [`ChaseStats`] counts what every run did (rounds, fired and satisfied
+//! triggers, tuples, nulls, EGD and constraint outcomes).
 //! [`ChaseProfile`] is collected by every driver strategy when
 //! [`ChaseConfig::profile`](crate::ChaseConfig::profile) is on (the
 //! default) and carried on [`ChaseResult`](crate::ChaseResult) *next to*
-//! [`ChaseStats`](crate::ChaseStats) — stats stay timing-free and
+//! [`ChaseStats`] — stats stay timing-free and
 //! `Eq`-comparable across strategies, while the profile records wall time
 //! (through the engine's injected [`Clock`](ontodq_obs::Clock)) and the
 //! hash-vs-leapfrog kernel decision per rule, making the
@@ -14,6 +17,47 @@
 //! the top rules by cumulative join time.
 
 use ontodq_datalog::TerminationCertificate;
+use std::fmt;
+
+/// Aggregate statistics of a chase run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChaseStats {
+    /// Number of rounds executed (a round applies every TGD once).
+    pub rounds: usize,
+    /// Number of triggers that actually fired (restricted chase skips
+    /// satisfied ones).
+    pub triggers_fired: usize,
+    /// Number of triggers considered but skipped because the head was
+    /// already satisfied.
+    pub triggers_satisfied: usize,
+    /// Number of tuples added across all relations.
+    pub tuples_added: usize,
+    /// Number of fresh labeled nulls invented.
+    pub nulls_created: usize,
+    /// Number of EGD applications that unified a null.
+    pub egd_unifications: usize,
+    /// Number of hard EGD violations (two distinct constants equated).
+    pub egd_violations: usize,
+    /// Number of negative-constraint violations observed.
+    pub nc_violations: usize,
+}
+
+impl fmt::Display for ChaseStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "rounds={}, fired={}, satisfied={}, tuples+={}, nulls+={}, egd-unify={}, egd-viol={}, nc-viol={}",
+            self.rounds,
+            self.triggers_fired,
+            self.triggers_satisfied,
+            self.tuples_added,
+            self.nulls_created,
+            self.egd_unifications,
+            self.egd_violations,
+            self.nc_violations
+        )
+    }
+}
 
 /// Cumulative per-rule measurements (one per TGD, by rule index).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -243,6 +287,17 @@ mod tests {
         let top = profile.top_by_join_micros(3);
         let order: Vec<usize> = top.iter().map(|r| r.rule_index).collect();
         assert_eq!(order, vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn displays_are_informative() {
+        let stats = ChaseStats {
+            rounds: 2,
+            tuples_added: 5,
+            ..Default::default()
+        };
+        assert!(stats.to_string().contains("rounds=2"));
+        assert!(stats.to_string().contains("tuples+=5"));
     }
 
     #[test]

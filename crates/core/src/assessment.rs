@@ -13,6 +13,7 @@ use ontodq_chase::{
     egds_read_relations, ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState,
     RetractResult, RetractStats,
 };
+use ontodq_datalog::graph::PredicateGraph;
 use ontodq_datalog::{lint_with, Diagnostic, LintReport, Program};
 use ontodq_mdm::compile;
 use ontodq_relational::{same_relation, Database, RelationInstance, RelationSchema, Tuple};
@@ -30,7 +31,7 @@ pub struct AssessmentResult {
     pub quality_database: Database,
     /// Per-relation quality metrics comparing `D` with `D^q`.
     pub metrics: QualityMetrics,
-    /// The chase result (statistics, violations, provenance).
+    /// The chase result (statistics, violations, profile).
     pub chase: ChaseResult,
     /// The combined Datalog± program that was chased (ontology + context).
     pub program: Program,
@@ -56,7 +57,7 @@ impl AssessmentResult {
 /// Options of the assessment pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct AssessmentOptions {
-    /// Chase configuration (budget, provenance recording, …).
+    /// Chase configuration (strategy, budgets, join kernel, …).
     pub chase: ChaseConfig,
 }
 
@@ -332,9 +333,7 @@ impl ResumableAssessment {
         // indexes in place first, the extensional relations the chase never
         // writes stay one shared copy across base, state and snapshots, and
         // a demand chase over the base finds every index it asks for.
-        if chase_config.build_indexes {
-            ensure_demand_indexes(&program, &mut database);
-        }
+        ensure_demand_indexes(&program, &mut database);
         let engine = ChaseEngine::new(chase_config).with_clock(clock);
         let mut state = ChaseState::new(&program, &database);
         let initial = engine.resume(&program, &mut state);
@@ -411,10 +410,8 @@ impl ResumableAssessment {
         // Index before sharing, as at construction (persisted relations
         // come back without indexes; the first resume would otherwise copy
         // every one of them out of the snapshot published in between).
-        if chase_config.build_indexes {
-            ensure_demand_indexes(&program, &mut base);
-            state.ensure_rule_indexes(&program);
-        }
+        ensure_demand_indexes(&program, &mut base);
+        state.ensure_rule_indexes(&program);
         Self {
             context,
             program,
@@ -616,11 +613,11 @@ impl ResumableAssessment {
     /// directly.  Facts that are not present are counted in
     /// [`RetractStats::requested`] but otherwise ignored.
     ///
-    /// When some EGD reads a touched relation the incremental path is
-    /// unsound (null unifications cannot be unwound), so the chase state is
-    /// rebuilt from the surviving extensional base instead; the result's
-    /// `cascaded` count is 0 in that case because nothing was individually
-    /// condemned.
+    /// When some EGD reads a touched relation, or a relation derived from
+    /// one, the incremental path is unsound (null unifications cannot be
+    /// unwound), so the chase state is rebuilt from the surviving
+    /// extensional base instead; the result's `cascaded` count is 0 in that
+    /// case because nothing was individually condemned.
     pub fn retract_batch<I>(&mut self, facts: I) -> RetractResult
     where
         I: IntoIterator<Item = (String, Tuple)>,
@@ -651,7 +648,11 @@ impl ResumableAssessment {
         // retracted (the chase state reclaims its own in `retract`).
         self.instance.compact_sparse();
         self.base.compact_sparse();
-        let result = if egds_read_relations(&self.program, touched.iter().map(|s| s.as_str())) {
+        // An EGD may have unified a null in any relation the retracted
+        // facts reach, not only in the retracted relations themselves.
+        let touched: Vec<&str> = touched.iter().map(String::as_str).collect();
+        let reached = PredicateGraph::build(&self.program).reachable_from(&touched);
+        let result = if egds_read_relations(&self.program, reached.iter().map(String::as_str)) {
             // EGD fallback: rebuild from the surviving extensional base.
             let requested = seeds.len();
             let mut state = ChaseState::new(&self.program, &self.base);
@@ -668,7 +669,7 @@ impl ResumableAssessment {
             }
         } else {
             self.engine
-                .retract(&self.program, &mut self.state, &self.base, &seeds, None)
+                .retract(&self.program, &mut self.state, &self.base, &seeds)
         };
         self.last = ChaseSummary::of(&result.chase);
         self.profile.merge(&result.chase.profile);
@@ -815,7 +816,6 @@ impl ResumableAssessment {
                 database: self.state.database().clone(),
                 stats: self.last.stats.clone(),
                 violations: self.last.violations.clone(),
-                provenance: ontodq_chase::Provenance::disabled(),
                 termination: self.last.termination,
                 profile: self.profile.clone(),
                 diagnostics: self.last.diagnostics.clone(),

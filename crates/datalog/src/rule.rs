@@ -21,7 +21,7 @@ use std::fmt;
 /// body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tgd {
-    /// Optional rule label (used in diagnostics and chase provenance).
+    /// Optional rule label (used in diagnostics and chase profiles).
     pub label: Option<String>,
     /// The body conjunction.  TGD bodies contain no negated atoms.
     pub body: Conjunction,

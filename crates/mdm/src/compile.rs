@@ -16,7 +16,9 @@
 //!   (form (2)) and **negative constraints** (form (3)) verbatim.
 //!
 //! The result is a [`CompiledOntology`]: a [`Program`] (rules and
-//! constraints) plus a [`Database`] (the extensional data `D_M`).
+//! constraints) plus a [`Database`] (the extensional data `D_M`), with hash
+//! indexes on both positions of every parent–child predicate and on the
+//! categorical positions of every categorical relation.
 
 use crate::ontology::MdOntology;
 use ontodq_datalog::{Atom, Conjunction, NegativeConstraint, Program, Term};
@@ -40,34 +42,8 @@ impl CompiledOntology {
     }
 }
 
-/// Options controlling compilation.
-#[derive(Debug, Clone)]
-pub struct CompileOptions {
-    /// Emit the form-(1) referential negative constraints (one per
-    /// categorical attribute).  On by default.
-    pub referential_constraints: bool,
-    /// Build hash indexes on the parent–child predicates (both positions)
-    /// and on the categorical relations' categorical positions, to speed up
-    /// chase joins.  On by default.
-    pub build_indexes: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            referential_constraints: true,
-            build_indexes: true,
-        }
-    }
-}
-
-/// Compile an ontology with default options.
+/// Compile an ontology (see the module docs for what it produces).
 pub fn compile(ontology: &MdOntology) -> CompiledOntology {
-    compile_with(ontology, &CompileOptions::default())
-}
-
-/// Compile an ontology with explicit options.
-pub fn compile_with(ontology: &MdOntology, options: &CompileOptions) -> CompiledOntology {
     let mut program = Program::new();
     let mut database = ontology.data().clone();
 
@@ -85,34 +61,29 @@ pub fn compile_with(ontology: &MdOntology, options: &CompileOptions) -> Compiled
             for (child_member, parent_member) in dimension.rollup_pairs(&child, &parent) {
                 relation.insert_unchecked(Tuple::new(vec![parent_member, child_member]));
             }
-            if options.build_indexes {
-                let relation = database.relation_or_create(&predicate, 2);
-                relation.build_index(0);
-                relation.build_index(1);
-            }
+            relation.build_index(0);
+            relation.build_index(1);
         }
     }
 
     // Referential constraints of form (1).
-    if options.referential_constraints {
-        for schema in ontology.relations().values() {
-            let attribute_terms: Vec<Term> = schema
-                .attributes()
-                .iter()
-                .map(|a| Term::var(format!("x_{}", a.name().to_lowercase())))
-                .collect();
-            for (position, _dimension, category) in schema.links() {
-                let body =
-                    Conjunction::positive(vec![Atom::new(schema.name(), attribute_terms.clone())])
-                        .and_not(Atom::new(category, vec![attribute_terms[position].clone()]));
-                program
-                    .constraints
-                    .push(NegativeConstraint::new(body).labeled(format!(
-                        "ref:{}.{}",
-                        schema.name(),
-                        schema.attributes()[position].name()
-                    )));
-            }
+    for schema in ontology.relations().values() {
+        let attribute_terms: Vec<Term> = schema
+            .attributes()
+            .iter()
+            .map(|a| Term::var(format!("x_{}", a.name().to_lowercase())))
+            .collect();
+        for (position, _dimension, category) in schema.links() {
+            let body =
+                Conjunction::positive(vec![Atom::new(schema.name(), attribute_terms.clone())])
+                    .and_not(Atom::new(category, vec![attribute_terms[position].clone()]));
+            program
+                .constraints
+                .push(NegativeConstraint::new(body).labeled(format!(
+                    "ref:{}.{}",
+                    schema.name(),
+                    schema.attributes()[position].name()
+                )));
         }
     }
 
@@ -124,12 +95,10 @@ pub fn compile_with(ontology: &MdOntology, options: &CompileOptions) -> Compiled
         .extend(ontology.constraints().iter().cloned());
 
     // Indexes on categorical positions.
-    if options.build_indexes {
-        for schema in ontology.relations().values() {
-            if let Ok(relation) = database.relation_mut(schema.name()) {
-                for position in schema.categorical_positions() {
-                    relation.build_index(position);
-                }
+    for schema in ontology.relations().values() {
+        if let Ok(relation) = database.relation_mut(schema.name()) {
+            for position in schema.categorical_positions() {
+                relation.build_index(position);
             }
         }
     }
@@ -200,6 +169,9 @@ mod tests {
         assert!(db.contains("InstitutionUnit", &Tuple::from_iter(["H1", "Intensive"])));
         // Categorical data is carried over.
         assert_eq!(db.relation("PatientWard").unwrap().len(), 2);
+        // Parent–child predicates are indexed on both positions.
+        let unit_ward = db.relation("UnitWard").unwrap();
+        assert!(unit_ward.has_index(0) && unit_ward.has_index(1));
     }
 
     #[test]
@@ -213,19 +185,6 @@ mod tests {
         assert_eq!(nc.body.atoms.len(), 1);
         assert_eq!(nc.body.negated.len(), 1);
         assert_eq!(nc.body.negated[0].predicate, "Ward");
-    }
-
-    #[test]
-    fn compilation_can_skip_referential_constraints_and_indexes() {
-        let compiled = compile_with(
-            &mini_ontology(),
-            &CompileOptions {
-                referential_constraints: false,
-                build_indexes: false,
-            },
-        );
-        assert!(compiled.program.constraints.is_empty());
-        assert!(!compiled.database.relation("UnitWard").unwrap().has_index(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod ontology;
 pub mod summarizability;
 
 pub use categorical::{CategoricalAttribute, CategoricalRelationSchema};
-pub use compile::{compile, compile_with, CompileOptions, CompiledOntology};
+pub use compile::{compile, CompiledOntology};
 pub use dimension_instance::DimensionInstance;
 pub use dimension_schema::DimensionSchema;
 pub use error::{MdError, Result};

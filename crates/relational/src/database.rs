@@ -271,9 +271,9 @@ impl Database {
     /// deletions as it has rows left, so reclamation is amortized constant
     /// work per deletion, and no arena grows past twice its live rows —
     /// whatever copies, scans or persists a relation pays for what it
-    /// holds, not for everything it ever held.  Row ids shift (stamps and
-    /// support counts are kept), so call it between batches, never while
-    /// row ids are in flight.
+    /// holds, not for everything it ever held.  Row ids shift (stamps are
+    /// kept), so call it between batches, never while row ids are in
+    /// flight.
     pub fn compact_sparse(&mut self) -> usize {
         self.compact_where(|r| r.dead_rows() > r.len())
     }

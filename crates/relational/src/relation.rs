@@ -37,12 +37,6 @@
 //! deletions, and a re-inserted tuple gets a *fresh* row id stamped at the
 //! current epoch (it re-enters the delta like any new fact).  Dead slots
 //! are reclaimed wholesale by [`RelationInstance::compact`].
-//!
-//! Each row also carries a **support count**: the number of times an insert
-//! of exactly that row was attempted (1 on first insert, +1 per duplicate).
-//! The chase layer reads these as "how many derivations produced this
-//! tuple" — the per-tuple support totals of delete-and-rederive — and the
-//! persistence layer snapshots them alongside the liveness bitmap.
 
 use crate::counters;
 use crate::error::Result;
@@ -130,12 +124,6 @@ pub struct RelationInstance {
     live: Vec<bool>,
     /// Number of `false` entries in `live` (dead rows awaiting compaction).
     dead: u32,
-    /// Per-row support counts: how many inserts (first + duplicates) have
-    /// produced this row.  The chase's delete-and-rederive reads these as
-    /// per-derived-tuple support totals; persisted with the rows.  Empty is
-    /// shorthand for "all 1" until the first duplicate (or explicit set), so
-    /// the append hot path touches neither vector.
-    supports: Vec<u32>,
     /// Epoch stamped onto new inserts; handed over by the owning
     /// [`crate::Database`] each time it opens the relation for writing (it
     /// may be stale in between).  Invariant: `epoch >= stamps.last()`.
@@ -155,7 +143,6 @@ impl RelationInstance {
             indexes: FxHashMap::default(),
             live: Vec::new(),
             dead: 0,
-            supports: Vec::new(),
             epoch: 0,
         }
     }
@@ -195,30 +182,6 @@ impl RelationInstance {
     #[inline]
     pub fn is_live(&self, row: u32) -> bool {
         row < self.rows && self.live.get(row as usize).copied().unwrap_or(true)
-    }
-
-    /// The support count of row `row`: how many inserts (first + duplicate)
-    /// produced it.  Out-of-range and tombstoned rows have support 0.
-    pub fn support_of(&self, row: u32) -> u32 {
-        if !self.is_live(row) {
-            return 0;
-        }
-        self.supports.get(row as usize).copied().unwrap_or(1)
-    }
-
-    /// Overwrite the support count of row `row` — the persistence reload
-    /// path, which must reproduce the counts a snapshot recorded.
-    pub fn set_support(&mut self, row: u32, support: u32) {
-        if row >= self.rows {
-            return;
-        }
-        if self.supports.is_empty() {
-            if support == 1 {
-                return; // already the implicit value
-            }
-            self.supports = vec![1; self.rows as usize];
-        }
-        self.supports[row as usize] = support;
     }
 
     /// Materialize the liveness bitmap so it can be indexed per row (the
@@ -291,8 +254,7 @@ impl RelationInstance {
     }
 
     /// Approximate heap footprint of the arena in bytes: the value columns,
-    /// the stamp column, the liveness/support sidecars, and the index
-    /// postings.
+    /// the stamp column, the liveness bitmap, and the index postings.
     pub fn arena_bytes(&self) -> usize {
         let values: usize = self
             .columns
@@ -301,14 +263,13 @@ impl RelationInstance {
             .sum();
         let stamps = self.stamps.capacity() * std::mem::size_of::<u64>();
         let live = self.live.capacity() * std::mem::size_of::<bool>();
-        let supports = self.supports.capacity() * std::mem::size_of::<u32>();
         let postings: usize = self.indexes.values().map(HashIndex::postings_bytes).sum();
-        values + stamps + live + supports + postings
+        values + stamps + live + postings
     }
 
     /// Approximate bytes held by tombstoned rows — the arena space a
     /// [`RelationInstance::compact`] would reclaim.  Dead rows keep their
-    /// column, stamp and sidecar slots but no index postings (those are
+    /// column, stamp and liveness slots but no index postings (those are
     /// removed at delete time).
     pub fn reclaimable_bytes(&self) -> usize {
         if self.dead == 0 {
@@ -316,12 +277,7 @@ impl RelationInstance {
         }
         let per_row = self.columns.len() * std::mem::size_of::<Value>()
             + std::mem::size_of::<u64>()
-            + std::mem::size_of::<bool>()
-            + if self.supports.is_empty() {
-                0
-            } else {
-                std::mem::size_of::<u32>()
-            };
+            + std::mem::size_of::<bool>();
         self.dead as usize * per_row
     }
 
@@ -380,9 +336,13 @@ impl RelationInstance {
     /// The row id holding exactly `values`, if present.  `values` must have
     /// the relation's arity.
     fn find_row(&self, values: &[Value]) -> Option<u32> {
-        let hash = hash_row(values.iter());
-        let candidates = self.seen.get(&hash)?;
-        candidates
+        self.find_hashed(hash_row(values.iter()), values)
+    }
+
+    /// [`RelationInstance::find_row`] with the row hash already computed.
+    fn find_hashed(&self, hash: u64, values: &[Value]) -> Option<u32> {
+        self.seen
+            .get(&hash)?
             .iter()
             .copied()
             .find(|&row| self.row_equals(row, values))
@@ -417,27 +377,17 @@ impl RelationInstance {
     /// append `values` (which must have the relation's arity) as a new row
     /// unless an equal row already exists.  The chase's batch firing path
     /// stages grounded head rows as flat value slices and inserts them
-    /// through here, materializing a `Tuple` only when a provenance record
-    /// needs one.
+    /// through here, never materializing a `Tuple`.
     pub fn insert_slice_unchecked(&mut self, values: &[Value]) -> bool {
         self.insert_row(values)
     }
 
-    /// Append `values` as a new row unless an equal row exists.  A
-    /// duplicate bumps the existing row's support count instead (another
-    /// derivation of the same tuple).
+    /// Append `values` as a new row unless an equal row exists.
     fn insert_row(&mut self, values: &[Value]) -> bool {
         debug_assert_eq!(values.len(), self.columns.len());
         let hash = hash_row(values.iter());
-        if let Some(candidates) = self.seen.get(&hash) {
-            if let Some(existing) = candidates
-                .iter()
-                .copied()
-                .find(|&row| self.row_equals(row, values))
-            {
-                self.bump_support(existing);
-                return false;
-            }
+        if self.find_hashed(hash, values).is_some() {
+            return false;
         }
         let row = self.rows;
         for index in self.indexes.values_mut() {
@@ -451,24 +401,12 @@ impl RelationInstance {
         self.stamps.push(self.epoch);
         self.seen.entry(hash).or_default().push(row);
         self.rows += 1;
-        // The sidecars stay in their empty (implicit) forms until first
-        // needed; once materialized they must track every append.
+        // The liveness bitmap stays in its empty (implicit) form until the
+        // first delete; once materialized it must track every append.
         if !self.live.is_empty() {
             self.live.push(true);
         }
-        if !self.supports.is_empty() {
-            self.supports.push(1);
-        }
         true
-    }
-
-    /// Record one more derivation of row `row` (saturating).
-    fn bump_support(&mut self, row: u32) {
-        if self.supports.is_empty() {
-            self.supports = vec![1; self.rows as usize];
-        }
-        let slot = &mut self.supports[row as usize];
-        *slot = slot.saturating_add(1);
     }
 
     /// Insert many tuples; returns the number actually added.
@@ -512,9 +450,6 @@ impl RelationInstance {
         self.ensure_live_bitmap();
         self.live[row as usize] = false;
         self.dead += 1;
-        if !self.supports.is_empty() {
-            self.supports[row as usize] = 0;
-        }
         // Drop the dedup entry so the tuple can come back as a fresh row.
         let values: Vec<Value> = self.columns.iter().map(|c| c[row as usize]).collect();
         let hash = hash_row(values.iter());
@@ -534,7 +469,7 @@ impl RelationInstance {
     }
 
     /// Rebuild the arena without its tombstones: dead slots are dropped,
-    /// surviving rows keep their stamps and support counts (ids shift down),
+    /// surviving rows keep their stamps (ids shift down),
     /// and indexes are rebuilt.  Returns the number of slots reclaimed.
     pub fn compact(&mut self) -> usize {
         if self.dead == 0 {
@@ -544,7 +479,6 @@ impl RelationInstance {
         let old_columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
         let old_stamps = std::mem::take(&mut self.stamps);
         let old_live = std::mem::take(&mut self.live);
-        let old_supports = std::mem::take(&mut self.supports);
         let old_rows = self.rows;
         self.rows = 0;
         self.dead = 0;
@@ -558,8 +492,7 @@ impl RelationInstance {
             }
             row_buf.clear();
             row_buf.extend(old_columns.iter().map(|c| c[row]));
-            let support = old_supports.get(row).copied().unwrap_or(1);
-            self.insert_at_stamp(&row_buf, old_stamps[row], support);
+            self.insert_at_stamp(&row_buf, old_stamps[row]);
         }
         self.rebuild_indexes();
         reclaimed
@@ -739,14 +672,12 @@ impl RelationInstance {
         let old_columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
         let old_stamps = std::mem::take(&mut self.stamps);
         let old_live = std::mem::take(&mut self.live);
-        let old_supports = std::mem::take(&mut self.supports);
         let old_rows = self.rows;
         self.rows = 0;
         self.dead = 0;
         self.seen.clear();
-        // Flat `arity` values per rewritten row, plus its support count.
+        // Flat `arity` values per rewritten row.
         let mut rewritten: Vec<Value> = Vec::new();
-        let mut rewritten_supports: Vec<u32> = Vec::new();
         let mut row_buf: Vec<Value> = Vec::with_capacity(arity);
         let mut changed = 0;
         for row in 0..old_rows as usize {
@@ -757,46 +688,30 @@ impl RelationInstance {
             }
             row_buf.clear();
             row_buf.extend(old_columns.iter().map(|c| c[row]));
-            let support = old_supports.get(row).copied().unwrap_or(1);
             if row_buf.contains(&target) {
                 changed += 1;
                 rewritten.extend(row_buf.iter().map(|v| if *v == target { *to } else { *v }));
-                rewritten_supports.push(support);
             } else {
-                self.insert_at_stamp(&row_buf, old_stamps[row], support);
+                self.insert_at_stamp(&row_buf, old_stamps[row]);
             }
         }
         let current = self.epoch.max(old_stamps.last().copied().unwrap_or(0));
         self.epoch = current;
-        for (row_values, support) in rewritten.chunks(arity).zip(rewritten_supports) {
-            self.insert_at_stamp(row_values, current, support);
+        for row_values in rewritten.chunks(arity) {
+            self.insert_at_stamp(row_values, current);
         }
         self.rebuild_indexes();
         changed
     }
 
-    /// Append `values` stamped `stamp` with support `support` unless
-    /// already present (dedup; a duplicate merges support counts), not
+    /// Append `values` stamped `stamp` unless already present (dedup), not
     /// touching live indexes — used only by the rebuild paths, which
     /// rebuild indexes wholesale afterwards.  Rebuilds emit live rows only,
     /// so the liveness bitmap collapses back to its implicit all-live form.
-    fn insert_at_stamp(&mut self, values: &[Value], stamp: u64, support: u32) -> bool {
+    fn insert_at_stamp(&mut self, values: &[Value], stamp: u64) -> bool {
         let hash = hash_row(values.iter());
-        if let Some(candidates) = self.seen.get(&hash) {
-            if let Some(existing) = candidates
-                .iter()
-                .copied()
-                .find(|&row| self.row_equals(row, values))
-            {
-                if support > 1 || !self.supports.is_empty() {
-                    if self.supports.is_empty() {
-                        self.supports = vec![1; self.rows as usize];
-                    }
-                    let slot = &mut self.supports[existing as usize];
-                    *slot = slot.saturating_add(support);
-                }
-                return false;
-            }
+        if self.find_hashed(hash, values).is_some() {
+            return false;
         }
         let row = self.rows;
         for (column, value) in self.columns.iter_mut().zip(values) {
@@ -805,12 +720,6 @@ impl RelationInstance {
         self.stamps.push(stamp);
         self.seen.entry(hash).or_default().push(row);
         self.rows += 1;
-        if !self.supports.is_empty() || support != 1 {
-            if self.supports.is_empty() {
-                self.supports = vec![1; row as usize];
-            }
-            self.supports.push(support);
-        }
         true
     }
 
@@ -822,7 +731,6 @@ impl RelationInstance {
         let old_columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
         let old_stamps = std::mem::take(&mut self.stamps);
         let old_live = std::mem::take(&mut self.live);
-        let old_supports = std::mem::take(&mut self.supports);
         let old_rows = self.rows;
         self.rows = 0;
         self.dead = 0;
@@ -834,8 +742,7 @@ impl RelationInstance {
             }
             let values: Vec<Value> = old_columns.iter().map(|c| c[row]).collect();
             if keep(&Tuple::new(values.clone())) {
-                let support = old_supports.get(row).copied().unwrap_or(1);
-                self.insert_at_stamp(&values, old_stamps[row], support);
+                self.insert_at_stamp(&values, old_stamps[row]);
             } else {
                 removed += 1;
             }
@@ -1245,7 +1152,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Tombstones and support counts.
+    // Tombstones.
     // ------------------------------------------------------------------
 
     #[test]
@@ -1298,27 +1205,11 @@ mod tests {
     }
 
     #[test]
-    fn support_counts_track_duplicate_inserts_and_deletes() {
-        let mut r = sample();
-        assert_eq!(r.support_of(0), 1);
-        // A duplicate insert bumps the existing row's support.
-        assert!(!r.insert(Tuple::from_iter(["Standard", "W1"])).unwrap());
-        assert_eq!(r.support_of(0), 2);
-        assert_eq!(r.support_of(1), 1);
-        r.delete_row(0);
-        assert_eq!(r.support_of(0), 0);
-        // Out of range → 0.
-        assert_eq!(r.support_of(99), 0);
-        r.set_support(1, 7);
-        assert_eq!(r.support_of(1), 7);
-    }
-
-    #[test]
     fn compact_reclaims_dead_slots_preserving_stamps_and_supports() {
         let mut r = sample();
         r.set_epoch(2);
         r.insert(Tuple::from_iter(["Oncology", "W5"])).unwrap();
-        r.insert(Tuple::from_iter(["Standard", "W2"])).unwrap(); // support bump
+        assert!(!r.insert(Tuple::from_iter(["Standard", "W2"])).unwrap()); // duplicate
         r.build_index(0);
         r.delete(&Tuple::from_iter(["Standard", "W1"]));
         r.delete(&Tuple::from_iter(["Terminal", "W4"]));
@@ -1331,13 +1222,6 @@ mod tests {
         assert_eq!(r.reclaimable_bytes(), 0);
         // Stamps of survivors preserved (still sorted).
         assert_eq!(r.stamps(), &[0, 0, 2]);
-        // Support of the duplicated row survives the rebuild.
-        let idx = r
-            .tuples()
-            .iter()
-            .position(|t| *t == Tuple::from_iter(["Standard", "W2"]))
-            .unwrap();
-        assert_eq!(r.support_of(idx as u32), 2);
         // Index rebuilt consistently.
         assert_eq!(r.select(&[(0, &Value::str("Standard"))]).len(), 1);
         assert!(r.select(&[(0, &Value::str("Terminal"))]).is_empty());

@@ -169,7 +169,7 @@ pub struct RetractionCounters {
     pub rederived: u64,
 }
 
-/// The answers to one query, with their provenance.
+/// The answers to one query, with the snapshot version they came from.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The snapshot version the answers are valid for.

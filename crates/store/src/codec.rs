@@ -372,8 +372,7 @@ fn decode_schema(cursor: &mut Cursor<'_>, dict: &DictReader) -> Result<RelationS
 }
 
 /// Serialize a whole database: epoch, then every relation with its schema
-/// and **physical** rows — stamp, liveness byte, support count, tuple — in
-/// arena order (stamps stay sorted on replay).  Tombstoned rows are
+/// and **physical** rows — stamp, liveness byte, tuple — in arena order (stamps stay sorted on replay).  Tombstoned rows are
 /// persisted too, so the delta structure *and* the retraction bookkeeping
 /// survive the round trip bit-for-bit.
 pub(crate) fn encode_database(buf: &mut Vec<u8>, dict: &mut DictWriter, db: &Database) {
@@ -386,14 +385,13 @@ pub(crate) fn encode_database(buf: &mut Vec<u8>, dict: &mut DictWriter, db: &Dat
         for row in 0..relation.total_rows() as u32 {
             put_u64(buf, stamps[row as usize]);
             put_u8(buf, relation.is_live(row) as u8);
-            put_u32(buf, relation.support_of(row));
             encode_tuple(buf, dict, &relation.row_tuple(row));
         }
     }
 }
 
 /// The inverse of [`encode_database`]: rows are replayed with their original
-/// stamps, liveness and support counts, and the serialized epoch is restored
+/// stamps and liveness, and the serialized epoch is restored
 /// exactly (it may sit above every stamp).
 pub(crate) fn decode_database(cursor: &mut Cursor<'_>, dict: &DictReader) -> Result<Database> {
     let epoch = cursor.take_u64()?;
@@ -413,7 +411,6 @@ pub(crate) fn decode_database(cursor: &mut Cursor<'_>, dict: &DictReader) -> Res
                     return Err(cursor.corrupt(format!("unknown liveness byte {other}")));
                 }
             };
-            let support = cursor.take_u32()?;
             let tuple = decode_tuple(cursor, dict)?;
             // Physical rows are pairwise distinct among the *live* subset,
             // and a dead row is tombstoned immediately after its append —
@@ -424,11 +421,8 @@ pub(crate) fn decode_database(cursor: &mut Cursor<'_>, dict: &DictReader) -> Res
                     cursor.corrupt(format!("duplicate physical row {row} in relation '{name}'"))
                 );
             }
-            let row = row as u32;
             if !live {
-                relation.delete_row(row);
-            } else if support != 1 {
-                relation.set_support(row, support);
+                relation.delete_row(row as u32);
             }
         }
         db.insert_relation(relation);
@@ -554,11 +548,10 @@ mod tests {
         db.insert_values("E", ["b", "c"]).unwrap();
         db.insert_values("E", ["c", "d"]).unwrap();
         db.advance_epoch();
-        // Tombstone one row, bump another's support, and delete-then-reinsert
-        // a third so the arena holds a dead row before a live duplicate.
+        // Tombstone one row, and delete-then-reinsert another so the arena
+        // holds a dead row before a live duplicate.
         let e = db.relation_mut("E").unwrap();
         e.delete(&Tuple::from_iter(["b", "c"]));
-        e.set_support(0, 3);
         e.delete(&Tuple::from_iter(["c", "d"]));
         e.insert(Tuple::from_iter(["c", "d"])).unwrap();
         assert_eq!(e.total_rows(), 4);
@@ -573,7 +566,6 @@ mod tests {
         assert_eq!(got.stamps(), want.stamps());
         for row in 0..want.total_rows() as u32 {
             assert_eq!(got.is_live(row), want.is_live(row), "row {row}");
-            assert_eq!(got.support_of(row), want.support_of(row), "row {row}");
             assert_eq!(got.row_tuple(row), want.row_tuple(row), "row {row}");
         }
         assert_eq!(got.tuples(), want.tuples());

@@ -14,13 +14,15 @@
 //!   `seq > version`).
 //!
 //! Files use the same framing and local-dictionary codec as WAL segments
-//! (magic `ODQSNP2\n`, symbol-definition records, then one snapshot
+//! (magic `ODQSNP3\n`, symbol-definition records, then one snapshot
 //! record), and are written to a temporary sibling, fsynced, and renamed
 //! into place — a crash mid-save leaves the previous snapshot intact.
-//! Format version 2 persists physical arena rows (stamp, liveness,
-//! support count, tuple) so retraction bookkeeping survives restarts;
-//! version-1 files are rejected as corrupt and recovery falls back to the
-//! WAL as for any unreadable snapshot.
+//! Format version 3 persists physical arena rows (stamp, liveness, tuple)
+//! so tombstones survive restarts.  A file of any other version is
+//! reported as [`StoreError::Corrupt`], and [`crate::Store::recover`]
+//! propagates that error: recovery refuses the data directory rather than
+//! fall back to the WAL, which [`crate::Store::compact`] may already have
+//! emptied on the strength of that snapshot.
 
 use crate::codec::{
     decode_database, decode_floors, encode_database, encode_floors, put_u32, put_u64, Cursor,
@@ -38,7 +40,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"ODQSNP2\n";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"ODQSNP3\n";
 
 /// Record type: the snapshot body (exactly one per file, after its symbol
 /// definitions).
@@ -318,6 +320,21 @@ mod tests {
             load_snapshot(&path),
             Err(StoreError::Corrupt { .. })
         ));
+
+        // A well-formed snapshot of the previous format version (rows
+        // carried a support count) is refused, by the loader and by
+        // recovery alike.
+        let mut store = crate::Store::open(&dir, crate::StoreConfig::default()).unwrap();
+        let path = snapshot_path(&dir.join("snap"), "ctx");
+        save_snapshot(&path, &image, &crate::io::passthrough_policy()).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..SNAPSHOT_MAGIC.len()].copy_from_slice(b"ODQSNP2\n");
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load_snapshot(&path),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(matches!(store.recover(), Err(StoreError::Corrupt { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,10 +7,11 @@
 //! surviving instance.
 
 use ontodq_chase::{chase_naive, ChaseConfig, ChaseEngine, ChaseState, EvalStrategy};
-use ontodq_core::{compile_context, scenarios};
+use ontodq_core::{compile_context, scenarios, Context, ResumableAssessment};
 use ontodq_datalog::Program;
 use ontodq_integration_tests::{canonicalize_database, databases_equivalent, retraction_program};
 use ontodq_mdm::fixtures::hospital;
+use ontodq_mdm::MdOntology;
 use ontodq_relational::{Database, Tuple, Value};
 use ontodq_server::QualityService;
 use ontodq_workload::{
@@ -63,7 +64,7 @@ fn assert_retract_matches_fresh(
     for (name, engine) in engines() {
         let mut state = ChaseState::new(program, db);
         engine.resume(program, &mut state);
-        let result = engine.retract(program, &mut state, &surviving, &requested, None);
+        let result = engine.retract(program, &mut state, &surviving, &requested);
         assert_eq!(
             result.stats.requested,
             victims.len(),
@@ -134,6 +135,50 @@ fn scaled_workload_retractions_match_fresh_chase_on_every_strategy() {
     let victims: Vec<Tuple> = measurements.iter().step_by(3).cloned().collect();
     assert!(!victims.is_empty());
     assert_retract_matches_fresh(&program, &database, &contextual, &victims, "scaled");
+}
+
+/// An EGD whose body reads only *derived* relations: `A(a, b)` reaches it
+/// through `K`, and the chase used it to unify `B(a, ⊥)` into `B(a, b)`.
+/// Retracting `A(a, b)` must withdraw that unification — which DRed cannot
+/// do — so the maintained assessment has to end where a fresh chase of the
+/// surviving facts does: `B(a, ⊥)`, not `B(a, b)`.
+#[test]
+fn retraction_upstream_of_an_egd_over_derived_relations_matches_fresh_chase() {
+    let context_over = |facts: Database| {
+        let mut ontology = MdOntology::new("derived-egd");
+        ontology
+            .add_rule_text("z1 = z2 :- B(x, z1), K(x, z2).")
+            .unwrap();
+        Context::builder("derived-egd")
+            .ontology(ontology)
+            .contextual_rule("B(x, z) :- P(x).")
+            .contextual_rule("K(x, y) :- A(x, y).")
+            .external_source(facts)
+            .build()
+            .unwrap()
+    };
+    let retracted = Tuple::from_iter(["a", "b"]);
+    let mut facts = Database::new();
+    facts.insert_values("P", ["a"]).unwrap();
+    facts.insert("A", retracted.clone()).unwrap();
+
+    let mut assessment = ResumableAssessment::new(context_over(facts.clone()), Database::new());
+    assert!(assessment
+        .state()
+        .database()
+        .contains("B", &Tuple::from_iter(["a", "b"])));
+    let result = assessment.retract_batch([("A".to_string(), retracted.clone())]);
+    assert_eq!(result.stats.retracted, 1);
+
+    facts.delete("A", &retracted);
+    let (program, surviving) = compile_context(&context_over(facts), &Database::new());
+    let fresh = chase_naive(&program, &surviving);
+    assert!(
+        databases_equivalent(assessment.state().database(), &fresh.database),
+        "maintained:\n{:#?}\nfresh:\n{:#?}",
+        canonicalize_database(assessment.state().database()),
+        canonicalize_database(&fresh.database),
+    );
 }
 
 /// Randomized (seeded, reproducible) insert/retract interleavings applied
