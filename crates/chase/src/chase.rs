@@ -4,7 +4,8 @@
 //! (TGDs) *generate* data through upward or downward navigation, possibly
 //! inventing labeled nulls for unknown non-categorical values (rule (8)) or
 //! unknown category members (rule (9)/(10)); dimensional constraints (EGDs
-//! and negative constraints) restrict the admissible instances.
+//! and negative constraints) restrict the admissible instances — they are
+//! checked on the chased instance, never applied to it.
 //!
 //! Two chase variants are provided:
 //!
@@ -33,11 +34,12 @@
 //!   rule order before the stamp step — same results as the sequential
 //!   engine (modulo labeled-null renaming), one join per core.
 //!
-//! EGDs are enforced by unifying labeled nulls with the values they are
-//! equated to; equating two distinct constants is a *hard violation*
-//! (inconsistency).  Tuples rewritten by a unification are re-stamped into
-//! the delta, so the semi-naive strategy re-examines exactly the rules they
-//! can re-trigger.  Negative constraints are checked on the final instance.
+//! EGDs are checked, never applied: after the TGD fixpoint, every EGD and
+//! every negative constraint is evaluated as a constraint on the final
+//! instance.  An EGD is violated only where it equates two distinct
+//! constants; a side holding a labeled null is unknown, not a violation.
+//! This is exact for *separable* EGDs, the only kind lint L105 admits
+//! (see `ontodq_datalog::analysis::separability`).
 //!
 //! For long-lived instances that receive update batches, the per-rule
 //! watermarks can be carried *across* chase runs: [`ChaseState`] +
@@ -53,9 +55,7 @@ use crate::eval::{
 use crate::profile::{ChaseProfile, ChaseStats, DredTiming};
 use crate::violation::{EgdViolation, NcViolation, Violations};
 use ontodq_datalog::analysis::{magic_transform, DemandProgram};
-use ontodq_datalog::{
-    Assignment, Atom, Conjunction, NegativeConstraint, Program, Term, Tgd, Variable,
-};
+use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd, Variable};
 use ontodq_datalog::{Diagnostic, Severity, TerminationCertificate};
 use ontodq_obs::SharedClock;
 use ontodq_relational::{same_relation, Database, NullGenerator, RelationInstance, Tuple, Value};
@@ -212,8 +212,8 @@ impl ChaseConfig {
 /// Why the chase stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminationReason {
-    /// No rule application changed the instance: a fixpoint (universal model
-    /// up to the enforced constraints) was reached.
+    /// No rule application changed the instance: a TGD fixpoint (a
+    /// universal model, when no constraint is violated) was reached.
     Fixpoint,
     /// The round budget was exhausted.
     RoundLimit,
@@ -224,8 +224,7 @@ pub enum TerminationReason {
 /// The outcome of a chase run.
 #[derive(Debug, Clone)]
 pub struct ChaseResult {
-    /// The chased database (the input instance plus all generated tuples,
-    /// with EGD unifications applied).
+    /// The chased database (the input instance plus all generated tuples).
     pub database: Database,
     /// Aggregate statistics.
     pub stats: ChaseStats,
@@ -293,26 +292,6 @@ pub struct RetractResult {
     pub chase: ChaseResult,
 }
 
-/// Do any of `program`'s EGDs read one of `relations` in their body?
-///
-/// DRed cannot unwind the null-to-constant unifications an EGD may have
-/// burned into the instance — a substitution justified by a deleted fact is
-/// not recoverable from tombstones alone.  Callers maintaining an instance
-/// under EGDs check this before [`ChaseEngine::retract`] and fall back to a
-/// full re-chase of the surviving base when it returns `true`.
-pub fn egds_read_relations<'a, I>(program: &Program, relations: I) -> bool
-where
-    I: IntoIterator<Item = &'a str> + Clone,
-{
-    program.egds.iter().any(|egd| {
-        egd.body
-            .atoms
-            .iter()
-            .chain(egd.body.negated.iter())
-            .any(|atom| relations.clone().into_iter().any(|r| r == atom.predicate))
-    })
-}
-
 /// Persistent chase state for **incremental re-chasing**.
 ///
 /// A `ChaseState` owns the working instance together with the per-rule
@@ -366,16 +345,18 @@ where
 pub struct ChaseState {
     database: Database,
     tgd_floor: Vec<Option<u64>>,
-    egd_floor: Vec<Option<u64>>,
     next_null: u64,
     /// Per negative constraint (indexed like `program.constraints`), the
-    /// outcome of its last check — see [`ChaseState::constraint_witnesses`].
-    /// Not persisted: a restored state re-checks everything once.
-    checked: Vec<Option<CheckedConstraint>>,
+    /// outcome of its last check — see [`memoized_witnesses`].  Not
+    /// persisted: a restored state re-checks everything once.
+    checked_ncs: Vec<Option<CheckedConstraint>>,
+    /// The same memo for the EGDs (indexed like `program.egds`).
+    checked_egds: Vec<Option<CheckedConstraint>>,
 }
 
-/// The last check of one negative constraint: the versions of its body
-/// relations it ran against (pinned handles) and the witnesses it found.
+/// The last check of one negative constraint or EGD: the versions of its
+/// body relations it ran against (pinned handles) and the witnesses it
+/// found.
 #[derive(Debug, Clone)]
 struct CheckedConstraint {
     sources: Vec<Option<Arc<RelationInstance>>>,
@@ -390,7 +371,7 @@ impl ChaseState {
     /// evaluated), so the first [`ChaseEngine::resume`] performs a full
     /// chase.
     pub fn new(program: &Program, database: &Database) -> Self {
-        let mut state = Self::from_parts(database.clone(), Vec::new(), Vec::new(), 0);
+        let mut state = Self::from_parts(database.clone(), Vec::new(), 0);
         state.sync_with(program);
         state
     }
@@ -438,11 +419,6 @@ impl ChaseState {
                 }
             }
         }
-        // One epoch tick per batch: EGD floors may sit exactly at the
-        // current epoch (their drain path does not advance it), and
-        // `delta_since` is strict, so rows stamped at the current epoch
-        // would be invisible to those rules.
-        self.database.advance_epoch();
         let mut added = 0;
         for (predicate, tuple) in facts {
             if self
@@ -458,18 +434,13 @@ impl ChaseState {
 
     /// The per-TGD evaluation watermarks, indexed like `program.tgds`
     /// (`None` = never evaluated).  Exposed — together with
-    /// [`ChaseState::egd_floors`], [`ChaseState::next_null`] and
-    /// [`ChaseState::database`] — so persistence layers (`ontodq-store`) can
-    /// serialize a resumable state and restore it with
+    /// [`ChaseState::next_null`] and [`ChaseState::database`] — so
+    /// persistence layers (`ontodq-store`) can serialize a resumable state
+    /// and restore it with
     /// [`ChaseState::from_parts`]; a restart then replays only the WAL tail
     /// through [`ChaseEngine::resume`] instead of re-chasing from scratch.
     pub fn tgd_floors(&self) -> &[Option<u64>] {
         &self.tgd_floor
-    }
-
-    /// The per-EGD evaluation watermarks, indexed like `program.egds`.
-    pub fn egd_floors(&self) -> &[Option<u64>] {
-        &self.egd_floor
     }
 
     /// The id the next freshly invented labeled null will get.
@@ -479,7 +450,7 @@ impl ChaseState {
 
     /// Reassemble a state from persisted parts — the inverse of reading
     /// [`ChaseState::database`] / [`ChaseState::tgd_floors`] /
-    /// [`ChaseState::egd_floors`] / [`ChaseState::next_null`].
+    /// [`ChaseState::next_null`].
     ///
     /// The caller owes the same contract a live state maintains: the
     /// watermark vectors are positional, so the state is only meaningful for
@@ -488,61 +459,15 @@ impl ChaseState {
     /// recovery does, satisfies this).  The null counter is additionally
     /// clamped above every null occurring in `database`, so fresh nulls can
     /// never collide even with a stale persisted counter.
-    pub fn from_parts(
-        database: Database,
-        tgd_floor: Vec<Option<u64>>,
-        egd_floor: Vec<Option<u64>>,
-        next_null: u64,
-    ) -> Self {
+    pub fn from_parts(database: Database, tgd_floor: Vec<Option<u64>>, next_null: u64) -> Self {
         let floor = database.max_null_id().map(|n| n + 1).unwrap_or(0);
         Self {
             database,
             tgd_floor,
-            egd_floor,
             next_null: next_null.max(floor),
-            checked: Vec::new(),
+            checked_ncs: Vec::new(),
+            checked_egds: Vec::new(),
         }
-    }
-
-    /// The witnesses of negative constraint `index` (`nc`) over the current
-    /// instance — every resume reports them all, but a constraint is only
-    /// re-evaluated when a relation its body reads has changed since its
-    /// last check.  Relations are copied on write, so "unchanged" is
-    /// pointer identity with the handles pinned then
-    /// ([`ontodq_relational::same_relation`]): a commit re-audits the
-    /// constraints over the relations it touched, not the whole instance.
-    fn constraint_witnesses(
-        &mut self,
-        index: usize,
-        nc: &NegativeConstraint,
-        join: JoinEngine,
-    ) -> &[Assignment] {
-        let sources: Vec<Option<Arc<RelationInstance>>> = nc
-            .body
-            .atoms
-            .iter()
-            .chain(nc.body.negated.iter())
-            .map(|atom| self.database.shared_relation(&atom.predicate).cloned())
-            .collect();
-        if self.checked.len() <= index {
-            self.checked.resize(index + 1, None);
-        }
-        let slot = &mut self.checked[index];
-        let current = slot.as_ref().is_some_and(|last| {
-            last.sources.len() == sources.len()
-                && last
-                    .sources
-                    .iter()
-                    .zip(&sources)
-                    .all(|(then, now)| same_relation(then.as_ref(), now.as_ref()))
-        });
-        if !current {
-            *slot = Some(CheckedConstraint {
-                witnesses: evaluate_with(&self.database, &nc.body, join),
-                sources,
-            });
-        }
-        &slot.as_ref().expect("filled above").witnesses
     }
 
     /// Build the rule-body indexes of `program` on the working instance now
@@ -563,7 +488,6 @@ impl ChaseState {
     /// instance since construction — is only raised over the nulls of the
     /// facts just loaded, never by re-scanning the instance.
     fn sync_with(&mut self, program: &Program) {
-        let mut loaded = false;
         for fact in &program.facts {
             let predicate = &fact.atom().predicate;
             let tuple = fact.tuple();
@@ -576,12 +500,6 @@ impl ChaseState {
             self.database
                 .relation_or_create(predicate, tuple.arity())
                 .insert_unchecked(tuple);
-            loaded = true;
-        }
-        if loaded {
-            // Fresh program facts must land in every rule's delta; they were
-            // stamped at the current epoch, which may equal an EGD floor.
-            self.database.advance_epoch();
         }
         for (predicate, arity) in program.predicates() {
             if !self.database.has_relation(&predicate) {
@@ -589,8 +507,48 @@ impl ChaseState {
             }
         }
         self.tgd_floor.resize(program.tgds.len(), None);
-        self.egd_floor.resize(program.egds.len(), None);
     }
+}
+
+/// The witnesses of constraint `index` (with body `body`) over `db`, through
+/// the memo `checked` — every resume reports them all, but a constraint is
+/// only re-evaluated when a relation its body reads has changed since its
+/// last check.  Relations are copied on write, so "unchanged" is pointer
+/// identity with the handles pinned then
+/// ([`ontodq_relational::same_relation`]): a commit re-audits the
+/// constraints over the relations it touched, not the whole instance.
+fn memoized_witnesses<'m>(
+    checked: &'m mut Vec<Option<CheckedConstraint>>,
+    db: &Database,
+    index: usize,
+    body: &Conjunction,
+    join: JoinEngine,
+) -> &'m [Assignment] {
+    let sources: Vec<Option<Arc<RelationInstance>>> = body
+        .atoms
+        .iter()
+        .chain(body.negated.iter())
+        .map(|atom| db.shared_relation(&atom.predicate).cloned())
+        .collect();
+    if checked.len() <= index {
+        checked.resize(index + 1, None);
+    }
+    let slot = &mut checked[index];
+    let current = slot.as_ref().is_some_and(|last| {
+        last.sources.len() == sources.len()
+            && last
+                .sources
+                .iter()
+                .zip(&sources)
+                .all(|(then, now)| same_relation(then.as_ref(), now.as_ref()))
+    });
+    if !current {
+        *slot = Some(CheckedConstraint {
+            witnesses: evaluate_with(db, body, join),
+            sources,
+        });
+    }
+    &slot.as_ref().expect("filled above").witnesses
 }
 
 /// Build hash indexes on the join positions of every rule body of `program`
@@ -744,7 +702,7 @@ impl ChaseEngine {
     }
 
     /// An engine with default configuration (restricted semi-naive chase,
-    /// generous budgets, EGDs and constraints enforced).
+    /// generous budgets, EGDs and constraints checked).
     pub fn with_defaults() -> Self {
         Self::default()
     }
@@ -897,53 +855,8 @@ impl ChaseEngine {
         // relation of `database` (only what the chase writes is copied),
         // the program's facts loaded, every predicate it mentions
         // registered, and the null counter above every null present.
-        let ChaseState {
-            database: mut db,
-            next_null,
-            ..
-        } = ChaseState::new(program, database);
-
-        let mut state = RunState {
-            nulls: NullGenerator::starting_at(next_null),
-            stats: ChaseStats::default(),
-            violations: Violations::default(),
-            fired: HashSet::new(),
-            profile: self.fresh_profile(program),
-        };
-
-        let run_start = self.profile_now();
-        let termination = match self.config.strategy {
-            EvalStrategy::Naive => self.run_naive(program, &mut db, &mut state),
-            EvalStrategy::SemiNaive => self.run_seminaive(program, &mut db, &mut state),
-            EvalStrategy::Parallel => self.run_parallel(program, &mut db, &mut state),
-        };
-        if self.config.profile {
-            state.profile.total_micros = self.profile_now().saturating_sub(run_start);
-        }
-
-        // Negative constraints on the final instance.
-        if self.config.check_constraints {
-            for (index, nc) in program.constraints.iter().enumerate() {
-                for witness in evaluate_with(&db, &nc.body, self.config.join) {
-                    state.stats.nc_violations += 1;
-                    state.violations.nc.push(NcViolation {
-                        constraint_index: index,
-                        label: nc.label.clone(),
-                        witness,
-                    });
-                }
-            }
-        }
-
-        let diagnostics = self.certificate_diagnostics(termination, &mut state.profile);
-        ChaseResult {
-            database: db,
-            stats: state.stats,
-            violations: state.violations,
-            termination,
-            profile: state.profile,
-            diagnostics,
-        }
+        let mut state = ChaseState::new(program, database);
+        self.chase_state(program, &mut state, self.config.strategy)
     }
 
     /// Resume the chase of `program` over a persistent [`ChaseState`].
@@ -958,8 +871,8 @@ impl ChaseEngine {
     /// snapshot of the chased instance — a clone that *shares* every
     /// relation with the state (one reference-count bump each; the state
     /// copies a relation only when it next writes it) — plus the statistics
-    /// and violations of *this* resume step (the negative-constraint
-    /// violations of the full final instance are reported every time; a
+    /// and violations of *this* resume step (the negative-constraint and
+    /// EGD violations of the full final instance are reported every time; a
     /// constraint is re-evaluated only when a relation its body reads
     /// changed since the previous resume).
     ///
@@ -969,6 +882,22 @@ impl ChaseEngine {
     /// labeled nulls a from-scratch restricted chase would not invent).
     pub fn resume(&self, program: &Program, state: &mut ChaseState) -> ChaseResult {
         state.sync_with(program);
+        let strategy = match self.config.strategy {
+            EvalStrategy::Parallel => EvalStrategy::Parallel,
+            EvalStrategy::SemiNaive | EvalStrategy::Naive => EvalStrategy::SemiNaive,
+        };
+        self.chase_state(program, state, strategy)
+    }
+
+    /// Chase `state` to a TGD fixpoint with `strategy`, then check the
+    /// constraints: the shared body of [`ChaseEngine::run`] and
+    /// [`ChaseEngine::resume`].
+    fn chase_state(
+        &self,
+        program: &Program,
+        state: &mut ChaseState,
+        strategy: EvalStrategy,
+    ) -> ChaseResult {
         let mut run = RunState {
             nulls: NullGenerator::starting_at(state.next_null),
             stats: ChaseStats::default(),
@@ -978,39 +907,22 @@ impl ChaseEngine {
         };
 
         let run_start = self.profile_now();
-        let termination = if self.config.strategy == EvalStrategy::Parallel {
-            self.run_parallel_with_floors(
-                program,
-                &mut state.database,
-                &mut run,
-                &mut state.tgd_floor,
-                &mut state.egd_floor,
-            )
-        } else {
-            self.run_seminaive_with_floors(
-                program,
-                &mut state.database,
-                &mut run,
-                &mut state.tgd_floor,
-                &mut state.egd_floor,
-            )
+        let db = &mut state.database;
+        let termination = match strategy {
+            EvalStrategy::Naive => self.run_naive(program, db, &mut run),
+            EvalStrategy::SemiNaive => {
+                self.run_seminaive(program, db, &mut run, &mut state.tgd_floor)
+            }
+            EvalStrategy::Parallel => {
+                self.run_parallel(program, db, &mut run, &mut state.tgd_floor)
+            }
         };
         if self.config.profile {
             run.profile.total_micros = self.profile_now().saturating_sub(run_start);
         }
         state.next_null = run.nulls.peek();
-
         if self.config.check_constraints {
-            for (index, nc) in program.constraints.iter().enumerate() {
-                for witness in state.constraint_witnesses(index, nc, self.config.join) {
-                    run.stats.nc_violations += 1;
-                    run.violations.nc.push(NcViolation {
-                        constraint_index: index,
-                        label: nc.label.clone(),
-                        witness: witness.clone(),
-                    });
-                }
-            }
+            self.check_constraints(program, state, &mut run);
         }
 
         let diagnostics = self.certificate_diagnostics(termination, &mut run.profile);
@@ -1021,6 +933,53 @@ impl ChaseEngine {
             termination,
             profile: run.profile,
             diagnostics,
+        }
+    }
+
+    /// Check every negative constraint and EGD of `program` on the state's
+    /// instance, recording each witness as a violation.  An EGD is checked
+    /// as the negative constraint [`ontodq_datalog::Egd::violation_body`],
+    /// so it is violated only by two distinct constants; both kinds go
+    /// through the state's memo, so only a constraint whose body relations
+    /// changed since its last check is evaluated again.
+    fn check_constraints(&self, program: &Program, state: &mut ChaseState, run: &mut RunState) {
+        let join = self.config.join;
+        for (index, nc) in program.constraints.iter().enumerate() {
+            let witnesses = memoized_witnesses(
+                &mut state.checked_ncs,
+                &state.database,
+                index,
+                &nc.body,
+                join,
+            );
+            for witness in witnesses {
+                run.stats.nc_violations += 1;
+                run.violations.nc.push(NcViolation {
+                    constraint_index: index,
+                    label: nc.label.clone(),
+                    witness: witness.clone(),
+                });
+            }
+        }
+        let egd_start = self.profile_now();
+        for (index, egd) in program.egds.iter().enumerate() {
+            let body = egd.violation_body();
+            let witnesses =
+                memoized_witnesses(&mut state.checked_egds, &state.database, index, &body, join);
+            for witness in witnesses {
+                let side = |var| *witness.get(var).expect("EGD sides are body variables");
+                run.stats.egd_violations += 1;
+                run.violations.egd.push(EgdViolation {
+                    egd_index: index,
+                    label: egd.label.clone(),
+                    left: side(&egd.left),
+                    right: side(&egd.right),
+                    witness: witness.clone(),
+                });
+            }
+        }
+        if self.config.profile {
+            run.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
         }
     }
 
@@ -1081,14 +1040,6 @@ impl ChaseEngine {
                 }
             }
 
-            // EGD enforcement (to local fixpoint within the round).
-            let egd_start = self.profile_now();
-            let egd_changed = self.enforce_egds_naive(program, db, state);
-            if self.config.profile {
-                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-            }
-            changed = changed || egd_changed;
-
             if !changed {
                 termination = TerminationReason::Fixpoint;
                 break;
@@ -1100,67 +1051,21 @@ impl ChaseEngine {
         termination
     }
 
-    /// Enforce the program's EGDs on `db` by full re-evaluation until no
-    /// further change; returns whether anything changed.
-    fn enforce_egds_naive(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        state: &mut RunState,
-    ) -> bool {
-        let mut changed_any = false;
-        loop {
-            let mut changed = false;
-            for (egd_index, egd) in program.egds.iter().enumerate() {
-                let assignments = evaluate_with(db, &egd.body, self.config.join);
-                for assignment in assignments {
-                    if self.enforce_equality(egd_index, program, &assignment, db, state) {
-                        changed = true;
-                        // The substitution invalidated the remaining
-                        // assignments for this EGD; re-evaluate.
-                        break;
-                    }
-                }
-                if changed {
-                    break;
-                }
-            }
-            changed_any = changed_any || changed;
-            if !changed {
-                break;
-            }
-        }
-        changed_any
-    }
-
     // ------------------------------------------------------------------
     // Semi-naive strategy: delta-driven trigger discovery.
     // ------------------------------------------------------------------
 
+    /// The semi-naive driver over per-rule evaluation watermarks: a rule's
+    /// next evaluation only joins through rows stamped after its previous
+    /// one, and `None` means "never evaluated" → full join (the seeding
+    /// round).  The floors live in the [`ChaseState`], so they carry across
+    /// [`ChaseEngine::resume`] calls.
     fn run_seminaive(
         &self,
         program: &Program,
         db: &mut Database,
         state: &mut RunState,
-    ) -> TerminationReason {
-        // Per-rule evaluation watermarks: a rule's next evaluation only
-        // joins through rows stamped after its previous one.  `None` means
-        // "never evaluated" → full join (the seeding round).
-        let mut tgd_floor: Vec<Option<u64>> = vec![None; program.tgds.len()];
-        let mut egd_floor: Vec<Option<u64>> = vec![None; program.egds.len()];
-        self.run_seminaive_with_floors(program, db, state, &mut tgd_floor, &mut egd_floor)
-    }
-
-    /// The semi-naive driver, parameterized over externally-held watermark
-    /// floors so a [`ChaseState`] can carry them across [`ChaseEngine::resume`]
-    /// calls.
-    fn run_seminaive_with_floors(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        state: &mut RunState,
         tgd_floor: &mut [Option<u64>],
-        egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
         ensure_rule_indexes(program, db);
 
@@ -1252,13 +1157,6 @@ impl ChaseEngine {
                 tgd_floor[tgd_index] = Some(watermark);
             }
 
-            let egd_start = self.profile_now();
-            let egd_changed = self.enforce_egds_seminaive(program, db, state, egd_floor);
-            if self.config.profile {
-                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-            }
-            changed = changed || egd_changed;
-
             if !changed {
                 termination = TerminationReason::Fixpoint;
                 break;
@@ -1288,17 +1186,6 @@ impl ChaseEngine {
         configured.min(rules.max(1))
     }
 
-    fn run_parallel(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        state: &mut RunState,
-    ) -> TerminationReason {
-        let mut tgd_floor: Vec<Option<u64>> = vec![None; program.tgds.len()];
-        let mut egd_floor: Vec<Option<u64>> = vec![None; program.egds.len()];
-        self.run_parallel_with_floors(program, db, state, &mut tgd_floor, &mut egd_floor)
-    }
-
     /// The parallel driver — see [`EvalStrategy::Parallel`] for the
     /// determinism guarantee.
     ///
@@ -1310,16 +1197,13 @@ impl ChaseEngine {
     /// 2. the per-rule trigger batches are merged sequentially in rule
     ///    order (restricted-mode satisfaction checks and null invention
     ///    happen here, against the live instance), then the epoch advances
-    ///    so the merged inserts form the next round's delta;
-    /// 3. EGDs are enforced exactly as in the sequential semi-naive driver
-    ///    (substitutions mutate the instance, so they stay sequential).
-    fn run_parallel_with_floors(
+    ///    so the merged inserts form the next round's delta.
+    fn run_parallel(
         &self,
         program: &Program,
         db: &mut Database,
         state: &mut RunState,
         tgd_floor: &mut [Option<u64>],
-        egd_floor: &mut [Option<u64>],
     ) -> TerminationReason {
         ensure_rule_indexes(program, db);
         let threads = self.effective_threads(program.tgds.len());
@@ -1417,13 +1301,6 @@ impl ChaseEngine {
                 tgd_floor[tgd_index] = Some(watermark);
             }
 
-            let egd_start = self.profile_now();
-            let egd_changed = self.enforce_egds_seminaive(program, db, state, egd_floor);
-            if self.config.profile {
-                state.profile.egd_micros += self.profile_now().saturating_sub(egd_start);
-            }
-            changed = changed || egd_changed;
-
             if !changed {
                 termination = TerminationReason::Fixpoint;
                 break;
@@ -1435,57 +1312,8 @@ impl ChaseEngine {
         termination
     }
 
-    /// Enforce the program's EGDs with delta-seeded trigger discovery, to a
-    /// local fixpoint; returns whether anything changed.
-    ///
-    /// A unification re-stamps the rewritten tuples into the delta, and the
-    /// EGD's floor is only advanced once an evaluation drains with no
-    /// substitution — so triggers invalidated by a substitution are simply
-    /// re-discovered on the next sweep instead of being acted on stale.
-    fn enforce_egds_seminaive(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        state: &mut RunState,
-        egd_floor: &mut [Option<u64>],
-    ) -> bool {
-        let mut changed_any = false;
-        loop {
-            let mut changed = false;
-            for (egd_index, egd) in program.egds.iter().enumerate() {
-                let watermark = db.epoch();
-                let assignments = match egd_floor[egd_index] {
-                    None => evaluate_with(db, &egd.body, self.config.join),
-                    Some(floor) => evaluate_delta_with(db, &egd.body, floor, self.config.join),
-                };
-                let mut applied = false;
-                for assignment in assignments {
-                    if self.enforce_equality(egd_index, program, &assignment, db, state) {
-                        applied = true;
-                        changed = true;
-                        // The substitution invalidated the remaining
-                        // assignments; re-evaluate from the (unchanged)
-                        // floor, which still covers them.
-                        break;
-                    }
-                }
-                if applied {
-                    break;
-                }
-                // Fully drained without a substitution: safe to move the
-                // floor up to the watermark.
-                egd_floor[egd_index] = Some(watermark);
-            }
-            changed_any = changed_any || changed;
-            if !changed {
-                break;
-            }
-        }
-        changed_any
-    }
-
     // ------------------------------------------------------------------
-    // Shared trigger/equality machinery.
+    // Shared trigger machinery.
     // ------------------------------------------------------------------
 
     /// Can `tgd`'s triggers take the staged batch path
@@ -1650,51 +1478,6 @@ impl ChaseEngine {
         state.stats.triggers_fired += 1;
         changed
     }
-
-    /// Enforce one EGD assignment: unify a null side (returning `true`, the
-    /// database changed) or record a hard violation / skip (returning
-    /// `false`).
-    fn enforce_equality(
-        &self,
-        egd_index: usize,
-        program: &Program,
-        assignment: &ontodq_datalog::Assignment,
-        db: &mut Database,
-        state: &mut RunState,
-    ) -> bool {
-        let egd = &program.egds[egd_index];
-        let left = assignment.get(&egd.left).cloned();
-        let right = assignment.get(&egd.right).cloned();
-        let (left, right) = match (left, right) {
-            (Some(l), Some(r)) => (l, r),
-            // Unbound head variable: ill-formed EGD; skip.
-            _ => return false,
-        };
-        if left == right {
-            return false;
-        }
-        match (&left, &right) {
-            (Value::Null(id), other) | (other, Value::Null(id)) => {
-                // Advance the epoch first so the rewritten tuples land in
-                // the delta of every rule floor taken so far.
-                db.advance_epoch();
-                db.substitute_null(*id, other);
-                state.stats.egd_unifications += 1;
-                true
-            }
-            _ => {
-                state.stats.egd_violations += 1;
-                state.violations.egd.push(EgdViolation {
-                    egd_index,
-                    label: egd.label.clone(),
-                    left,
-                    right,
-                    witness: assignment.clone(),
-                });
-                false
-            }
-        }
-    }
 }
 
 impl ChaseEngine {
@@ -1726,12 +1509,10 @@ impl ChaseEngine {
     ///    rules' deltas like any new fact.
     ///
     /// The resulting instance satisfies retract-then-rederive ==
-    /// fresh-chase-of-the-surviving-EDB (modulo labeled-null renaming).
-    /// **EGD caveat**: historical null unifications cannot be unwound, so
-    /// callers must check [`egds_read_relations`] over every relation the
-    /// retracted ones can reach in the predicate graph
-    /// ([`ontodq_datalog::graph::PredicateGraph::reachable_from`]) and fall back to
-    /// a full re-chase when it fires.
+    /// fresh-chase-of-the-surviving-EDB (modulo labeled-null renaming), with
+    /// no caller-side guard: EGDs never rewrite the instance (they are
+    /// checked as constraints after the re-derivation), so every derived
+    /// row is a TGD consequence the cascade can condemn.
     pub fn retract(
         &self,
         program: &Program,
@@ -2002,7 +1783,6 @@ pub fn chase_incremental(program: &Program, state: &mut ChaseState) -> ChaseResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ontodq_datalog::graph::PredicateGraph;
     use ontodq_datalog::parse_program;
     use ontodq_relational::Tuple;
 
@@ -2153,38 +1933,6 @@ mod tests {
     }
 
     #[test]
-    fn egd_unifies_nulls_with_constants() {
-        // Shifts gets null shifts for Mark in W1 and W2; the EGD says a
-        // nurse's shifts on a given day are the same across wards, and an
-        // explicit fact pins the W1 shift to "morning" — so the W2 null must
-        // be unified with "morning".
-        let program = parse_program(
-            "Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n\
-             s = s2 :- Shifts(w, d, n, s), Shifts(w2, d, n, s2).\n",
-        )
-        .unwrap();
-        for config in strategies() {
-            let mut db = hospital_db();
-            db.insert_values("Shifts", ["W1", "Sep/9", "Mark", "morning"])
-                .unwrap();
-            let result = ChaseEngine::new(config).run(&program, &db);
-            let shifts = result.database.relation("Shifts").unwrap();
-            let marks: Vec<_> = shifts
-                .iter()
-                .filter(|t| t.get(2) == Some(&Value::str("Mark")))
-                .collect();
-            // W1 collapses onto the explicit "morning" tuple, and the W2 null is
-            // unified with "morning" by the EGD.
-            assert_eq!(marks.len(), 2);
-            assert!(marks
-                .iter()
-                .all(|t| t.get(3) == Some(&Value::str("morning"))));
-            assert!(result.stats.egd_unifications >= 1);
-            assert!(result.violations.egd.is_empty());
-        }
-    }
-
-    #[test]
     fn egd_on_distinct_constants_is_a_hard_violation() {
         let program = parse_program(
             "t = t2 :- Thermometer(w, t, n), Thermometer(w2, t2, n2), UnitWard(u, w), UnitWard(u, w2).\n",
@@ -2205,6 +1953,24 @@ mod tests {
                 pair == (Value::str("B1"), Value::str("B2"))
                     || pair == (Value::str("B2"), Value::str("B1"))
             );
+        }
+    }
+
+    /// A rule guarded by `z != "a"` must not fire on an invented null: "a"
+    /// is a possible value of the null, so `T(b)` is not a certain fact.
+    #[test]
+    fn inequality_on_an_invented_null_does_not_fire_a_rule() {
+        let program = parse_program(
+            "S(x, z) :- P(x).\n\
+             T(x) :- S(x, z), z != \"a\".\n",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.insert_values("P", ["b"]).unwrap();
+        for config in strategies() {
+            let result = ChaseEngine::new(config).run(&program, &db);
+            assert_eq!(result.database.relation("S").unwrap().len(), 1);
+            assert!(result.database.relation("T").unwrap().is_empty());
         }
     }
 
@@ -2283,6 +2049,60 @@ mod tests {
         ];
         let result = engine.retract(&program, &mut state, &surviving, &gone);
         assert_eq!(by_constraint(&result.chase), [0, 0]);
+    }
+
+    /// EGDs are checked exactly like negative constraints: a batch that
+    /// makes two distinct constants meet is reported, every later resume
+    /// reports the clash again, and a resume whose batch touches no relation
+    /// the EGD reads does not re-evaluate its body.
+    #[test]
+    fn egd_violations_stay_current_across_resumes() {
+        let program = parse_program(
+            "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
+             t = t2 :- Thermometer(w, t, n), Thermometer(w2, t2, n2), UnitWard(u, w), UnitWard(u, w2).\n",
+        )
+        .unwrap();
+        let engine = ChaseEngine::with_defaults();
+        let fact =
+            |relation: &str, values: [&str; 3]| (relation.to_string(), Tuple::from_iter(values));
+        let mut state = ChaseState::new(&program, &hospital_db());
+        state
+            .insert_batch([fact("Thermometer", ["W1", "B1", "Helen"])])
+            .unwrap();
+        assert!(engine
+            .resume(&program, &mut state)
+            .violations
+            .egd
+            .is_empty());
+
+        // W2 shares the Standard unit with W1 but uses another brand.
+        state
+            .insert_batch([fact("Thermometer", ["W2", "B2", "Susan"])])
+            .unwrap();
+        let clash = engine.resume(&program, &mut state).violations.egd;
+        let mut pairs: Vec<_> = clash.iter().map(|v| (v.left, v.right)).collect();
+        pairs.sort();
+        assert_eq!(
+            pairs,
+            [
+                (Value::str("B1"), Value::str("B2")),
+                (Value::str("B2"), Value::str("B1"))
+            ]
+        );
+
+        // An unrelated batch: the clash is reported again from the memo.
+        let memo = |state: &ChaseState| {
+            let checked = state.checked_egds[0].as_ref().expect("checked");
+            checked.witnesses.as_ptr()
+        };
+        let before = memo(&state);
+        state
+            .insert_batch([fact("PatientWard", ["W1", "Sep/10", "Nick Cave"])])
+            .unwrap();
+        let later = engine.resume(&program, &mut state);
+        assert_eq!(later.stats.tuples_added, 1);
+        assert_eq!(later.violations.egd, clash);
+        assert_eq!(memo(&state), before, "the EGD body was re-evaluated");
     }
 
     #[test]
@@ -2384,33 +2204,6 @@ mod tests {
         assert!(semi.stats.triggers_satisfied <= naive.stats.triggers_satisfied);
     }
 
-    #[test]
-    fn seminaive_egd_unification_retriggers_rules() {
-        // The unification of the shift null must flow back into a TGD that
-        // copies pinned-down shifts.
-        let program = parse_program(
-            "Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n\
-             s = s2 :- Shifts(w, d, n, s), Shifts(w2, d, n, s2).\n\
-             KnownShift(n, s) :- Shifts(w, d, n, s), Known(s).\n\
-             Known(\"morning\").\n",
-        )
-        .unwrap();
-        let mut db = hospital_db();
-        db.insert_values("Shifts", ["W1", "Sep/9", "Mark", "morning"])
-            .unwrap();
-        for config in strategies() {
-            let result = ChaseEngine::new(config.clone()).run(&program, &db);
-            let known = result.database.relation("KnownShift").unwrap();
-            // Mark's W2 shift is only known *after* the EGD unifies the null
-            // with "morning"; the semi-naive delta must pick that up.
-            assert!(
-                known.contains(&Tuple::from_iter(["Mark", "morning"])),
-                "strategy {:?} missed the EGD-retriggered rule",
-                config.strategy
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // Resumable / incremental chase.
     // ------------------------------------------------------------------
@@ -2503,7 +2296,6 @@ mod tests {
         let mut rebuilt = ChaseState::from_parts(
             live.database().clone(),
             live.tgd_floors().to_vec(),
-            live.egd_floors().to_vec(),
             live.next_null(),
         );
         assert_eq!(rebuilt.next_null(), live.next_null());
@@ -2531,40 +2323,8 @@ mod tests {
         );
         // A stale persisted null counter is clamped above the database's
         // nulls rather than trusted.
-        let clamped = ChaseState::from_parts(live.database().clone(), vec![], vec![], 0);
+        let clamped = ChaseState::from_parts(live.database().clone(), vec![], 0);
         assert!(clamped.next_null() > live.database().max_null_id().unwrap_or(0));
-    }
-
-    #[test]
-    fn incremental_batch_retriggers_egd_unification() {
-        // Initial chase invents a null shift for Mark in W2; a later batch
-        // pins the W1 shift to "morning", and the EGD must unify the W2 null
-        // on resume — exercising delta-driven EGD floors across batches.
-        let program = parse_program(
-            "Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n\
-             s = s2 :- Shifts(w, d, n, s), Shifts(w2, d, n, s2).\n",
-        )
-        .unwrap();
-        let mut state = ChaseState::new(&program, &hospital_db());
-        let initial = chase_incremental(&program, &mut state);
-        assert!(initial.stats.nulls_created > 0);
-
-        state
-            .insert_batch([(
-                "Shifts".to_string(),
-                Tuple::from_iter(["W1", "Sep/9", "Mark", "morning"]),
-            )])
-            .unwrap();
-        let resumed = chase_incremental(&program, &mut state);
-        assert!(resumed.stats.egd_unifications >= 1);
-        let shifts = resumed.database.relation("Shifts").unwrap();
-        let marks: Vec<_> = shifts
-            .iter()
-            .filter(|t| t.get(2) == Some(&Value::str("Mark")))
-            .collect();
-        assert!(marks
-            .iter()
-            .all(|t| t.get(3) == Some(&Value::str("morning"))));
     }
 
     #[test]
@@ -2734,27 +2494,6 @@ mod tests {
         );
         // The x→y component is never explored.
         assert!(demanded.stats.tuples_added < full.stats.tuples_added);
-    }
-
-    #[test]
-    fn demand_chase_preserves_egd_unifications() {
-        // Mark's W2 shift is a null unified to "morning" through an EGD whose
-        // trigger involves a *non-demanded* tuple (the W1 shift): the
-        // transformation must keep the Shifts derivation unrestricted.
-        let program = parse_program(
-            "Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n\
-             s = s2 :- Shifts(w, d, n, s), Shifts(w2, d, n, s2).\n",
-        )
-        .unwrap();
-        let mut db = hospital_db();
-        db.insert_values("Shifts", ["W1", "Sep/9", "Mark", "morning"])
-            .unwrap();
-        let full = chase(&program, &db);
-        let query = query_body("Shifts(W2, d, n, s), n = \"Mark\".");
-        let demanded = chase_on_demand(&program, &db, &query);
-        let expected = certain(&full.database, &query);
-        assert!(!expected.is_empty());
-        assert_eq!(certain(&demanded.database, &query), expected);
     }
 
     #[test]
@@ -2991,34 +2730,6 @@ mod tests {
             relation_tuples(state.database(), "T"),
             relation_tuples(&expected.database, "T"),
         );
-    }
-
-    #[test]
-    fn egds_read_relations_flags_only_body_predicates() {
-        let program = parse_program(
-            "T(x, y) :- E(x, y).\n\
-             y = z :- Pref(x, y), Pref(x, z).\n",
-        )
-        .unwrap();
-        assert!(egds_read_relations(&program, ["Pref"]));
-        assert!(!egds_read_relations(&program, ["E", "T"]));
-        assert!(!egds_read_relations(&program, []));
-
-        // An EGD over *derived* relations: `A` reaches the EGD body only
-        // through `K`, so the retracted relations alone do not flag it, but
-        // their downstream closure in the predicate graph does.
-        let derived = parse_program(
-            "B(x, z) :- P(x).\n\
-             K(x, y) :- A(x, y).\n\
-             z1 = z2 :- B(x, z1), K(x, z2).\n",
-        )
-        .unwrap();
-        assert!(!egds_read_relations(&derived, ["A"]));
-        let reached = PredicateGraph::build(&derived).reachable_from(&["A"]);
-        assert!(egds_read_relations(
-            &derived,
-            reached.iter().map(String::as_str)
-        ));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! comparisons.  Evaluation finds every [`Assignment`] of the variables to
 //! database values under which all positive atoms are facts of the instance,
 //! no negated atom is (an extension of the assignment to) a fact, and every
-//! comparison holds.
+//! comparison holds.  A labeled null is an unknown value: a comparison or
+//! negated atom that it makes undecidable is not satisfied.
 //!
 //! Two evaluation modes are provided:
 //!
@@ -338,7 +339,15 @@ fn run_join(
     // per join and probed through the nested-loop kernel with a persistent
     // scratch level (the probe rewinds the binder, so the shared stack is
     // safe).  A negated atom that fails to resolve has an empty extension —
-    // its negation holds vacuously.
+    // its negation holds vacuously.  A negated atom whose bindings hold a
+    // labeled null is *unknown* (the null may stand for a value that makes
+    // the atom a fact), and unknown is not satisfied: the same naive-table
+    // rule `!=` follows ([`ontodq_datalog::CompareOp::eval`]).
+    let negated_vars: Vec<Vec<Variable>> = conjunction
+        .negated
+        .iter()
+        .map(|atom| atom.variables())
+        .collect();
     let negated: Vec<Option<Vec<ResolvedAtom>>> = conjunction
         .negated
         .iter()
@@ -348,6 +357,14 @@ fn run_join(
     let mut leaf = |binder: &mut Binder| -> bool {
         for cmp in &conjunction.comparisons {
             if !binder_satisfies_comparison(binder, cmp) {
+                return false;
+            }
+        }
+        for vars in &negated_vars {
+            if vars
+                .iter()
+                .any(|v| binder.get(v).is_some_and(|value| value.is_null()))
+            {
                 return false;
             }
         }

@@ -12,8 +12,8 @@
 //! * [`eval`] — evaluation of rule bodies / conjunctive queries over a
 //!   [`ontodq_relational::Database`] (the reference semantics reused by the
 //!   query-answering algorithms in `ontodq-qa`),
-//! * [`mod@chase`] — the restricted and oblivious chase with EGD enforcement
-//!   (null unification or hard violations) and negative-constraint checking,
+//! * [`mod@chase`] — the restricted and oblivious chase of the TGDs, with
+//!   EGDs and negative constraints checked (never applied) on the result,
 //!   and delete-and-rederive retraction ([`ChaseEngine::retract`]),
 //! * [`violation`] and [`profile`] — structured reports of what the chase
 //!   found and did ([`ChaseStats`]) and where its time went
@@ -31,9 +31,9 @@ pub mod violation;
 pub mod wco;
 
 pub use chase::{
-    chase, chase_incremental, chase_naive, chase_on_demand, chase_parallel, egds_read_relations,
-    ensure_demand_indexes, ensure_rule_indexes, ChaseConfig, ChaseEngine, ChaseMode, ChaseResult,
-    ChaseState, EvalStrategy, RetractResult, RetractStats, TerminationReason,
+    chase, chase_incremental, chase_naive, chase_on_demand, chase_parallel, ensure_demand_indexes,
+    ensure_rule_indexes, ChaseConfig, ChaseEngine, ChaseMode, ChaseResult, ChaseState,
+    EvalStrategy, RetractResult, RetractStats, TerminationReason,
 };
 pub use eval::{
     ensure_indexes, evaluate, evaluate_delta, evaluate_delta_with, evaluate_limited,

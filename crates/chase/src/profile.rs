@@ -34,8 +34,6 @@ pub struct ChaseStats {
     pub tuples_added: usize,
     /// Number of fresh labeled nulls invented.
     pub nulls_created: usize,
-    /// Number of EGD applications that unified a null.
-    pub egd_unifications: usize,
     /// Number of hard EGD violations (two distinct constants equated).
     pub egd_violations: usize,
     /// Number of negative-constraint violations observed.
@@ -46,13 +44,12 @@ impl fmt::Display for ChaseStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "rounds={}, fired={}, satisfied={}, tuples+={}, nulls+={}, egd-unify={}, egd-viol={}, nc-viol={}",
+            "rounds={}, fired={}, satisfied={}, tuples+={}, nulls+={}, egd-viol={}, nc-viol={}",
             self.rounds,
             self.triggers_fired,
             self.triggers_satisfied,
             self.tuples_added,
             self.nulls_created,
-            self.egd_unifications,
             self.egd_violations,
             self.nc_violations
         )
@@ -139,7 +136,8 @@ pub struct ChaseProfile {
     pub enabled: bool,
     /// Per-rule measurements, indexed by TGD position.
     pub rules: Vec<RuleProfile>,
-    /// Cumulative EGD-enforcement time, µs.
+    /// Cumulative EGD-check time, µs (evaluating the EGDs as constraints
+    /// after the TGD fixpoint).
     pub egd_micros: u64,
     /// End-to-end driver time, µs.
     pub total_micros: u64,

@@ -6,8 +6,8 @@ use ontodq_relational::Value;
 use std::fmt;
 
 /// A violation of an equality-generating dependency: the body matched and the
-/// two equated terms evaluate to distinct constants, which no null
-/// unification can repair.
+/// two equated terms evaluate to distinct constants.  A side holding a
+/// labeled null is unknown, never a violation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EgdViolation {
     /// Index of the EGD in the program.

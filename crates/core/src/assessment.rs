@@ -10,10 +10,8 @@
 use crate::context::Context;
 use crate::metrics::{QualityMetrics, RelationQuality};
 use ontodq_chase::{
-    egds_read_relations, ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState,
-    RetractResult, RetractStats,
+    ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
 };
-use ontodq_datalog::graph::PredicateGraph;
 use ontodq_datalog::{lint_with, Diagnostic, LintReport, Program};
 use ontodq_mdm::compile;
 use ontodq_relational::{same_relation, Database, RelationInstance, RelationSchema, Tuple};
@@ -611,36 +609,22 @@ impl ResumableAssessment {
     /// deleted from the instance under assessment *and* from its contextual
     /// copy; other predicates are deleted from the contextual instance
     /// directly.  Facts that are not present are counted in
-    /// [`RetractStats::requested`] but otherwise ignored.
-    ///
-    /// When some EGD reads a touched relation, or a relation derived from
-    /// one, the incremental path is unsound (null unifications cannot be
-    /// unwound), so the chase state is rebuilt from the surviving
-    /// extensional base instead; the result's `cascaded` count is 0 in that
-    /// case because nothing was individually condemned.
+    /// [`ontodq_chase::RetractStats::requested`] but otherwise ignored.
     pub fn retract_batch<I>(&mut self, facts: I) -> RetractResult
     where
         I: IntoIterator<Item = (String, Tuple)>,
     {
         let mut seeds = Vec::new();
-        let mut removed = 0usize;
-        let mut touched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         for (predicate, tuple) in facts {
             if let Some(contextual) = self.context.contextual_name_of(&predicate) {
                 let contextual = contextual.to_string();
                 if let Ok(relation) = self.instance.relation_mut(&predicate) {
                     relation.delete(&tuple);
                 }
-                if self.base.delete(&contextual, &tuple) {
-                    removed += 1;
-                }
-                touched.insert(contextual.clone());
+                self.base.delete(&contextual, &tuple);
                 seeds.push((contextual, tuple));
             } else {
-                if self.base.delete(&predicate, &tuple) {
-                    removed += 1;
-                }
-                touched.insert(predicate.clone());
+                self.base.delete(&predicate, &tuple);
                 seeds.push((predicate, tuple));
             }
         }
@@ -648,29 +632,9 @@ impl ResumableAssessment {
         // retracted (the chase state reclaims its own in `retract`).
         self.instance.compact_sparse();
         self.base.compact_sparse();
-        // An EGD may have unified a null in any relation the retracted
-        // facts reach, not only in the retracted relations themselves.
-        let touched: Vec<&str> = touched.iter().map(String::as_str).collect();
-        let reached = PredicateGraph::build(&self.program).reachable_from(&touched);
-        let result = if egds_read_relations(&self.program, reached.iter().map(String::as_str)) {
-            // EGD fallback: rebuild from the surviving extensional base.
-            let requested = seeds.len();
-            let mut state = ChaseState::new(&self.program, &self.base);
-            let chase = self.engine.resume(&self.program, &mut state);
-            self.state = state;
-            RetractResult {
-                stats: RetractStats {
-                    requested,
-                    retracted: removed,
-                    cascaded: 0,
-                    rederived: chase.stats.tuples_added,
-                },
-                chase,
-            }
-        } else {
-            self.engine
-                .retract(&self.program, &mut self.state, &self.base, &seeds)
-        };
+        let result = self
+            .engine
+            .retract(&self.program, &mut self.state, &self.base, &seeds);
         self.last = ChaseSummary::of(&result.chase);
         self.profile.merge(&result.chase.profile);
         self.batches_applied += 1;

@@ -24,7 +24,7 @@
 //! | L102 | warn  | rule derives only predicates no quality query depends on |
 //! | L103 | warn  | cartesian product: rule body has disconnected variable components |
 //! | L104 | warn  | duplicate rule (shadowed by an identical earlier rule) |
-//! | L105 | warn  | EGD is not separable from the TGDs |
+//! | L105 | error | EGD is not separable from the TGDs (it could meet a labeled null) |
 //! | L106 | warn  | no termination certificate: chase may only stop on budgets |
 //! | L201 | info  | class-lattice placement of the program |
 
@@ -797,7 +797,9 @@ fn check_duplicates(program: &Program, out: &mut Vec<Diagnostic>) {
 }
 
 /// L105: surface the EGD-separability verdicts of
-/// [`crate::analysis::separability`] as diagnostics.
+/// [`crate::analysis::separability`] as diagnostics.  An error: the chase
+/// checks EGDs as constraints over constants and never unifies a null, which
+/// is exact only for separable EGDs.
 fn check_separability(program: &Program, out: &mut Vec<Diagnostic>) {
     let report = separability::check_program(program);
     for verdict in &report.egds {
@@ -806,9 +808,9 @@ fn check_separability(program: &Program, out: &mut Vec<Diagnostic>) {
             out.push(
                 Diagnostic::new(
                     "L105",
-                    Severity::Warn,
+                    Severity::Error,
                     "EGD is not separable from the TGDs: it equates values at positions where \
-                     labeled nulls may appear, so query answers may depend on EGD firing order",
+                     labeled nulls may appear, and EGDs are checked, never applied",
                 )
                 .at("egd", verdict.egd_index, egd.to_string())
                 .witnessed(
@@ -958,7 +960,10 @@ mod tests {
         )
         .unwrap();
         let report = lint(&program);
-        assert!(report.diagnostics.iter().any(|d| d.code == "L105"));
+        assert!(report
+            .errors()
+            .iter()
+            .any(|d| d.code == "L105" && d.witness.as_deref().unwrap().contains("Shifts[3]")));
     }
 
     #[test]

@@ -8,13 +8,8 @@
 //!
 //! 1. **Relevance restriction** — only rules whose head predicates the query
 //!    (transitively) depends on are kept, via the predicate dependency graph
-//!    ([`crate::graph::PredicateGraph::ancestors_of`]).  EGDs are included
-//!    when their bodies touch a relevant predicate or anything relevant data
-//!    can flow into (their unifications rewrite labeled nulls *globally*, so
-//!    an EGD over a downstream relation can still turn a relevant null into a
-//!    constant); the body predicates of an included EGD — and everything
-//!    feeding them — must then be derived **unrestricted**, or unifications
-//!    the full chase performs would be lost.
+//!    ([`crate::graph::PredicateGraph::ancestors_of`]), plus the rules of
+//!    every predicate a kept rule reads under negation.
 //! 2. **Sideways information passing** — the query's bound constants
 //!    (constants in atoms, plus `x = c` comparisons) become *adornments*:
 //!    each demanded predicate `P` with bound positions gets a magic predicate
@@ -28,8 +23,9 @@
 //!      invention), so such rules fall back to unguarded-but-relevant;
 //!    * rules with **conjunctive heads** (form (10)) are never guarded — a
 //!      guard for one head atom would silently starve the others;
-//!    * predicates feeding an included EGD (or a negated query atom) are
-//!      never guarded, as above.
+//!    * predicates read under negation (by the query or a kept rule), and
+//!      everything feeding them, are derived **unrestricted**: negation
+//!      reads a predicate's full extension, not just the demanded slice.
 //!
 //! The original predicate names are kept (guards are *added*, predicates are
 //! not renamed), so a demanded relation holds the union of all demanded
@@ -37,8 +33,10 @@
 //! needs and a subset of the full chase, which is exactly the soundness
 //! envelope certain-answer equality needs.
 //!
-//! Negative constraints are dropped: demand-driven evaluation answers
-//! queries, it does not audit consistency (the full assessment path does).
+//! EGDs and negative constraints are dropped: the chase checks both as
+//! constraints and never lets them change data, and demand-driven evaluation
+//! answers queries, it does not audit consistency (the full assessment path
+//! does).
 
 use crate::atom::{Atom, CompareOp, Conjunction};
 use crate::graph::PredicateGraph;
@@ -56,8 +54,6 @@ pub type BoundSet = BTreeSet<usize>;
 pub struct DemandStats {
     /// TGDs of the input program dropped as irrelevant to the query.
     pub pruned_tgds: usize,
-    /// EGDs dropped because no relevant data can reach their bodies.
-    pub pruned_egds: usize,
     /// Rule copies that carry a magic guard atom.
     pub guarded_rules: usize,
     /// Magic propagation rules emitted.
@@ -74,7 +70,7 @@ pub struct DemandStats {
 #[derive(Debug, Clone)]
 pub struct DemandProgram {
     /// The specialized program: relevance-restricted rules, magic-guarded
-    /// copies, magic propagation rules, included EGDs, relevant facts.  No
+    /// copies, magic propagation rules and relevant facts.  No EGDs and no
     /// negative constraints.
     pub program: Program,
     /// Magic seed facts `(magic predicate, constants tuple)` extracted from
@@ -146,7 +142,7 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     let idb = program.idb_predicates();
 
     // ------------------------------------------------------------------
-    // Phase 1: relevance closure (predicates + EGDs).
+    // Phase 1: relevance closure.
     // ------------------------------------------------------------------
     let mut relevant: BTreeSet<String> = query
         .atoms
@@ -154,7 +150,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
         .chain(query.negated.iter())
         .map(|a| a.predicate.clone())
         .collect();
-    let mut egd_included = vec![false; program.egds.len()];
     loop {
         let seeds: Vec<&str> = relevant.iter().map(String::as_str).collect();
         let closed = graph.ancestors_of(&seeds);
@@ -171,49 +166,20 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
                 }
             }
         }
-        let refs: Vec<&str> = relevant.iter().map(String::as_str).collect();
-        // Everything relevant data can flow into; `reachable_from` seeds
-        // its result with the inputs, so this is a superset of `relevant`.
-        let forward = graph.reachable_from(&refs);
-        for (index, egd) in program.egds.iter().enumerate() {
-            if egd_included[index] {
-                continue;
-            }
-            let touches = egd
-                .body
-                .atoms
-                .iter()
-                .chain(egd.body.negated.iter())
-                .any(|a| forward.contains(&a.predicate));
-            if touches {
-                egd_included[index] = true;
-                changed = true;
-                for atom in egd.body.atoms.iter().chain(egd.body.negated.iter()) {
-                    relevant.insert(atom.predicate.clone());
-                }
-            }
-        }
         if !changed {
             break;
         }
     }
 
     // Predicates that must be derived unrestricted (no magic guards):
-    // ancestors of included EGD bodies and of negated atoms — wherever a
-    // query or rule body reads a predicate under negation, its full
-    // extension matters, not just the demanded slice.
+    // ancestors of negated atoms — wherever a query or rule body reads a
+    // predicate under negation, its full extension matters, not just the
+    // demanded slice.
     let mut unrestricted_seeds: BTreeSet<&str> =
         query.negated.iter().map(|a| a.predicate.as_str()).collect();
     for tgd in &program.tgds {
         if tgd.head.iter().any(|a| relevant.contains(&a.predicate)) {
             for atom in &tgd.body.negated {
-                unrestricted_seeds.insert(atom.predicate.as_str());
-            }
-        }
-    }
-    for (index, egd) in program.egds.iter().enumerate() {
-        if egd_included[index] {
-            for atom in egd.body.atoms.iter().chain(egd.body.negated.iter()) {
                 unrestricted_seeds.insert(atom.predicate.as_str());
             }
         }
@@ -255,8 +221,8 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     };
 
     // Every intensional predicate that must stay unrestricted is demanded in
-    // full up front (EGD feeders are not always reachable from the query's
-    // own demand propagation).
+    // full up front (the feeders of a negated atom are not always reachable
+    // from the query's own demand propagation).
     for pred in unrestricted.iter() {
         if idb.contains(pred) && relevant.contains(pred) {
             demand_full(pred, &mut full_demand, &mut queue);
@@ -413,12 +379,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
         .count();
     stats.fully_demanded = full_demand.len();
 
-    // Included EGDs, verbatim.
-    for (index, egd) in program.egds.iter().enumerate() {
-        if egd_included[index] {
-            out.egds.push(egd.clone());
-        }
-    }
     // Relevant facts.
     for fact in &program.facts {
         if relevant.contains(&fact.atom().predicate) {
@@ -427,7 +387,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     }
 
     stats.pruned_tgds = program.tgds.len() - included_tgds.len();
-    stats.pruned_egds = egd_included.iter().filter(|included| !**included).count();
 
     // Magic predicates some emitted rule actually consumes or derives.
     let mut magic_preds: BTreeSet<String> = BTreeSet::new();
@@ -699,37 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn egds_touching_relevant_data_are_kept_and_disable_guards() {
-        let program = parse_program(
-            "Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n\
-             s = s2 :- Shifts(w, d, n, s), Shifts(w2, d, n, s2).\n",
-        )
-        .unwrap();
-        let demand = magic_transform(&program, &body_of("Shifts(W2, d, n, s)."));
-        // The EGD equates shifts across wards: restricting Shifts to W2
-        // would lose the unifications, so the rule stays unguarded and the
-        // EGD rides along.
-        assert_eq!(demand.program.egds.len(), 1);
-        assert!(!demand.is_guarded());
-    }
-
-    #[test]
-    fn egds_over_unreachable_predicates_are_pruned() {
-        let program = parse_program(
-            "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
-             x = y :- Disconnected(x, y).\n",
-        )
-        .unwrap();
-        let demand = magic_transform(
-            &program,
-            &body_of("PatientUnit(u, d, p), p = \"Tom Waits\"."),
-        );
-        assert_eq!(demand.stats.pruned_egds, 1);
-        assert!(demand.program.egds.is_empty());
-        assert!(demand.is_guarded());
-    }
-
-    #[test]
     fn negated_query_atoms_force_full_derivation() {
         let program = hospital_rules();
         let demand = magic_transform(
@@ -791,11 +719,13 @@ mod tests {
     fn constraints_are_dropped() {
         let program = parse_program(
             "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
-             ! :- PatientUnit(u, d, p), not Unit(u).\n",
+             ! :- PatientUnit(u, d, p), not Unit(u).\n\
+             u = u2 :- PatientUnit(u, d, p), PatientUnit(u2, d, p).\n",
         )
         .unwrap();
         let demand = magic_transform(&program, &body_of("PatientUnit(u, d, p)."));
         assert!(demand.program.constraints.is_empty());
+        assert!(demand.program.egds.is_empty());
     }
 
     #[test]

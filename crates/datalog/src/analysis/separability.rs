@@ -16,6 +16,12 @@
 //! guarantee required: if the equated values are always non-null constants,
 //! an EGD violation is a hard inconsistency rather than a null unification,
 //! so the chase result is not altered by the EGD.
+//!
+//! A separable EGD is the only kind the server admits: lint L105 reports a
+//! non-separable one as an error, and `QualityService::register_context`
+//! refuses a context with lint errors.  The chase therefore never applies an
+//! EGD; it runs the TGDs alone and checks every EGD as a constraint, exactly
+//! as Calì, Gottlob & Lukasiewicz answer queries under separable EGDs.
 
 use crate::graph::PositionGraph;
 use crate::program::{Position, Program};

@@ -102,17 +102,24 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
-    /// Evaluate the comparison on two values.
+    /// Evaluate the comparison on two values; `None` means *unknown*, which
+    /// callers treat as "condition not satisfied".
     ///
-    /// Equality and inequality are defined on all values (labeled nulls are
-    /// equal only to themselves); the order comparisons require two
-    /// constants of comparable kinds (numeric with numeric, string with
-    /// string, time with time) and return `None` otherwise, which callers
-    /// treat as "condition not satisfied".
+    /// A labeled null stands for some unknown value (the naive-table reading
+    /// of Imieliński & Lipski), so only what holds for every value of the
+    /// null is known.  Equality is decided on all values: a null equals only
+    /// itself, and `⊥ = c` failing is sound for certain answers.
+    /// Inequality is known only between two constants, or between a null
+    /// and itself (false); `⊥ != c` is unknown, since `c` may be the value.
+    /// The order comparisons require two constants of comparable kinds
+    /// (numeric with numeric, string with string, time with time).
     pub fn eval(self, left: &Value, right: &Value) -> Option<bool> {
         match self {
             CompareOp::Eq => Some(left == right),
-            CompareOp::Neq => Some(left != right),
+            CompareOp::Neq => match (left, right) {
+                (Value::Null(_), _) | (_, Value::Null(_)) if left != right => None,
+                _ => Some(left != right),
+            },
             _ => {
                 let ordering = match (left, right) {
                     (Value::Str(a), Value::Str(b)) => a.as_str().cmp(b.as_str()),
@@ -373,6 +380,15 @@ mod tests {
             CompareOp::Eq.eval(&Value::Null(NullId(0)), &Value::str("x")),
             Some(false)
         );
+    }
+
+    #[test]
+    fn compare_eval_inequality_with_a_null_is_unknown() {
+        let null = Value::Null(NullId(0));
+        assert_eq!(CompareOp::Neq.eval(&null, &Value::str("x")), None);
+        assert_eq!(CompareOp::Neq.eval(&Value::str("x"), &null), None);
+        assert_eq!(CompareOp::Neq.eval(&null, &Value::Null(NullId(1))), None);
+        assert_eq!(CompareOp::Neq.eval(&null, &null), Some(false));
     }
 
     #[test]

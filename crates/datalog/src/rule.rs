@@ -10,7 +10,7 @@
 //! * form (10): downward rules with existential *categorical* variables and
 //!   parent–child atoms in the head.
 
-use crate::atom::{Atom, Conjunction};
+use crate::atom::{Atom, CompareOp, Comparison, Conjunction};
 use crate::term::{Term, Variable};
 use ontodq_relational::Tuple;
 use std::collections::BTreeSet;
@@ -169,6 +169,18 @@ impl Egd {
     pub fn is_well_formed(&self) -> bool {
         let vars = self.body_variables();
         vars.contains(&self.left) && vars.contains(&self.right)
+    }
+
+    /// The EGD as a negative constraint, `⊥ ← body ∧ left ≠ right`: its
+    /// witnesses are exactly the violations.  Under the null rule of
+    /// [`CompareOp::Neq`] a side holding a labeled null is unknown, not a
+    /// violation, so only two distinct constants are reported.
+    pub fn violation_body(&self) -> Conjunction {
+        self.body.clone().and_compare(Comparison::new(
+            Term::Var(self.left),
+            CompareOp::Neq,
+            Term::Var(self.right),
+        ))
     }
 }
 

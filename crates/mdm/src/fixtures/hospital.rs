@@ -477,6 +477,11 @@ mod tests {
         let pu = result.database.relation("PatientUnit").unwrap();
         let null_units: Vec<_> = pu.iter().filter(|t| t.get(0).unwrap().is_null()).collect();
         assert_eq!(null_units.len(), 2);
+        // An invented unit is unknown, not "not a Unit": the referential
+        // constraint on PatientUnit.Unit must not fire on it, so only the
+        // base ontology's one violation remains.
+        assert_eq!(result.violations.len(), 1);
+        assert_eq!(result.violations.nc.len(), 1);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::sync::Arc;
 ///
 /// Relations are reference-counted and copied on write (see the module
 /// docs): cloning a database is cheap, and operations that turn out to be
-/// no-ops — deleting an absent tuple, substituting a null that occurs
-/// nowhere, compacting without tombstones — leave every relation shared.
+/// no-ops — deleting an absent tuple, compacting without tombstones —
+/// leave every relation shared.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     relations: BTreeMap<String, Arc<RelationInstance>>,
@@ -329,18 +329,6 @@ impl Database {
             .max()
     }
 
-    /// Replace every occurrence of the labeled null `from` with `to` in every
-    /// relation; returns the number of tuples changed.  Only relations that
-    /// mention `from` are opened.
-    pub fn substitute_null(&mut self, from: NullId, to: &Value) -> usize {
-        let epoch = self.epoch;
-        self.relations
-            .values_mut()
-            .filter(|r| r.mentions_null(from))
-            .map(|slot| open(slot, epoch).substitute_null(from, to))
-            .sum()
-    }
-
     /// Merge another database into this one: relations are created as needed
     /// and tuples unioned.  Returns the number of new tuples.
     ///
@@ -467,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn nulls_and_substitution_span_relations() {
+    fn nulls_span_relations() {
         let mut db = sample();
         db.insert(
             "Shifts",
@@ -478,9 +466,6 @@ mod tests {
             .unwrap();
         assert_eq!(db.nulls().len(), 1);
         assert_eq!(db.max_null_id(), Some(3));
-        let changed = db.substitute_null(NullId(3), &Value::str("morning"));
-        assert_eq!(changed, 2);
-        assert!(db.nulls().is_empty());
     }
 
     #[test]
@@ -656,7 +641,6 @@ mod tests {
         let mut copy = original.clone();
         copy.advance_epoch();
         copy.raise_epoch(9);
-        assert_eq!(copy.substitute_null(NullId(7), &Value::str("x")), 0);
         assert_eq!(copy.compact(), 0);
         assert!(!copy.delete("UnitWard", &Tuple::from_iter(["Standard", "W9"])));
         assert!(!copy.delete("Nope", &Tuple::from_iter(["x"])));
@@ -665,7 +649,12 @@ mod tests {
         assert_eq!(copy.merge(&original).unwrap(), 0);
         assert_eq!(shared(&original, &copy), all);
         // Each real write opens only the relation it changes.
-        assert_eq!(copy.substitute_null(NullId(3), &Value::str("x")), 1);
+        assert!(copy
+            .insert(
+                "Shifts",
+                Tuple::new(vec![Value::str("W2"), Value::null(NullId(4))])
+            )
+            .unwrap());
         assert_eq!(shared(&original, &copy), ["PatientWard", "UnitWard"]);
         assert!(copy.delete("UnitWard", &Tuple::from_iter(["Standard", "W1"])));
         assert_eq!(copy.compact(), 1);
@@ -712,51 +701,6 @@ mod tests {
         assert_eq!(
             stale.relation("UnitWard").unwrap().last_stamp(),
             Some(snapshot.epoch())
-        );
-    }
-
-    /// Regression test for the stale-index hazard: substituting a null
-    /// through the database must leave every per-relation hash index
-    /// consistent with the rewritten tuples — an indexed select must agree
-    /// with a full scan for both the old and the new key.
-    #[test]
-    fn substitute_null_keeps_indexes_consistent() {
-        let mut db = sample();
-        db.insert(
-            "Shifts",
-            Tuple::new(vec![Value::str("W1"), Value::null(NullId(3))]),
-        )
-        .unwrap();
-        db.insert(
-            "Shifts",
-            Tuple::new(vec![Value::str("W2"), Value::str("evening")]),
-        )
-        .unwrap();
-        db.relation_mut("Shifts").unwrap().build_index(1);
-        db.relation_mut("UnitWard").unwrap().build_index(0);
-
-        db.substitute_null(NullId(3), &Value::str("morning"));
-
-        let shifts = db.relation("Shifts").unwrap();
-        assert!(shifts.has_index(1));
-        // Old key must be gone from the index…
-        assert!(shifts.select(&[(1, &Value::null(NullId(3)))]).is_empty());
-        // …and the new key must be reachable through it, agreeing with a
-        // scan.
-        let indexed = shifts.select(&[(1, &Value::str("morning"))]);
-        let scanned: Vec<Tuple> = shifts
-            .iter()
-            .filter(|t| t.get(1) == Some(&Value::str("morning")))
-            .collect();
-        assert_eq!(indexed, scanned);
-        assert_eq!(indexed.len(), 1);
-        // Untouched relations keep working through their indexes too.
-        assert_eq!(
-            db.relation("UnitWard")
-                .unwrap()
-                .select(&[(0, &Value::str("Standard"))])
-                .len(),
-            2
         );
     }
 }

@@ -96,8 +96,7 @@ impl HashIndex {
             .sum()
     }
 
-    /// Drop all entries (used when the underlying relation is rewritten,
-    /// e.g. after an EGD-driven null substitution).
+    /// Drop all entries (used when the underlying relation is rewritten).
     pub fn clear(&mut self) {
         self.entries.clear();
     }

@@ -154,18 +154,5 @@ mod proptests {
             prop_assert_eq!(scan, indexed);
         }
 
-        /// Null substitution removes the substituted null from the database.
-        #[test]
-        fn substitution_eliminates_null(
-            rows in proptest::collection::vec(proptest::collection::vec(arb_value(), 2), 1..20)
-        ) {
-            let mut db = Database::new();
-            for row in &rows {
-                db.insert("R", Tuple::new(row.clone())).unwrap();
-            }
-            db.insert("S", Tuple::new(vec![Value::null(NullId(999)), Value::str("x")])).unwrap();
-            db.substitute_null(NullId(999), &Value::str("replacement"));
-            prop_assert!(!db.nulls().contains(&NullId(999)));
-        }
     }
 }

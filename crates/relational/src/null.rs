@@ -7,10 +7,9 @@
 //! navigating downwards with existential categorical variables (rule (9)/(10):
 //! the unknown unit `u`).
 //!
-//! Nulls compare equal only to themselves.  They can later be *unified* with
-//! constants or with other nulls by equality-generating dependencies; the
-//! [`crate::Database::substitute_null`] operation performs the global
-//! replacement required by EGD enforcement.
+//! Nulls compare equal only to themselves, and are never rewritten: the
+//! chase checks equality-generating dependencies as constraints over
+//! constants rather than unifying nulls (see `ontodq-chase`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -19,10 +19,9 @@
 //! Stamps are the substrate of the semi-naive (delta-driven) chase in
 //! `ontodq-chase`: every insert records the relation's current epoch, and
 //! [`RelationInstance::delta_since`] / [`StampWindow`]-restricted selection
-//! expose exactly the rows added (or rewritten by null substitution) after a
-//! given epoch.  Stamps are kept sorted — rewritten rows are re-appended
-//! with the current epoch so they re-enter the delta — which makes a stamp
-//! window a **contiguous row-id range**: window restriction of an id set is
+//! expose exactly the rows added after a given epoch.  Stamps are kept
+//! sorted (rows are only ever appended at the current epoch), which makes a
+//! stamp window a **contiguous row-id range**: window restriction of an id set is
 //! two binary searches, never a filter pass.
 //!
 //! # Tombstones
@@ -316,8 +315,8 @@ impl RelationInstance {
         lo..hi.max(lo)
     }
 
-    /// The live rows inserted (or rewritten by null substitution) strictly
-    /// after `epoch`, materialized in insertion order.
+    /// The live rows inserted strictly after `epoch`, materialized in
+    /// insertion order.
     pub fn delta_since(&self, epoch: u64) -> Vec<Tuple> {
         (self.first_row_after(epoch)..self.rows)
             .filter(|&r| self.is_live(r))
@@ -653,57 +652,6 @@ impl RelationInstance {
         out
     }
 
-    /// Replace every occurrence of the labeled null `from` with `to`, in
-    /// every row.  Duplicate rows created by the substitution collapse.
-    /// Returns the number of rows that changed.
-    ///
-    /// Rewritten rows are re-appended with the *current* epoch, so they
-    /// show up in [`RelationInstance::delta_since`] — an EGD unification
-    /// re-enables exactly the rule triggers that touch the rewritten rows,
-    /// and the semi-naive chase discovers them through the delta.  Hash
-    /// indexes are rebuilt iff at least one row changed (row ids shift when
-    /// rows are re-appended); untouched relations keep their indexes as-is.
-    pub fn substitute_null(&mut self, from: NullId, to: &Value) -> usize {
-        let target = Value::Null(from);
-        if !self.mentions_null(from) {
-            return 0;
-        }
-        let arity = self.columns.len();
-        let old_columns = std::mem::replace(&mut self.columns, vec![Vec::new(); arity]);
-        let old_stamps = std::mem::take(&mut self.stamps);
-        let old_live = std::mem::take(&mut self.live);
-        let old_rows = self.rows;
-        self.rows = 0;
-        self.dead = 0;
-        self.seen.clear();
-        // Flat `arity` values per rewritten row.
-        let mut rewritten: Vec<Value> = Vec::new();
-        let mut row_buf: Vec<Value> = Vec::with_capacity(arity);
-        let mut changed = 0;
-        for row in 0..old_rows as usize {
-            // Tombstoned rows are dropped outright — the rebuild is a
-            // natural compaction point.
-            if !old_live.get(row).copied().unwrap_or(true) {
-                continue;
-            }
-            row_buf.clear();
-            row_buf.extend(old_columns.iter().map(|c| c[row]));
-            if row_buf.contains(&target) {
-                changed += 1;
-                rewritten.extend(row_buf.iter().map(|v| if *v == target { *to } else { *v }));
-            } else {
-                self.insert_at_stamp(&row_buf, old_stamps[row]);
-            }
-        }
-        let current = self.epoch.max(old_stamps.last().copied().unwrap_or(0));
-        self.epoch = current;
-        for row_values in rewritten.chunks(arity) {
-            self.insert_at_stamp(row_values, current);
-        }
-        self.rebuild_indexes();
-        changed
-    }
-
     /// Append `values` stamped `stamp` unless already present (dedup), not
     /// touching live indexes — used only by the rebuild paths, which
     /// rebuild indexes wholesale afterwards.  Rebuilds emit live rows only,
@@ -764,15 +712,6 @@ impl RelationInstance {
             }
         }
         out
-    }
-
-    /// Does the labeled null `id` occur in any arena slot?  The read-only
-    /// test [`RelationInstance::substitute_null`] starts with, exposed so
-    /// [`crate::Database::substitute_null`] opens (and possibly unshares)
-    /// only the relations it will rewrite.
-    pub fn mentions_null(&self, id: NullId) -> bool {
-        let target = Value::Null(id);
-        self.columns.iter().any(|c| c.contains(&target))
     }
 
     /// The largest labeled-null id occurring in any **live** row, if any —
@@ -973,20 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn substitute_null_collapses_duplicates_and_updates_indexes() {
-        let mut r = RelationInstance::new(ward_schema());
-        r.insert(Tuple::new(vec![Value::null(NullId(0)), Value::str("W1")]))
-            .unwrap();
-        r.insert(Tuple::from_iter(["Standard", "W1"])).unwrap();
-        r.build_index(0);
-        let changed = r.substitute_null(NullId(0), &Value::str("Standard"));
-        assert_eq!(changed, 1);
-        assert_eq!(r.len(), 1);
-        let hits = r.select(&[(0, &Value::str("Standard"))]);
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
     fn retain_removes_and_reports() {
         let mut r = sample();
         r.build_index(1);
@@ -1080,39 +1005,6 @@ mod tests {
         assert_eq!(delta, vec![Tuple::from_iter(["Standard", "W2"])]);
         let all = r.select_window(&binding, StampWindow::all());
         assert_eq!(all.len(), 2);
-    }
-
-    #[test]
-    fn substitution_restamps_rewritten_rows_into_the_delta() {
-        let mut r = RelationInstance::new(ward_schema());
-        r.insert(Tuple::new(vec![Value::null(NullId(9)), Value::str("W1")]))
-            .unwrap();
-        r.insert(Tuple::from_iter(["Intensive", "W3"])).unwrap();
-        r.set_epoch(5);
-        let changed = r.substitute_null(NullId(9), &Value::str("Standard"));
-        assert_eq!(changed, 1);
-        // The rewritten row is in the delta after epoch 0; the untouched row
-        // is not.
-        assert_eq!(r.delta_since(0), vec![Tuple::from_iter(["Standard", "W1"])]);
-        // Stamps stay sorted, so window selection still works.
-        assert_eq!(
-            r.select_window(&[], StampWindow::old_up_to(0)),
-            vec![Tuple::from_iter(["Intensive", "W3"])]
-        );
-    }
-
-    #[test]
-    fn substitution_keeps_indexed_select_consistent() {
-        let mut r = RelationInstance::new(ward_schema());
-        r.insert(Tuple::new(vec![Value::null(NullId(1)), Value::str("W1")]))
-            .unwrap();
-        r.insert(Tuple::from_iter(["Intensive", "W3"])).unwrap();
-        r.build_index(0);
-        r.substitute_null(NullId(1), &Value::str("Standard"));
-        // The old index key must be gone and the new key present.
-        assert!(r.select(&[(0, &Value::null(NullId(1)))]).is_empty());
-        assert_eq!(r.select(&[(0, &Value::str("Standard"))]).len(), 1);
-        assert_eq!(r.select(&[(0, &Value::str("Intensive"))]).len(), 1);
     }
 
     /// Replaying rows through `insert_stamped` must reproduce the original
@@ -1225,22 +1117,6 @@ mod tests {
         // Index rebuilt consistently.
         assert_eq!(r.select(&[(0, &Value::str("Standard"))]).len(), 1);
         assert!(r.select(&[(0, &Value::str("Terminal"))]).is_empty());
-    }
-
-    #[test]
-    fn substitute_null_drops_tombstones_during_rebuild() {
-        let mut r = RelationInstance::new(ward_schema());
-        r.insert(Tuple::new(vec![Value::null(NullId(3)), Value::str("W1")]))
-            .unwrap();
-        r.insert(Tuple::from_iter(["Intensive", "W3"])).unwrap();
-        r.insert(Tuple::from_iter(["Terminal", "W4"])).unwrap();
-        r.delete(&Tuple::from_iter(["Terminal", "W4"]));
-        let changed = r.substitute_null(NullId(3), &Value::str("Standard"));
-        assert_eq!(changed, 1);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.total_rows(), 2); // tombstone gone
-        assert_eq!(r.dead_rows(), 0);
-        assert!(!r.contains(&Tuple::from_iter(["Terminal", "W4"])));
     }
 
     #[test]

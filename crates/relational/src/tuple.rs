@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// chase does constantly when the same row enters index postings, delta
 /// windows, dedup sets and trigger batches — bumps a reference count instead
 /// of copying the payload.  Tuples are immutable; the "mutating" helpers
-/// ([`Tuple::project`], [`Tuple::substitute_null`]) build new tuples.  The
+/// (such as [`Tuple::project`]) build new tuples.  The
 /// schema a tuple conforms to lives in the relation instance holding it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
@@ -87,20 +87,6 @@ impl Tuple {
                 .collect(),
         )
     }
-
-    /// A copy of the tuple with every occurrence of null `from` replaced by
-    /// `to`.  Used by EGD enforcement.
-    pub fn substitute_null(&self, from: NullId, to: &Value) -> Tuple {
-        Tuple::new(
-            self.values
-                .iter()
-                .map(|v| match v {
-                    Value::Null(id) if *id == from => *to,
-                    other => *other,
-                })
-                .collect(),
-        )
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -152,26 +138,6 @@ mod tests {
         assert_eq!(t.project(&[2, 0]), Tuple::from_iter(["c", "a"]));
         assert_eq!(t.project(&[5]), Tuple::new(vec![]));
         assert_eq!(t.project(&[1, 1]), Tuple::from_iter(["b", "b"]));
-    }
-
-    #[test]
-    fn substitute_null_replaces_all_occurrences() {
-        let t = Tuple::new(vec![
-            Value::null(NullId(1)),
-            Value::str("x"),
-            Value::null(NullId(1)),
-            Value::null(NullId(2)),
-        ]);
-        let replaced = t.substitute_null(NullId(1), &Value::str("W2"));
-        assert_eq!(
-            replaced,
-            Tuple::new(vec![
-                Value::str("W2"),
-                Value::str("x"),
-                Value::str("W2"),
-                Value::null(NullId(2)),
-            ])
-        );
     }
 
     #[test]

@@ -146,8 +146,7 @@ pub struct RetractReport {
     pub requested: usize,
     /// Extensional facts actually removed from the base.
     pub retracted: usize,
-    /// Derived tuples condemned by the cascade (0 on the EGD fallback
-    /// path, which rebuilds instead of condemning individually).
+    /// Derived tuples condemned by the cascade.
     pub cascaded: usize,
     /// Tuples re-derived from surviving supports.
     pub rederived: usize,
@@ -638,6 +637,13 @@ impl QualityService {
                 Arc::clone(&self.clock),
             ),
         };
+        // The static-analysis gate of `register_context`, on the report the
+        // writer computed anyway: a data dir must not admit a program that a
+        // plain registration refuses.
+        if writer.lint_report().error_count() > 0 {
+            let diagnostics = writer.lint_report().diagnostics.clone();
+            return Err(ontodq_core::ContextError::Rejected(diagnostics).into());
+        }
         for batch in tail {
             match batch.kind {
                 BatchKind::Insert => {
@@ -1251,7 +1257,7 @@ impl QualityService {
             self.registry
                 .gauge(
                     "ontodq_chase_egd_micros",
-                    "Cumulative EGD-enforcement time in this context's chases.",
+                    "Cumulative EGD-check time in this context's chases.",
                     &labels,
                 )
                 .set(profile.egd_micros);

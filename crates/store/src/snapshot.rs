@@ -7,18 +7,20 @@
 //! * the chased contextual instance — the working database of the
 //!   resumable [`ChaseState`], with every row's insert stamp and the
 //!   database epoch, so the delta structure survives,
-//! * the **per-rule epoch watermarks** (TGD and EGD floors) and the
+//! * the **per-rule epoch watermarks** (TGD floors) and the
 //!   next-labeled-null counter of the [`ChaseState`],
 //! * the per-context version (number of applied batches), which tells
 //!   recovery which WAL records are already included (replay resumes at
 //!   `seq > version`).
 //!
 //! Files use the same framing and local-dictionary codec as WAL segments
-//! (magic `ODQSNP3\n`, symbol-definition records, then one snapshot
+//! (magic `ODQSNP4\n`, symbol-definition records, then one snapshot
 //! record), and are written to a temporary sibling, fsynced, and renamed
 //! into place — a crash mid-save leaves the previous snapshot intact.
-//! Format version 3 persists physical arena rows (stamp, liveness, tuple)
-//! so tombstones survive restarts.  A file of any other version is
+//! Format version 4 persists physical arena rows (stamp, liveness, tuple)
+//! so tombstones survive restarts, and carries no EGD watermarks (EGDs are
+//! checked, never applied, so they have no floors).  A file of any other
+//! version is
 //! reported as [`StoreError::Corrupt`], and [`crate::Store::recover`]
 //! propagates that error: recovery refuses the data directory rather than
 //! fall back to the WAL, which [`crate::Store::compact`] may already have
@@ -40,7 +42,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"ODQSNP3\n";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"ODQSNP4\n";
 
 /// Record type: the snapshot body (exactly one per file, after its symbol
 /// definitions).
@@ -99,7 +101,6 @@ pub(crate) fn save_snapshot(
     encode_database(&mut body, &mut dict, snapshot.instance);
     encode_database(&mut body, &mut dict, snapshot.state.database());
     encode_floors(&mut body, snapshot.state.tgd_floors());
-    encode_floors(&mut body, snapshot.state.egd_floors());
     put_u64(&mut body, snapshot.state.next_null());
 
     let mut bytes = SNAPSHOT_MAGIC.to_vec();
@@ -165,7 +166,6 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<PersistedContext> {
                 let instance = decode_database(&mut cursor, &dict)?;
                 let contextual = decode_database(&mut cursor, &dict)?;
                 let tgd_floors = decode_floors(&mut cursor)?;
-                let egd_floors = decode_floors(&mut cursor)?;
                 let next_null = cursor.take_u64()?;
                 if !cursor.is_empty() {
                     return Err(StoreError::corrupt(path, "trailing bytes after snapshot"));
@@ -175,7 +175,7 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<PersistedContext> {
                     version,
                     program_fingerprint,
                     instance,
-                    state: ChaseState::from_parts(contextual, tgd_floors, egd_floors, next_null),
+                    state: ChaseState::from_parts(contextual, tgd_floors, next_null),
                 });
             }
             other => {
@@ -261,7 +261,6 @@ mod tests {
         assert_eq!(loaded.program_fingerprint, 0xFEED_F00D);
         assert_eq!(loaded.state.next_null(), state.next_null());
         assert_eq!(loaded.state.tgd_floors(), state.tgd_floors());
-        assert_eq!(loaded.state.egd_floors(), state.egd_floors());
         assert_eq!(loaded.state.database().epoch(), state.database().epoch());
         for relation in state.database().relations() {
             let got = loaded.state.database().relation(relation.name()).unwrap();
@@ -280,7 +279,7 @@ mod tests {
     fn a_failed_save_leaves_the_previous_snapshot_intact() {
         let dir = temp_dir("atomic");
         let instance = Database::new();
-        let state = ChaseState::from_parts(Database::new(), vec![], vec![], 0);
+        let state = ChaseState::from_parts(Database::new(), vec![], 0);
         let image = ContextImage {
             name: "ctx",
             version: 1,
@@ -302,7 +301,7 @@ mod tests {
     fn corrupt_snapshots_are_detected() {
         let dir = temp_dir("corrupt");
         let instance = Database::new();
-        let state = ChaseState::from_parts(Database::new(), vec![None], vec![], 3);
+        let state = ChaseState::from_parts(Database::new(), vec![None], 3);
         let image = ContextImage {
             name: "ctx",
             version: 1,
@@ -321,14 +320,13 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
 
-        // A well-formed snapshot of the previous format version (rows
-        // carried a support count) is refused, by the loader and by
-        // recovery alike.
+        // A well-formed snapshot of the previous format version (it carried
+        // EGD watermarks) is refused, by the loader and by recovery alike.
         let mut store = crate::Store::open(&dir, crate::StoreConfig::default()).unwrap();
         let path = snapshot_path(&dir.join("snap"), "ctx");
         save_snapshot(&path, &image, &crate::io::passthrough_policy()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        bytes[..SNAPSHOT_MAGIC.len()].copy_from_slice(b"ODQSNP2\n");
+        bytes[..SNAPSHOT_MAGIC.len()].copy_from_slice(b"ODQSNP3\n");
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             load_snapshot(&path),

@@ -282,7 +282,7 @@ mod tests {
 
     fn save_empty_snapshot(store: &mut Store, name: &str, version: u64) {
         let instance = Database::new();
-        let state = ChaseState::from_parts(Database::new(), vec![], vec![], 0);
+        let state = ChaseState::from_parts(Database::new(), vec![], 0);
         store
             .save_snapshot(&ContextImage {
                 name,

@@ -204,9 +204,10 @@ fn zero_arity_heads_fire_on_every_strategy() {
 fn egd_unification_chains_are_equivalent() {
     let compiled = compiled_hospital();
     // The hospital program includes rule (8) (null shifts) and the EGD (6);
-    // add an explicit shift so unification has something to do, and a
-    // second EGD chaining shifts across days to force longer unification
-    // sequences.
+    // add an explicit shift and a second EGD equating shifts across days.
+    // EGDs are checked, never applied: every strategy must leave the null
+    // shifts in place and report the same constant-constant clashes (the
+    // null sides are unknown, not violations).
     let program = {
         let mut p = compiled.program.clone();
         let extra = parse_program("s = s2 :- Shifts(w, d, n, s), Shifts(w, d2, n, s2).\n").unwrap();

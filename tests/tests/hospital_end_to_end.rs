@@ -8,6 +8,7 @@ use ontodq_core::{assess, scenarios};
 use ontodq_integration_tests::{compiled_hospital, hospital_engine, query};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_relational::{Tuple, Value};
+use ontodq_server::QualityService;
 
 #[test]
 fn table_i_is_loaded_exactly() {
@@ -182,4 +183,33 @@ fn thermometer_egd_is_satisfied_by_the_fixture_but_violated_by_mixed_brands() {
         .unwrap();
     let violated = ontodq_chase::chase(&compiled.program, &dirty);
     assert!(!violated.violations.egd.is_empty());
+}
+
+/// `!=` treats a labeled null as unknown: rule (8) invents a null shift for
+/// every nurse-day it navigates down to, and "morning" is a possible value
+/// of each, so only the two ground non-morning shifts are certain answers.
+#[test]
+fn inequality_against_a_null_shift_is_not_a_certain_answer() {
+    let service = QualityService::new();
+    service
+        .register_context(
+            "hospital",
+            scenarios::hospital_context(),
+            hospital::measurements_database(),
+        )
+        .unwrap();
+    let response = service
+        .plain_answers(
+            "hospital",
+            "Q(w, d, n) :- Shifts(w, d, n, s), s != \"morning\".",
+        )
+        .unwrap();
+    let answers: Vec<&Tuple> = response.answers.iter().collect();
+    assert_eq!(
+        answers,
+        [
+            &Tuple::from_iter(["W4", "Sep/5", "Cathy"]),
+            &Tuple::from_iter(["W4", "Sep/5", "Susan"]),
+        ]
+    );
 }

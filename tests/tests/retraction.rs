@@ -7,13 +7,14 @@
 //! surviving instance.
 
 use ontodq_chase::{chase_naive, ChaseConfig, ChaseEngine, ChaseState, EvalStrategy};
-use ontodq_core::{compile_context, scenarios, Context, ResumableAssessment};
-use ontodq_datalog::Program;
+use ontodq_core::{compile_context, scenarios, Context, ContextError, ResumableAssessment};
+use ontodq_datalog::{Program, Severity};
 use ontodq_integration_tests::{canonicalize_database, databases_equivalent, retraction_program};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_mdm::MdOntology;
 use ontodq_relational::{Database, Tuple, Value};
-use ontodq_server::QualityService;
+use ontodq_server::{QualityService, ServiceError};
+use ontodq_store::Recovery;
 use ontodq_workload::{
     generate, generate_corrections, CorrectionOp, CorrectionScale, HospitalScale,
 };
@@ -137,36 +138,55 @@ fn scaled_workload_retractions_match_fresh_chase_on_every_strategy() {
     assert_retract_matches_fresh(&program, &database, &contextual, &victims, "scaled");
 }
 
+/// The three-rule program whose EGD reads only *derived* relations, and
+/// whose equated position `B[1]` holds the null rule 1 invents.
+const DERIVED_EGD_RULES: [&str; 3] = [
+    "B(x, z) :- P(x).",
+    "K(x, y) :- A(x, y).",
+    "z1 = z2 :- B(x, z1), K(x, z2).",
+];
+
+/// A context over the three-rule program: the two TGDs as contextual rules,
+/// the EGD in the ontology, `facts` as its external source.
+fn derived_egd_context(facts: Database) -> Context {
+    let mut ontology = MdOntology::new("derived-egd");
+    ontology.add_rule_text(DERIVED_EGD_RULES[2]).unwrap();
+    Context::builder("derived-egd")
+        .ontology(ontology)
+        .contextual_rule(DERIVED_EGD_RULES[0])
+        .contextual_rule(DERIVED_EGD_RULES[1])
+        .external_source(facts)
+        .build()
+        .unwrap()
+}
+
 /// An EGD whose body reads only *derived* relations: `A(a, b)` reaches it
-/// through `K`, and the chase used it to unify `B(a, ⊥)` into `B(a, b)`.
-/// Retracting `A(a, b)` must withdraw that unification — which DRed cannot
-/// do — so the maintained assessment has to end where a fresh chase of the
-/// surviving facts does: `B(a, ⊥)`, not `B(a, b)`.
+/// through `K`, and it equates `B(a, ⊥)`'s null with `b`.  EGDs are
+/// checked, never applied, so the chase keeps `B(a, ⊥)` and reports no
+/// violation (a null side is unknown, not a clash).  Retracting `A(a, b)`
+/// through the maintained assessment must end where a fresh chase of the
+/// surviving facts does.
 #[test]
 fn retraction_upstream_of_an_egd_over_derived_relations_matches_fresh_chase() {
-    let context_over = |facts: Database| {
-        let mut ontology = MdOntology::new("derived-egd");
-        ontology
-            .add_rule_text("z1 = z2 :- B(x, z1), K(x, z2).")
-            .unwrap();
-        Context::builder("derived-egd")
-            .ontology(ontology)
-            .contextual_rule("B(x, z) :- P(x).")
-            .contextual_rule("K(x, y) :- A(x, y).")
-            .external_source(facts)
-            .build()
-            .unwrap()
-    };
+    let context_over = derived_egd_context;
     let retracted = Tuple::from_iter(["a", "b"]);
     let mut facts = Database::new();
     facts.insert_values("P", ["a"]).unwrap();
     facts.insert("A", retracted.clone()).unwrap();
 
     let mut assessment = ResumableAssessment::new(context_over(facts.clone()), Database::new());
-    assert!(assessment
+    let b = assessment
         .state()
         .database()
-        .contains("B", &Tuple::from_iter(["a", "b"])));
+        .relation("B")
+        .unwrap()
+        .tuples();
+    assert_eq!(b.len(), 1);
+    assert!(
+        b[0].get(1).unwrap().is_null(),
+        "the EGD unified a null: {b:?}"
+    );
+    assert!(assessment.last_violations().is_empty());
     let result = assessment.retract_batch([("A".to_string(), retracted.clone())]);
     assert_eq!(result.stats.retracted, 1);
 
@@ -179,6 +199,53 @@ fn retraction_upstream_of_an_egd_over_derived_relations_matches_fresh_chase() {
         canonicalize_database(assessment.state().database()),
         canonicalize_database(&fresh.database),
     );
+}
+
+/// The chase-level form of the same repro: `ChaseEngine::retract` alone,
+/// with no caller-side guard, equals a fresh chase of the surviving facts on
+/// every strategy.
+#[test]
+fn chase_level_retraction_upstream_of_an_egd_matches_fresh_chase() {
+    let program = ontodq_datalog::parse_program(&DERIVED_EGD_RULES.join("\n")).unwrap();
+    let retracted = Tuple::from_iter(["a", "b"]);
+    let mut db = Database::new();
+    db.insert_values("P", ["a"]).unwrap();
+    db.insert("A", retracted.clone()).unwrap();
+    assert_retract_matches_fresh(&program, &db, "A", &[retracted], "derived-egd");
+}
+
+/// The server admits only separable EGDs: registering the three-rule
+/// program is refused with the typed lint error naming L105, whose witness
+/// is the null-bearing position the EGD equates — also on the recovery path
+/// that a server with a data dir registers every context through.
+#[test]
+fn non_separable_egd_is_refused_at_registration() {
+    let mut facts = Database::new();
+    facts.insert_values("P", ["a"]).unwrap();
+    facts.insert_values("A", ["a", "b"]).unwrap();
+    let context = derived_egd_context(facts);
+    let service = QualityService::new();
+    let plain = service.register_context("derived-egd", context.clone(), Database::new());
+    let recovered = service
+        .register_recovered(
+            "derived-egd",
+            context,
+            Database::new(),
+            &mut Recovery::default(),
+        )
+        .map(|_| ());
+    for result in [plain, recovered] {
+        let Err(ServiceError::Context(ContextError::Rejected(diagnostics))) = result else {
+            panic!("registration must fail with ContextError::Rejected, got {result:?}");
+        };
+        let l105 = diagnostics
+            .iter()
+            .find(|d| d.code == "L105")
+            .expect("the rejection must name L105");
+        assert_eq!(l105.severity, Severity::Error);
+        assert_eq!(l105.witness.as_deref(), Some("B[1]"));
+    }
+    assert!(service.check("derived-egd").is_err());
 }
 
 /// Randomized (seeded, reproducible) insert/retract interleavings applied

@@ -50,8 +50,8 @@ fn update_batches() -> Vec<Vec<(String, Tuple)>> {
         ],
         // Batch 3: the rest of Table I.
         vec![m(&measurements[4]), m(&measurements[5])],
-        // Batch 4: an explicit shift fact (EGD fodder: unifies any matching
-        // null shifts invented earlier).
+        // Batch 4: an explicit shift fact beside the null shifts invented
+        // earlier for the same nurse and day.
         vec![(
             "Shifts".to_string(),
             Tuple::from_iter(["W1", "Sep/9", "Mark", "morning"]),
