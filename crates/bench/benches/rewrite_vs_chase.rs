@@ -104,23 +104,6 @@ fn bench_rewrite_vs_chase(c: &mut Criterion) {
             },
         );
 
-        // The same materialization with the naive reference chase, to keep
-        // the naive-vs-semi-naive gap visible on the QA path too.
-        group.bench_with_input(
-            BenchmarkId::new("scaled/chase_naive_then_evaluate", format!("edb={edb}")),
-            &compiled,
-            |b, compiled| {
-                b.iter(|| {
-                    let engine = MaterializedEngine::with_config(
-                        black_box(&compiled.program),
-                        black_box(&compiled.database),
-                        ontodq_chase::ChaseConfig::naive(),
-                    );
-                    black_box(engine.certain_answers(black_box(&query)))
-                })
-            },
-        );
-
         // FO rewriting with prepared (indexed) evaluation: the rewriting's
         // join indexes are built once on a copy of the EDB and reused.
         let mut prepared_db = compiled.database.clone();

@@ -3,7 +3,7 @@
 //! data: chase size and Boolean query answering time as the data grows, with
 //! the rule set fixed.
 //!
-//! The chase is measured under both evaluation strategies — the naive
+//! The chase is measured under both drivers — the naive
 //! reference (full re-evaluation every round) and the delta-driven
 //! semi-naive default — so the speedup of the semi-naive engine is visible
 //! across the data-complexity sweep.

@@ -21,7 +21,7 @@
 //! exit non-zero.
 //!
 //! `chase_perf` additionally writes a machine-readable `BENCH_chase.json`
-//! (naive vs semi-naive vs parallel chase timings, rounds, trigger counts,
+//! (naive vs semi-naive chase timings, rounds, trigger counts,
 //! tuples/sec, plus a regression note against the pre-interning storage
 //! layer), `intern_bench` writes `BENCH_intern.json` (symbol intern/resolve
 //! rates and interned-vs-string join-probe throughput),
@@ -528,11 +528,11 @@ fn scaling(scale: usize) {
     assert_eq!(by_rewriting, by_chase);
 }
 
-/// Naive vs semi-naive vs parallel chase on the scaled hospital workload,
+/// Naive vs semi-naive chase on the scaled hospital workload,
 /// printed as markdown and written to `BENCH_chase.json` for machine
 /// consumption.
 fn chase_perf(scale: usize) {
-    use ontodq_chase::{chase, chase_naive, chase_parallel};
+    use ontodq_chase::{chase, chase_naive};
 
     /// Semi-naive tuples/sec measured at the tip of PR 2, before the
     /// interned-symbol storage layer, at the seed `--scale 1` points
@@ -560,7 +560,7 @@ fn chase_perf(scale: usize) {
         (12_468, 254_008.0),
     ];
 
-    println!("### Chase engine — naive vs delta-driven semi-naive vs parallel\n");
+    println!("### Chase engine — naive vs delta-driven semi-naive\n");
     let mut table = MarkdownTable::new([
         "edb tuples",
         "chased tuples",
@@ -568,11 +568,8 @@ fn chase_perf(scale: usize) {
         "fired",
         "naive",
         "semi-naive",
-        "parallel",
-        "speedup (semi)",
-        "speedup (par)",
-        "tuples/sec (semi)",
-        "tuples/sec (par)",
+        "speedup",
+        "tuples/sec",
     ]);
 
     /// Best-of-`runs` wall-clock of `f`, with the last result returned.
@@ -588,9 +585,6 @@ fn chase_perf(scale: usize) {
         (best, last.expect("runs >= 1"))
     }
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut entries: Vec<String> = Vec::new();
     let mut seminaive_curve: Vec<(usize, f64)> = Vec::new();
     // The two largest points push the EDB past 8x the seed's smallest
@@ -604,25 +598,15 @@ fn chase_perf(scale: usize) {
             time_best(5, || chase_naive(&compiled.program, &compiled.database));
         let (semi_time, semi_result) =
             time_best(5, || chase(&compiled.program, &compiled.database));
-        let (par_time, par_result) =
-            time_best(5, || chase_parallel(&compiled.program, &compiled.database));
         assert_eq!(
             naive_result.database.total_tuples(),
             semi_result.database.total_tuples(),
-            "strategies disagree on the chased instance size"
-        );
-        assert_eq!(
-            naive_result.database.total_tuples(),
-            par_result.database.total_tuples(),
-            "parallel strategy disagrees on the chased instance size"
+            "naive and semi-naive disagree on the chased instance size"
         );
 
         let speedup = naive_time.as_secs_f64() / semi_time.as_secs_f64().max(1e-9);
-        let par_speedup = naive_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9);
         let tuples_per_sec =
             semi_result.stats.tuples_added as f64 / semi_time.as_secs_f64().max(1e-9);
-        let par_tuples_per_sec =
-            par_result.stats.tuples_added as f64 / par_time.as_secs_f64().max(1e-9);
         seminaive_curve.push((edb, tuples_per_sec));
         let stats = &semi_result.stats;
         table.row([
@@ -632,11 +616,8 @@ fn chase_perf(scale: usize) {
             stats.triggers_fired.to_string(),
             fmt_duration(naive_time),
             fmt_duration(semi_time),
-            fmt_duration(par_time),
             format!("{speedup:.2}x"),
-            format!("{par_speedup:.2}x"),
             format!("{tuples_per_sec:.0}"),
-            format!("{par_tuples_per_sec:.0}"),
         ]);
         entries.push(format!(
             concat!(
@@ -649,11 +630,8 @@ fn chase_perf(scale: usize) {
                 "      \"tuples_added\": {},\n",
                 "      \"naive_seconds\": {:.6},\n",
                 "      \"seminaive_seconds\": {:.6},\n",
-                "      \"parallel_seconds\": {:.6},\n",
                 "      \"speedup\": {:.3},\n",
-                "      \"parallel_speedup\": {:.3},\n",
-                "      \"tuples_per_second\": {:.1},\n",
-                "      \"tuples_per_second_parallel\": {:.1}\n",
+                "      \"tuples_per_second\": {:.1}\n",
                 "    }}"
             ),
             edb,
@@ -664,11 +642,8 @@ fn chase_perf(scale: usize) {
             stats.tuples_added,
             naive_time.as_secs_f64(),
             semi_time.as_secs_f64(),
-            par_time.as_secs_f64(),
             speedup,
-            par_speedup,
             tuples_per_sec,
-            par_tuples_per_sec,
         ));
     }
     println!("{}", table.render());
@@ -717,16 +692,14 @@ fn chase_perf(scale: usize) {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"experiment\": \"chase_naive_vs_seminaive_vs_parallel\",\n",
+            "  \"experiment\": \"chase_naive_vs_seminaive\",\n",
             "  \"workload\": \"scaled_hospital\",\n",
-            "  \"threads\": {},\n",
             "  \"regression_note\": \"{}\",\n",
             "  \"pre_interning_seminaive_baseline\": [\n{}\n  ],\n",
             "  \"pre_staged_seminaive_baseline\": [\n{}\n  ],\n",
             "  \"scales\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        threads,
         regression_note,
         pre_baseline.join(",\n"),
         staged_baseline.join(",\n"),

@@ -7,32 +7,20 @@
 //! and negative constraints) restrict the admissible instances — they are
 //! checked on the chased instance, never applied to it.
 //!
-//! Two chase variants are provided:
+//! The chase is the **restricted** (standard) chase: a trigger fires only
+//! when the rule head is not already satisfied by an extension of the
+//! trigger.  It has two drivers:
 //!
-//! * the **restricted** (standard) chase fires a trigger only when the rule
-//!   head is not already satisfied by an extension of the trigger — this is
-//!   the variant used for query answering and quality-version computation;
-//! * the **oblivious** chase fires every trigger exactly once regardless of
-//!   satisfaction — useful for analysis and for stress-testing termination
-//!   behaviour.
-//!
-//! Orthogonally to the variant, trigger discovery runs in one of two
-//! **evaluation strategies** ([`EvalStrategy`]):
-//!
-//! * [`EvalStrategy::SemiNaive`] (the default) discovers each round's
-//!   triggers by seeding the join from the *delta* of each body atom — the
-//!   rows stamped after the rule's previous evaluation watermark (see
-//!   [`ontodq_relational::RelationInstance::delta_since`] and
-//!   [`crate::eval::evaluate_delta`]).  Work per round is proportional to
-//!   the new tuples, not to the whole instance;
-//! * [`EvalStrategy::Naive`] re-evaluates every rule body over the full
-//!   instance every round — the simple reference oracle the semi-naive
-//!   engine is tested against (equivalence modulo labeled-null renaming);
-//! * [`EvalStrategy::Parallel`] keeps the delta-driven discovery but fans
-//!   the independent per-rule delta-joins of each round out across a scoped
-//!   thread team, merging the per-rule trigger batches deterministically in
-//!   rule order before the stamp step — same results as the sequential
-//!   engine (modulo labeled-null renaming), one join per core.
+//! * the **semi-naive** driver ([`ChaseEngine::run`], [`ChaseEngine::resume`])
+//!   discovers each round's triggers by seeding the join from the *delta* of
+//!   each body atom — the rows stamped after the rule's previous evaluation
+//!   watermark (see [`ontodq_relational::RelationInstance::delta_since`] and
+//!   [`crate::eval::evaluate_delta`]).  Work per round is proportional to the
+//!   new tuples, not to the whole instance;
+//! * the **naive** driver ([`ChaseEngine::run_naive`], [`chase_naive`])
+//!   re-evaluates every rule body over the full instance every round — the
+//!   reference oracle the semi-naive driver is tested against (equivalence
+//!   modulo labeled-null renaming).
 //!
 //! EGDs are checked, never applied: after the TGD fixpoint, every EGD and
 //! every negative constraint is evaluated as a constraint on the final
@@ -55,7 +43,7 @@ use crate::eval::{
 use crate::profile::{ChaseProfile, ChaseStats, DredTiming};
 use crate::violation::{EgdViolation, NcViolation, Violations};
 use ontodq_datalog::analysis::{magic_transform, DemandProgram};
-use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd, Variable};
+use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd};
 use ontodq_datalog::{Diagnostic, Severity, TerminationCertificate};
 use ontodq_obs::SharedClock;
 use ontodq_relational::{same_relation, Database, NullGenerator, RelationInstance, Tuple, Value};
@@ -63,52 +51,9 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which chase variant to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChaseMode {
-    /// Fire a trigger only if the head is not already satisfied.
-    #[default]
-    Restricted,
-    /// Fire every trigger exactly once, regardless of satisfaction.
-    Oblivious,
-}
-
-/// How rule-body triggers are discovered each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// Delta-driven semi-naive evaluation: joins are seeded from the rows
-    /// produced since each rule's previous evaluation.
-    #[default]
-    SemiNaive,
-    /// Full re-evaluation of every rule body every round — the reference
-    /// oracle.
-    Naive,
-    /// Delta-driven evaluation with the independent TGD delta-joins of each
-    /// round fanned out across a scoped thread pool
-    /// ([`crate::par::parallel_map`]).
-    ///
-    /// # Determinism guarantee
-    ///
-    /// All of a round's rule bodies are evaluated against the same immutable
-    /// snapshot of the instance, and the per-rule trigger batches are merged
-    /// **sequentially in rule order** (each batch in its evaluation order)
-    /// before anything is stamped into the next delta.  Fresh labeled nulls
-    /// are therefore invented in a schedule-independent order: two runs of
-    /// the same program over the same instance produce identical results,
-    /// and the final instance equals the sequential strategies' fixpoint
-    /// modulo labeled-null renaming (rules see their peers' same-round
-    /// output one round later, which shifts derivation rounds but not the
-    /// fixpoint).
-    Parallel,
-}
-
 /// Configuration of a chase run.
 #[derive(Debug, Clone)]
 pub struct ChaseConfig {
-    /// Chase variant.
-    pub mode: ChaseMode,
-    /// Trigger-discovery strategy.
-    pub strategy: EvalStrategy,
     /// Maximum number of rounds (a round applies every TGD to every current
     /// trigger); exceeded runs terminate with
     /// [`TerminationReason::RoundLimit`].
@@ -118,11 +63,6 @@ pub struct ChaseConfig {
     pub max_new_tuples: usize,
     /// Whether to check negative constraints on the final instance.
     pub check_constraints: bool,
-    /// Worker threads for [`EvalStrategy::Parallel`] trigger discovery; `0`
-    /// means "one per available CPU".  Ignored by the sequential
-    /// strategies.  The effective team size is additionally capped by the
-    /// number of TGDs (one delta-join per rule per round).
-    pub threads: usize,
     /// Join kernel for rule-body evaluation.  [`JoinEngine::Auto`] (the
     /// default) picks the worst-case-optimal path per rule when its body
     /// has ≥ 3 atoms sharing variables and the hash path otherwise; the
@@ -149,12 +89,9 @@ pub struct ChaseConfig {
 impl Default for ChaseConfig {
     fn default() -> Self {
         Self {
-            mode: ChaseMode::Restricted,
-            strategy: EvalStrategy::SemiNaive,
             max_rounds: 1_000,
             max_new_tuples: 1_000_000,
             check_constraints: true,
-            threads: 0,
             join: JoinEngine::Auto,
             profile: true,
             certificate: None,
@@ -163,44 +100,9 @@ impl Default for ChaseConfig {
 }
 
 impl ChaseConfig {
-    /// The default configuration with the naive reference strategy.
-    pub fn naive() -> Self {
-        Self {
-            strategy: EvalStrategy::Naive,
-            ..Default::default()
-        }
-    }
-
-    /// The default configuration with the semi-naive strategy (explicit
-    /// spelling of the default).
-    pub fn semi_naive() -> Self {
-        Self {
-            strategy: EvalStrategy::SemiNaive,
-            ..Default::default()
-        }
-    }
-
-    /// The default configuration with parallel trigger discovery (one
-    /// worker per available CPU).
-    pub fn parallel() -> Self {
-        Self {
-            strategy: EvalStrategy::Parallel,
-            ..Default::default()
-        }
-    }
-
-    /// Parallel trigger discovery with an explicit worker count.
-    pub fn parallel_with_threads(threads: usize) -> Self {
-        Self {
-            strategy: EvalStrategy::Parallel,
-            threads,
-            ..Default::default()
-        }
-    }
-
-    /// The default configuration with a forced join kernel (semi-naive
-    /// strategy, [`JoinEngine::Hash`] or [`JoinEngine::Leapfrog`] for every
-    /// rule body regardless of shape).
+    /// The default configuration with a forced join kernel
+    /// ([`JoinEngine::Hash`] or [`JoinEngine::Leapfrog`] for every rule body
+    /// regardless of shape).
     pub fn with_join(join: JoinEngine) -> Self {
         Self {
             join,
@@ -235,7 +137,7 @@ pub struct ChaseResult {
     /// Per-rule profile (join time, delta sizes, kernel choice); disabled
     /// and empty unless [`ChaseConfig::profile`] is on.  Kept out of
     /// [`ChaseStats`] so stats stay timing-free and comparable across
-    /// strategies.
+    /// drivers and join kernels.
     pub profile: ChaseProfile,
     /// Diagnostics attached by the engine itself — today, the termination
     /// certificate cross-check: a warning when the run was configured with
@@ -295,7 +197,7 @@ pub struct RetractResult {
 /// Persistent chase state for **incremental re-chasing**.
 ///
 /// A `ChaseState` owns the working instance together with the per-rule
-/// epoch watermarks ("floors") of the delta-driven semi-naive strategy and
+/// epoch watermarks ("floors") of the delta-driven semi-naive driver and
 /// the next fresh labeled-null id.  It is the resumable counterpart of
 /// [`ChaseEngine::run`]: after an initial [`ChaseEngine::resume`] has chased
 /// the state to a fixpoint, new extensional facts can be appended with
@@ -336,11 +238,6 @@ pub struct RetractResult {
 /// by index, so resuming with a *different* program is only meaningful when
 /// the original rules keep their positions (appending new rules is fine —
 /// their floors start at `None`, i.e. a full first evaluation).
-///
-/// `resume` always uses delta-driven trigger discovery under the
-/// **restricted** chase — sequentially by default, fanned out per rule when
-/// the engine is configured with [`EvalStrategy::Parallel`]; the `mode`
-/// configuration field is ignored by the resumable path.
 #[derive(Debug, Clone)]
 pub struct ChaseState {
     database: Database,
@@ -553,7 +450,7 @@ fn memoized_witnesses<'m>(
 
 /// Build hash indexes on the join positions of every rule body of `program`
 /// (TGDs, EGDs, negative constraints); they are maintained incrementally by
-/// `ontodq-relational` from then on.  What every chase strategy runs first;
+/// `ontodq-relational` from then on.  What both chase drivers run first;
 /// relations that do not exist (yet) are skipped, and a relation whose
 /// indexes all exist is not opened.
 ///
@@ -614,21 +511,25 @@ pub fn ensure_demand_indexes(program: &Program, db: &mut Database) {
     }
 }
 
-/// One rule's discovered triggers for a round, in evaluation order.
+/// Can `tgd`'s triggers take the staged batch path
+/// ([`stage_full_tgd_triggers`] + [`ChaseEngine::apply_staged_triggers`])?
 ///
-/// Full TGDs under the restricted chase take the **staged** form: their
-/// heads are grounded straight off the join's binder stack into a flat
-/// value buffer (`sum(head arities)` values per trigger), ready for the
-/// arena's slice-insert path — no per-trigger `Assignment`, `Tuple` or
-/// `Vec` is ever built.  Everything else (existential heads, the oblivious
-/// chase's dedup) still needs the assignments themselves.
-enum TriggerBatch {
-    Staged(Vec<Value>),
-    Assignments(Vec<Assignment>),
+/// Only full TGDs: they invent no nulls, and their "head already satisfied"
+/// check degenerates to "every head row is already present", which the
+/// insert itself answers.  Existential heads need fresh nulls per trigger
+/// and keep the [`ChaseEngine::fire_trigger`] path.  So do rules whose heads
+/// are all zero-arity atoms (`P() :- Q(x).`): the flat buffer encodes a
+/// trigger as `sum(head arities)` values, which at 0 cannot represent "some
+/// triggers fired" at all.
+fn batchable(tgd: &Tgd) -> bool {
+    tgd.is_full() && tgd.head.iter().map(|a| a.arity()).sum::<usize>() > 0
 }
 
 /// Ground the head of a **full** TGD for every (delta-)trigger of its
-/// body, appending the head rows to a flat value buffer in trigger order.
+/// body, appending the head rows to a flat value buffer in trigger order
+/// (`sum(head arities)` values per trigger), ready for the arena's
+/// slice-insert path — no per-trigger `Assignment`, `Tuple` or `Vec` is
+/// ever built.
 ///
 /// Bindings are read in place from the join's binder stack
 /// ([`crate::eval::for_each_trigger`]); a full TGD's head variables are all
@@ -665,13 +566,11 @@ fn rule_label(index: usize, tgd: &Tgd) -> String {
     }
 }
 
-/// Mutable chase-run state shared between the strategies.
+/// Mutable chase-run state shared between the drivers.
 struct RunState {
     nulls: NullGenerator,
     stats: ChaseStats,
     violations: Violations,
-    /// Oblivious-mode dedup of fired triggers.
-    fired: HashSet<(usize, Vec<(Variable, Value)>)>,
     /// Per-rule measurements (disabled unless [`ChaseConfig::profile`]).
     profile: ChaseProfile,
 }
@@ -856,7 +755,21 @@ impl ChaseEngine {
         // the program's facts loaded, every predicate it mentions
         // registered, and the null counter above every null present.
         let mut state = ChaseState::new(program, database);
-        self.chase_state(program, &mut state, self.config.strategy)
+        self.chase_state(program, &mut state, false)
+    }
+
+    /// Run the chase of `program` over `database` with the **naive** driver:
+    /// every rule body is re-evaluated over the full instance every round.
+    ///
+    /// This is the reference oracle the semi-naive driver of
+    /// [`ChaseEngine::run`] is tested against: the two reach the same
+    /// instance modulo labeled-null renaming, with the same violations.  It
+    /// runs under the engine's own budgets, join kernel, profiler and
+    /// termination certificate.  It never resumes: [`ChaseEngine::resume`]
+    /// and [`ChaseEngine::retract`] are semi-naive only.
+    pub fn run_naive(&self, program: &Program, database: &Database) -> ChaseResult {
+        let mut state = ChaseState::new(program, database);
+        self.chase_state(program, &mut state, true)
     }
 
     /// Resume the chase of `program` over a persistent [`ChaseState`].
@@ -882,40 +795,27 @@ impl ChaseEngine {
     /// labeled nulls a from-scratch restricted chase would not invent).
     pub fn resume(&self, program: &Program, state: &mut ChaseState) -> ChaseResult {
         state.sync_with(program);
-        let strategy = match self.config.strategy {
-            EvalStrategy::Parallel => EvalStrategy::Parallel,
-            EvalStrategy::SemiNaive | EvalStrategy::Naive => EvalStrategy::SemiNaive,
-        };
-        self.chase_state(program, state, strategy)
+        self.chase_state(program, state, false)
     }
 
-    /// Chase `state` to a TGD fixpoint with `strategy`, then check the
-    /// constraints: the shared body of [`ChaseEngine::run`] and
-    /// [`ChaseEngine::resume`].
-    fn chase_state(
-        &self,
-        program: &Program,
-        state: &mut ChaseState,
-        strategy: EvalStrategy,
-    ) -> ChaseResult {
+    /// Chase `state` to a TGD fixpoint with the naive driver when `naive`
+    /// is set and the semi-naive one otherwise, then check the constraints:
+    /// the shared body of [`ChaseEngine::run`], [`ChaseEngine::run_naive`]
+    /// and [`ChaseEngine::resume`].
+    fn chase_state(&self, program: &Program, state: &mut ChaseState, naive: bool) -> ChaseResult {
         let mut run = RunState {
             nulls: NullGenerator::starting_at(state.next_null),
             stats: ChaseStats::default(),
             violations: Violations::default(),
-            fired: HashSet::new(),
             profile: self.fresh_profile(program),
         };
 
         let run_start = self.profile_now();
         let db = &mut state.database;
-        let termination = match strategy {
-            EvalStrategy::Naive => self.run_naive(program, db, &mut run),
-            EvalStrategy::SemiNaive => {
-                self.run_seminaive(program, db, &mut run, &mut state.tgd_floor)
-            }
-            EvalStrategy::Parallel => {
-                self.run_parallel(program, db, &mut run, &mut state.tgd_floor)
-            }
+        let termination = if naive {
+            self.naive_rounds(program, db, &mut run)
+        } else {
+            self.seminaive_rounds(program, db, &mut run, &mut state.tgd_floor)
         };
         if self.config.profile {
             run.profile.total_micros = self.profile_now().saturating_sub(run_start);
@@ -984,16 +884,16 @@ impl ChaseEngine {
     }
 
     // ------------------------------------------------------------------
-    // Naive strategy: the reference oracle.
+    // Naive driver: the reference oracle.
     // ------------------------------------------------------------------
 
-    fn run_naive(
+    fn naive_rounds(
         &self,
         program: &Program,
         db: &mut Database,
         state: &mut RunState,
     ) -> TerminationReason {
-        // Every strategy joins through the same indexes, so
+        // Both drivers join through the same indexes, so
         // naive-vs-semi-naive comparisons isolate the delta-evaluation gain
         // rather than conflating it with hash-index vs full-scan joins.
         ensure_rule_indexes(program, db);
@@ -1025,7 +925,7 @@ impl ChaseEngine {
                         limited = true;
                         break;
                     }
-                    changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
+                    changed |= self.fire_trigger(tgd, &assignment, db, state);
                 }
                 Self::note_outcome(
                     &mut state.profile,
@@ -1052,7 +952,7 @@ impl ChaseEngine {
     }
 
     // ------------------------------------------------------------------
-    // Semi-naive strategy: delta-driven trigger discovery.
+    // Semi-naive driver: delta-driven trigger discovery.
     // ------------------------------------------------------------------
 
     /// The semi-naive driver over per-rule evaluation watermarks: a rule's
@@ -1060,7 +960,7 @@ impl ChaseEngine {
     /// one, and `None` means "never evaluated" → full join (the seeding
     /// round).  The floors live in the [`ChaseState`], so they carry across
     /// [`ChaseEngine::resume`] calls.
-    fn run_seminaive(
+    fn seminaive_rounds(
         &self,
         program: &Program,
         db: &mut Database,
@@ -1084,7 +984,7 @@ impl ChaseEngine {
                 let fired_before = state.stats.triggers_fired;
                 let satisfied_before = state.stats.triggers_satisfied;
                 let added_before = state.stats.tuples_added;
-                if self.batchable(tgd) {
+                if batchable(tgd) {
                     let staged = stage_full_tgd_triggers(db, tgd, floor, self.config.join);
                     if self.config.profile {
                         let chunk: usize = tgd.head.iter().map(|a| a.arity()).sum();
@@ -1138,7 +1038,7 @@ impl ChaseEngine {
                             limited = true;
                             break;
                         }
-                        changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
+                        changed |= self.fire_trigger(tgd, &assignment, db, state);
                     }
                     Self::note_outcome(
                         &mut state.profile,
@@ -1169,170 +1069,8 @@ impl ChaseEngine {
     }
 
     // ------------------------------------------------------------------
-    // Parallel strategy: per-rule delta-joins fanned out per round.
-    // ------------------------------------------------------------------
-
-    /// The worker-team size for parallel trigger discovery: the configured
-    /// thread count (or the CPU count when 0), capped by the number of
-    /// rules — a round never has more independent joins than TGDs.
-    fn effective_threads(&self, rules: usize) -> usize {
-        let configured = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        configured.min(rules.max(1))
-    }
-
-    /// The parallel driver — see [`EvalStrategy::Parallel`] for the
-    /// determinism guarantee.
-    ///
-    /// Each round:
-    /// 1. every TGD's delta-join is evaluated against the same immutable
-    ///    snapshot of the instance, fanned out across a scoped thread team
-    ///    ([`crate::par::parallel_map`]) — trigger discovery is read-only,
-    ///    so the workers share `&Database` freely;
-    /// 2. the per-rule trigger batches are merged sequentially in rule
-    ///    order (restricted-mode satisfaction checks and null invention
-    ///    happen here, against the live instance), then the epoch advances
-    ///    so the merged inserts form the next round's delta.
-    fn run_parallel(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        state: &mut RunState,
-        tgd_floor: &mut [Option<u64>],
-    ) -> TerminationReason {
-        ensure_rule_indexes(program, db);
-        let threads = self.effective_threads(program.tgds.len());
-
-        let mut termination = TerminationReason::Fixpoint;
-        'rounds: for round in 1..=self.config.max_rounds {
-            state.stats.rounds = round;
-            let mut changed = false;
-
-            // Everything stamped up to `watermark` is visible to this
-            // round's joins; the merged inserts land strictly after it.
-            let watermark = db.epoch();
-            let floors: Vec<Option<u64>> = tgd_floor.to_vec();
-            let join = self.config.join;
-            let snapshot: &Database = db;
-            let profiling = self.config.profile;
-            // Each worker measures its own rule's join on the shared clock
-            // and ships `(batch, join_micros, delta_rows)` back for the
-            // sequential merge to attribute.
-            let batches = crate::par::parallel_map(threads, &program.tgds, |index, tgd| {
-                let eval_start = if profiling {
-                    self.clock.now_micros()
-                } else {
-                    0
-                };
-                let (batch, delta_rows) = if self.batchable(tgd) {
-                    let staged = stage_full_tgd_triggers(snapshot, tgd, floors[index], join);
-                    let chunk: usize = tgd.head.iter().map(|a| a.arity()).sum();
-                    let rows = (staged.len() / chunk.max(1)) as u64;
-                    (TriggerBatch::Staged(staged), rows)
-                } else {
-                    let triggers = match floors[index] {
-                        None => evaluate_with(snapshot, &tgd.body, join),
-                        Some(floor) => evaluate_delta_with(snapshot, &tgd.body, floor, join),
-                    };
-                    let rows = triggers.len() as u64;
-                    (TriggerBatch::Assignments(triggers), rows)
-                };
-                let micros = if profiling {
-                    self.clock.now_micros().saturating_sub(eval_start)
-                } else {
-                    0
-                };
-                (batch, micros, delta_rows)
-            });
-            db.advance_epoch();
-
-            // Deterministic merge: rule order, then each batch in its
-            // evaluation order.  A rule's floor advances only once its
-            // whole batch is merged — a `TupleLimit` break mid-merge must
-            // not mark the dropped triggers of this (or any later) rule as
-            // consumed, or a subsequent [`ChaseState`] resume would
-            // silently lose them.
-            for (tgd_index, (batch, join_micros, delta_rows)) in batches.into_iter().enumerate() {
-                let tgd = &program.tgds[tgd_index];
-                if profiling {
-                    self.note_eval(&mut state.profile, tgd_index, tgd, join_micros, delta_rows);
-                }
-                let fired_before = state.stats.triggers_fired;
-                let satisfied_before = state.stats.triggers_satisfied;
-                let added_before = state.stats.tuples_added;
-                let mut limited = false;
-                match batch {
-                    TriggerBatch::Staged(staged) => {
-                        let (batch_changed, batch_limited) =
-                            self.apply_staged_triggers(tgd, &staged, db, state);
-                        changed |= batch_changed;
-                        if batch_limited {
-                            termination = TerminationReason::TupleLimit;
-                            limited = true;
-                        }
-                    }
-                    TriggerBatch::Assignments(triggers) => {
-                        for assignment in triggers {
-                            if state.stats.tuples_added >= self.config.max_new_tuples {
-                                termination = TerminationReason::TupleLimit;
-                                limited = true;
-                                break;
-                            }
-                            changed |= self.fire_trigger(tgd_index, tgd, &assignment, db, state);
-                        }
-                    }
-                }
-                Self::note_outcome(
-                    &mut state.profile,
-                    tgd_index,
-                    &state.stats,
-                    fired_before,
-                    satisfied_before,
-                    added_before,
-                );
-                if limited {
-                    break 'rounds;
-                }
-                tgd_floor[tgd_index] = Some(watermark);
-            }
-
-            if !changed {
-                termination = TerminationReason::Fixpoint;
-                break;
-            }
-            if round == self.config.max_rounds {
-                termination = TerminationReason::RoundLimit;
-            }
-        }
-        termination
-    }
-
-    // ------------------------------------------------------------------
     // Shared trigger machinery.
     // ------------------------------------------------------------------
-
-    /// Can `tgd`'s triggers take the staged batch path
-    /// ([`stage_full_tgd_triggers`] + [`ChaseEngine::apply_staged_triggers`])?
-    ///
-    /// Only full TGDs under the restricted chase: they invent no nulls, and
-    /// their "head already satisfied" check degenerates to "every head row
-    /// is already present", which the insert itself answers.  The oblivious
-    /// chase needs the full body assignment for its fired-trigger dedup,
-    /// and existential heads need fresh nulls per trigger — both keep the
-    /// [`ChaseEngine::fire_trigger`] path.  So do rules whose heads are all
-    /// zero-arity atoms (`P() :- Q(x).`): the flat buffer encodes a trigger
-    /// as `sum(head arities)` values, which at 0 cannot represent "some
-    /// triggers fired" at all.
-    fn batchable(&self, tgd: &Tgd) -> bool {
-        self.config.mode == ChaseMode::Restricted
-            && tgd.is_full()
-            && tgd.head.iter().map(|a| a.arity()).sum::<usize>() > 0
-    }
 
     /// Apply one rule's staged trigger batch: one `chunks_exact` slice per
     /// trigger, inserted through the arena's slice path
@@ -1411,44 +1149,26 @@ impl ChaseEngine {
         (changed, false)
     }
 
-    /// Process one TGD trigger: dedup (oblivious) or satisfaction-check
-    /// (restricted), then fire — inventing fresh nulls for existential
-    /// variables and inserting the instantiated head atoms.  Returns whether
-    /// the database changed.
+    /// Process one TGD trigger: skip it when its head is already satisfied,
+    /// else fire — inventing fresh nulls for existential variables and
+    /// inserting the instantiated head atoms.  Returns whether the database
+    /// changed.
     fn fire_trigger(
         &self,
-        tgd_index: usize,
         tgd: &Tgd,
         assignment: &ontodq_datalog::Assignment,
         db: &mut Database,
         state: &mut RunState,
     ) -> bool {
-        match self.config.mode {
-            ChaseMode::Oblivious => {
-                let key = (
-                    tgd_index,
-                    assignment
-                        .iter()
-                        .map(|(v, val)| (*v, *val))
-                        .collect::<Vec<_>>(),
-                );
-                if !state.fired.insert(key) {
-                    return false;
-                }
-            }
-            ChaseMode::Restricted => {
-                // Skip the trigger when the head is already satisfied by
-                // some extension of the assignment.  Full TGDs fall through
-                // instead: their only extension is the trigger itself, so
-                // the inserts below double as the satisfaction check
-                // (all-duplicates == satisfied).
-                if !tgd.is_full() {
-                    let head_atoms: Vec<_> = tgd.head.iter().collect();
-                    if has_extension(db, &head_atoms, assignment) {
-                        state.stats.triggers_satisfied += 1;
-                        return false;
-                    }
-                }
+        // Skip the trigger when the head is already satisfied by some
+        // extension of the assignment.  Full TGDs fall through instead:
+        // their only extension is the trigger itself, so the inserts below
+        // double as the satisfaction check (all-duplicates == satisfied).
+        if !tgd.is_full() {
+            let head_atoms: Vec<_> = tgd.head.iter().collect();
+            if has_extension(db, &head_atoms, assignment) {
+                state.stats.triggers_satisfied += 1;
+                return false;
             }
         }
 
@@ -1471,7 +1191,7 @@ impl ChaseEngine {
                 changed = true;
             }
         }
-        if self.config.mode == ChaseMode::Restricted && tgd.is_full() && !changed {
+        if tgd.is_full() && !changed {
             state.stats.triggers_satisfied += 1;
             return false;
         }
@@ -1706,8 +1426,8 @@ impl ChaseEngine {
     ///
     /// The input instance is pruned to the relevant relations, the magic
     /// seed facts are inserted so they form the first delta, and the
-    /// specialized program runs through the engine's regular (delta-driven
-    /// semi-naive, or parallel) machinery.  Negative constraints are not
+    /// specialized program runs through the engine's regular delta-driven
+    /// semi-naive machinery.  Negative constraints are not
     /// checked — demand-driven evaluation answers queries, the full
     /// assessment path audits consistency.
     ///
@@ -1759,17 +1479,11 @@ pub fn chase_on_demand(program: &Program, database: &Database, query: &Conjuncti
     ChaseEngine::with_defaults().chase_for_query(program, database, query)
 }
 
-/// Convenience function: run the restricted chase with the naive reference
-/// strategy.
+/// Convenience function: run the restricted chase with the naive driver,
+/// the reference oracle, under the default configuration — see
+/// [`ChaseEngine::run_naive`].
 pub fn chase_naive(program: &Program, database: &Database) -> ChaseResult {
-    ChaseEngine::new(ChaseConfig::naive()).run(program, database)
-}
-
-/// Convenience function: run the restricted chase with parallel per-rule
-/// trigger discovery (one worker per available CPU) — see
-/// [`EvalStrategy::Parallel`] for the determinism guarantee.
-pub fn chase_parallel(program: &Program, database: &Database) -> ChaseResult {
-    ChaseEngine::new(ChaseConfig::parallel()).run(program, database)
+    ChaseEngine::with_defaults().run_naive(program, database)
 }
 
 /// Convenience function: resume the chase of `program` over `state` with the
@@ -1818,15 +1532,23 @@ mod tests {
         db
     }
 
-    /// All strategies, for tests that must hold under each.  The parallel
-    /// config pins an explicit team size so the scoped pool really runs
-    /// multi-threaded even on single-CPU test machines.
-    fn strategies() -> [ChaseConfig; 3] {
+    /// One engine per join kernel: the default `Auto` planner, then hash
+    /// and leapfrog forced for every rule body.
+    fn engines() -> [ChaseEngine; 3] {
         [
-            ChaseConfig::semi_naive(),
-            ChaseConfig::naive(),
-            ChaseConfig::parallel_with_threads(4),
+            ChaseEngine::with_defaults(),
+            ChaseEngine::new(ChaseConfig::with_join(JoinEngine::Hash)),
+            ChaseEngine::new(ChaseConfig::with_join(JoinEngine::Leapfrog)),
         ]
+    }
+
+    /// The chase of `program` over `db` by every driver, for tests that
+    /// must hold under each: the naive oracle, then the semi-naive driver
+    /// under each join kernel.
+    fn every_driver(program: &Program, db: &Database) -> Vec<ChaseResult> {
+        let mut results = vec![chase_naive(program, db)];
+        results.extend(engines().iter().map(|engine| engine.run(program, db)));
+        results
     }
 
     #[test]
@@ -1834,8 +1556,7 @@ mod tests {
         let program =
             parse_program("PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n")
                 .unwrap();
-        for config in strategies() {
-            let result = ChaseEngine::new(config).run(&program, &hospital_db());
+        for result in every_driver(&program, &hospital_db()) {
             assert_eq!(result.termination, TerminationReason::Fixpoint);
             let pu = result.database.relation("PatientUnit").unwrap();
             // Six PatientWard tuples, each rolled up to exactly one unit.
@@ -1852,8 +1573,7 @@ mod tests {
         let program =
             parse_program("Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n")
                 .unwrap();
-        for config in strategies() {
-            let result = ChaseEngine::new(config).run(&program, &hospital_db());
+        for result in every_driver(&program, &hospital_db()) {
             let shifts = result.database.relation("Shifts").unwrap();
             // Standard unit has 2 wards; Intensive and Terminal have 1 each.
             // WorkingSchedules: Intensive×1, Standard×3, Terminal×1 → 1 + 3*2 + 1 = 8.
@@ -1888,45 +1608,16 @@ mod tests {
     }
 
     #[test]
-    fn oblivious_chase_fires_each_trigger_once() {
-        let program =
-            parse_program("Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n")
-                .unwrap();
-        for strategy in [
-            EvalStrategy::SemiNaive,
-            EvalStrategy::Naive,
-            EvalStrategy::Parallel,
-        ] {
-            let config = ChaseConfig {
-                mode: ChaseMode::Oblivious,
-                strategy,
-                ..Default::default()
-            };
-            let result = ChaseEngine::new(config).run(&program, &hospital_db());
-            // Oblivious chase produces the same 8 tuples here because every
-            // trigger is fresh exactly once.
-            assert_eq!(result.database.relation("Shifts").unwrap().len(), 8);
-            assert_eq!(result.termination, TerminationReason::Fixpoint);
-        }
-    }
-
-    #[test]
     fn non_terminating_program_hits_round_or_tuple_limit() {
         let program = parse_program("R(y, z) :- R(x, y).\n").unwrap();
         let mut db = Database::new();
         db.insert_values("R", ["a", "b"]).unwrap();
-        for strategy in [
-            EvalStrategy::SemiNaive,
-            EvalStrategy::Naive,
-            EvalStrategy::Parallel,
-        ] {
-            let config = ChaseConfig {
-                strategy,
-                max_rounds: 10,
-                max_new_tuples: 50,
-                ..Default::default()
-            };
-            let result = ChaseEngine::new(config).run(&program, &db);
+        let engine = ChaseEngine::new(ChaseConfig {
+            max_rounds: 10,
+            max_new_tuples: 50,
+            ..Default::default()
+        });
+        for result in [engine.run(&program, &db), engine.run_naive(&program, &db)] {
             assert_ne!(result.termination, TerminationReason::Fixpoint);
             assert!(result.stats.tuples_added > 0);
         }
@@ -1938,13 +1629,12 @@ mod tests {
             "t = t2 :- Thermometer(w, t, n), Thermometer(w2, t2, n2), UnitWard(u, w), UnitWard(u, w2).\n",
         )
         .unwrap();
-        for config in strategies() {
-            let mut db = hospital_db();
-            db.insert_values("Thermometer", ["W1", "B1", "Helen"])
-                .unwrap();
-            db.insert_values("Thermometer", ["W2", "B2", "Susan"])
-                .unwrap();
-            let result = ChaseEngine::new(config).run(&program, &db);
+        let mut db = hospital_db();
+        db.insert_values("Thermometer", ["W1", "B1", "Helen"])
+            .unwrap();
+        db.insert_values("Thermometer", ["W2", "B2", "Susan"])
+            .unwrap();
+        for result in every_driver(&program, &db) {
             assert!(!result.violations.egd.is_empty());
             assert!(!result.is_consistent_model());
             let v = &result.violations.egd[0];
@@ -1967,8 +1657,7 @@ mod tests {
         .unwrap();
         let mut db = Database::new();
         db.insert_values("P", ["b"]).unwrap();
-        for config in strategies() {
-            let result = ChaseEngine::new(config).run(&program, &db);
+        for result in every_driver(&program, &db) {
             assert_eq!(result.database.relation("S").unwrap().len(), 1);
             assert!(result.database.relation("T").unwrap().is_empty());
         }
@@ -1980,8 +1669,7 @@ mod tests {
         // modelled here with the Intensive ward W3 and a violating tuple.
         let program =
             parse_program("! :- PatientWard(w, d, p), UnitWard(Intensive, w).\n").unwrap();
-        for config in strategies() {
-            let result = ChaseEngine::new(config).run(&program, &hospital_db());
+        for result in every_driver(&program, &hospital_db()) {
             assert_eq!(result.violations.nc.len(), 1);
             assert_eq!(result.stats.nc_violations, 1);
             assert!(!result.is_consistent_model());
@@ -2136,11 +1824,10 @@ mod tests {
             "InstitutionUnit(i, u), PatientUnit(u, d, p) :- DischargePatients(i, d, p).\n",
         )
         .unwrap();
-        for config in strategies() {
-            let mut db = Database::new();
-            db.insert_values("DischargePatients", ["H1", "Sep/9", "Tom Waits"])
-                .unwrap();
-            let result = ChaseEngine::new(config).run(&program, &db);
+        let mut db = Database::new();
+        db.insert_values("DischargePatients", ["H1", "Sep/9", "Tom Waits"])
+            .unwrap();
+        for result in every_driver(&program, &db) {
             let iu = result.database.relation("InstitutionUnit").unwrap();
             let pu = result.database.relation("PatientUnit").unwrap();
             assert_eq!(iu.len(), 1);
@@ -2386,7 +2073,7 @@ mod tests {
             .unwrap()
             .has_index(0));
         assert!(result.database.relation("UnitWard").unwrap().has_index(1));
-        // The naive reference strategy builds the same indexes, so strategy
+        // The naive reference driver builds the same indexes, so driver
         // comparisons isolate the delta-evaluation gain.
         let naive = chase_naive(&program, &hospital_db());
         assert!(naive.database.relation("PatientWard").unwrap().has_index(0));
@@ -2507,8 +2194,8 @@ mod tests {
         let full = chase(&program, &db);
         let query = query_body("PatientUnit(u, d, p), p = \"Tom Waits\".");
         let expected = certain(&full.database, &query);
-        for config in strategies() {
-            let demanded = ChaseEngine::new(config).chase_for_query(&program, &db, &query);
+        for engine in engines() {
+            let demanded = engine.chase_for_query(&program, &db, &query);
             assert_eq!(certain(&demanded.database, &query), expected);
         }
     }
@@ -2761,15 +2448,17 @@ mod tests {
     #[test]
     fn profile_counts_agree_with_stats_across_strategies() {
         let program = profiled_program();
-        for config in strategies() {
-            let result = ChaseEngine::new(config.clone()).run(&program, &hospital_db());
+        for (driver, result) in every_driver(&program, &hospital_db())
+            .into_iter()
+            .enumerate()
+        {
             let profile = &result.profile;
             assert!(profile.enabled, "profiling is on by default");
             assert_eq!(profile.rules.len(), program.tgds.len());
             let fires: u64 = profile.rules.iter().map(|r| r.fires).sum();
             let satisfied: u64 = profile.rules.iter().map(|r| r.satisfied).sum();
             let added: u64 = profile.rules.iter().map(|r| r.tuples_added).sum();
-            assert_eq!(fires, result.stats.triggers_fired as u64, "{config:?}");
+            assert_eq!(fires, result.stats.triggers_fired as u64, "driver {driver}");
             assert_eq!(satisfied, result.stats.triggers_satisfied as u64);
             assert_eq!(added, result.stats.tuples_added as u64);
             // Every rule was evaluated at least once per executed round,

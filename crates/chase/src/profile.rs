@@ -3,11 +3,12 @@
 //!
 //! [`ChaseStats`] counts what every run did (rounds, fired and satisfied
 //! triggers, tuples, nulls, EGD and constraint outcomes).
-//! [`ChaseProfile`] is collected by every driver strategy when
+//! [`ChaseProfile`] is collected by both chase drivers (semi-naive and the
+//! naive oracle) when
 //! [`ChaseConfig::profile`](crate::ChaseConfig::profile) is on (the
 //! default) and carried on [`ChaseResult`](crate::ChaseResult) *next to*
 //! [`ChaseStats`] — stats stay timing-free and
-//! `Eq`-comparable across strategies, while the profile records wall time
+//! `Eq`-comparable across drivers and join kernels, while the profile records wall time
 //! (through the engine's injected [`Clock`](ontodq_obs::Clock)) and the
 //! hash-vs-leapfrog kernel decision per rule, making the
 //! [`JoinEngine::Auto`](crate::JoinEngine::Auto) heuristic auditable.

@@ -1,13 +1,13 @@
 //! The assessment pipeline: map `D` into the context, chase, and extract the
 //! quality versions `S^q` (Fig. 2 of the paper, left to right).
 //!
-//! Two entry points are provided: [`assess`] / [`assess_with`] run the whole
-//! pipeline once (batch mode), while [`ResumableAssessment`] keeps the chase
+//! Two entry points are provided: [`assess`] runs the whole pipeline once
+//! (batch mode), while [`ResumableAssessment`] keeps the chase
 //! state alive so update batches can be folded in with an **incremental
 //! re-chase** ([`ontodq_chase::ChaseEngine::resume`]) instead of starting
 //! from scratch — the write path of `ontodq-server`.
 
-use crate::context::Context;
+use crate::context::{Context, ContextError};
 use crate::metrics::{QualityMetrics, RelationQuality};
 use ontodq_chase::{
     ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
@@ -52,35 +52,18 @@ impl AssessmentResult {
     }
 }
 
-/// Options of the assessment pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct AssessmentOptions {
-    /// Chase configuration (strategy, budgets, join kernel, …).
-    pub chase: ChaseConfig,
-}
-
-/// Assess `instance` against `context` with default options.
+/// Assess `instance` against `context`.
 pub fn assess(context: &Context, instance: &Database) -> AssessmentResult {
-    assess_with(context, instance, &AssessmentOptions::default())
-}
-
-/// Assess with explicit options.
-pub fn assess_with(
-    context: &Context,
-    instance: &Database,
-    options: &AssessmentOptions,
-) -> AssessmentResult {
     let (program, database) = compile_context(context, instance);
 
-    // Chase, under the program's termination certificate (unless the caller
-    // supplied one): a certified-terminating program hitting the tuple
-    // budget becomes an error diagnostic instead of silent truncation.
-    let mut chase_config = options.chase.clone();
-    if chase_config.certificate.is_none() {
-        chase_config.certificate =
-            Some(ontodq_datalog::TerminationCertificate::of_program(&program));
-    }
-    let chase = ChaseEngine::new(chase_config).run(&program, &database);
+    // Chase, under the program's termination certificate: a
+    // certified-terminating program hitting the tuple budget becomes an
+    // error diagnostic instead of silent truncation.
+    let chase = certified_engine(
+        ontodq_datalog::TerminationCertificate::of_program(&program),
+        ontodq_obs::monotonic(),
+    )
+    .run(&program, &database);
 
     // Extract quality versions and metrics.
     let (quality_database, metrics) = extract_quality(context, instance, &chase.database);
@@ -146,6 +129,19 @@ pub fn compile_context(context: &Context, instance: &Database) -> (Program, Data
 pub fn lint_context(context: &Context, instance: &Database) -> LintReport {
     let (program, database) = compile_context(context, instance);
     lint_compiled(context, &program, &database)
+}
+
+/// The default chase engine, running under `certificate` and timing its
+/// profile on `clock`.
+fn certified_engine(
+    certificate: ontodq_datalog::TerminationCertificate,
+    clock: ontodq_obs::SharedClock,
+) -> ChaseEngine {
+    ChaseEngine::new(ChaseConfig {
+        certificate: Some(certificate),
+        ..ChaseConfig::default()
+    })
+    .with_clock(clock)
 }
 
 /// [`lint_context`] for an already-compiled program/instance pair.
@@ -302,37 +298,60 @@ impl ChaseSummary {
 impl ResumableAssessment {
     /// Compile `context` over `instance` and run the initial full chase.
     pub fn new(context: Context, instance: Database) -> Self {
-        Self::with_options(context, instance, &AssessmentOptions::default())
+        let (program, database) = compile_context(&context, &instance);
+        let lint = lint_compiled(&context, &program, &database);
+        Self::chase_compiled(
+            context,
+            instance,
+            program,
+            database,
+            lint,
+            ontodq_obs::monotonic(),
+        )
     }
 
-    /// Like [`ResumableAssessment::new`] with explicit chase options.
-    pub fn with_options(context: Context, instance: Database, options: &AssessmentOptions) -> Self {
-        Self::with_options_and_clock(context, instance, options, ontodq_obs::monotonic())
-    }
-
-    /// Like [`ResumableAssessment::with_options`] with an injected clock
-    /// for the chase profiler (see [`ontodq_obs::Clock`]) — the server
-    /// passes its own clock down so deterministic-replay tests freeze every
-    /// timing at once.
-    pub fn with_options_and_clock(
+    /// Admit `context` over `instance`: compile and lint it once, refuse it
+    /// when the lint report carries an error-severity diagnostic, and only
+    /// then run the initial full chase.  The profiler times on `clock` (see
+    /// [`ontodq_obs::Clock`]) — the server passes its own clock down so
+    /// deterministic-replay tests freeze every timing at once.
+    ///
+    /// # Errors
+    /// [`ContextError::Rejected`] with the full diagnostic list when the
+    /// program has an error-severity diagnostic (unsafe rules, arity
+    /// clashes, a non-separable EGD, …); no chase work has run then.
+    pub fn admit(
         context: Context,
         instance: Database,
-        options: &AssessmentOptions,
+        clock: ontodq_obs::SharedClock,
+    ) -> Result<Self, ContextError> {
+        let (program, database) = compile_context(&context, &instance);
+        let lint = lint_compiled(&context, &program, &database);
+        if lint.error_count() > 0 {
+            return Err(ContextError::Rejected(lint.diagnostics));
+        }
+        Ok(Self::chase_compiled(
+            context, instance, program, database, lint, clock,
+        ))
+    }
+
+    /// Run the initial full chase of a compiled and linted context, under
+    /// the lint report's termination certificate.
+    fn chase_compiled(
+        context: Context,
+        instance: Database,
+        program: Program,
+        mut database: Database,
+        lint: LintReport,
         clock: ontodq_obs::SharedClock,
     ) -> Self {
-        let (program, mut database) = compile_context(&context, &instance);
-        let lint = lint_compiled(&context, &program, &database);
-        let mut chase_config = options.chase.clone();
-        if chase_config.certificate.is_none() {
-            chase_config.certificate = Some(lint.certificate.clone());
-        }
         // Index before sharing: the chase state below starts as a clone of
         // the base, and every snapshot as a clone of both.  With the
         // indexes in place first, the extensional relations the chase never
         // writes stay one shared copy across base, state and snapshots, and
         // a demand chase over the base finds every index it asks for.
         ensure_demand_indexes(&program, &mut database);
-        let engine = ChaseEngine::new(chase_config).with_clock(clock);
+        let engine = certified_engine(lint.certificate.clone(), clock);
         let mut state = ChaseState::new(&program, &database);
         let initial = engine.resume(&program, &mut state);
         let last = ChaseSummary::of(&initial);
@@ -403,8 +422,6 @@ impl ResumableAssessment {
             }
         }
         let lint = lint_compiled(&context, &program, &base);
-        let mut chase_config = AssessmentOptions::default().chase;
-        chase_config.certificate = Some(lint.certificate.clone());
         // Index before sharing, as at construction (persisted relations
         // come back without indexes; the first resume would otherwise copy
         // every one of them out of the snapshot published in between).
@@ -415,7 +432,7 @@ impl ResumableAssessment {
             program,
             instance,
             base,
-            engine: ChaseEngine::new(chase_config).with_clock(clock),
+            engine: certified_engine(lint.certificate.clone(), clock),
             state,
             last: ChaseSummary {
                 stats: ontodq_chase::ChaseStats::default(),
@@ -648,12 +665,13 @@ impl ResumableAssessment {
     /// [`ResumableAssessment::retract_batch`].
     ///
     /// Conditional-delete bodies are evaluated against the chased contextual
-    /// instance (mapped predicates are rewritten to their contextual names);
-    /// head variables not bound by the body act as wildcards over the
-    /// extensional rows of the head relation.
+    /// instance (mapped predicates are rewritten to their contextual names)
+    /// by the shared evaluator, so a comparison or negated atom that a
+    /// labeled null makes undecidable does not hold; head variables not
+    /// bound by the body act as wildcards over the extensional rows of the
+    /// head relation.
     pub fn expand_retractions(&self, program: &Program) -> Vec<(String, Tuple)> {
-        use ontodq_chase::eval::{extend_over_atoms, has_extension};
-        use ontodq_datalog::{Assignment, Atom, Term};
+        use ontodq_datalog::{Atom, Conjunction, Term};
         let mut out = Vec::new();
         let mut seen: std::collections::HashSet<(String, Tuple)> = std::collections::HashSet::new();
         for retraction in &program.retractions {
@@ -678,10 +696,11 @@ impl ResumableAssessment {
                     None => atom.clone(),
                 }
             };
-            let body_atoms: Vec<Atom> = delete.body.atoms.iter().map(rewrite).collect();
-            let negated: Vec<Atom> = delete.body.negated.iter().map(rewrite).collect();
-            let refs: Vec<&Atom> = body_atoms.iter().collect();
-            let db = self.state.database();
+            let body = Conjunction {
+                atoms: delete.body.atoms.iter().map(rewrite).collect(),
+                negated: delete.body.negated.iter().map(rewrite).collect(),
+                comparisons: delete.body.comparisons.clone(),
+            };
             // Wildcard candidates come from the user-visible extensional
             // rows of the head relation.
             let head = &delete.head;
@@ -697,21 +716,7 @@ impl ResumableAssessment {
                         .map(|r| r.iter().collect())
                         .unwrap_or_default()
                 };
-            extend_over_atoms(db, &refs, Assignment::new(), &mut |assignment| {
-                if !delete
-                    .body
-                    .comparisons
-                    .iter()
-                    .all(|c| assignment.satisfies_comparison(c))
-                {
-                    return;
-                }
-                if negated
-                    .iter()
-                    .any(|atom| has_extension(db, &[atom], assignment))
-                {
-                    return;
-                }
+            for assignment in ontodq_chase::evaluate(self.state.database(), &body) {
                 for tuple in &candidates {
                     let matches = head.terms.len() == tuple.arity()
                         && head.terms.iter().zip(tuple.values()).all(|(term, value)| {
@@ -727,7 +732,7 @@ impl ResumableAssessment {
                         }
                     }
                 }
-            });
+            }
         }
         out
     }
@@ -1062,6 +1067,23 @@ mod tests {
         incremental.sort();
         from_scratch.sort();
         assert_eq!(incremental, from_scratch);
+    }
+
+    /// A conditional delete whose negated atom meets a labeled null does
+    /// not condemn anything: `not Q(⊥)` is unknown, not true.
+    #[test]
+    fn conditional_delete_negation_over_a_null_condemns_nothing() {
+        let mut facts = Database::new();
+        facts.insert_values("P", ["b"]).unwrap();
+        facts.insert_values("Q", ["a"]).unwrap();
+        let context = Context::builder("null-negation")
+            .contextual_rule("S(x, z) :- P(x).")
+            .external_source(facts)
+            .build()
+            .unwrap();
+        let resumable = ResumableAssessment::new(context, Database::new());
+        let deletion = ontodq_datalog::parse_program("-P(x) :- S(x, z), not Q(z).\n").unwrap();
+        assert!(resumable.expand_retractions(&deletion).is_empty());
     }
 
     #[test]

@@ -41,8 +41,7 @@ pub mod report;
 pub mod scenarios;
 
 pub use assessment::{
-    assess, assess_with, compile_context, lint_context, AssessmentOptions, AssessmentResult,
-    BatchOutcome, ResumableAssessment,
+    assess, compile_context, lint_context, AssessmentResult, BatchOutcome, ResumableAssessment,
 };
 pub use clean_query::{
     assess_and_answer, plain_answers, quality_answers, quality_answers_on_demand,

@@ -39,7 +39,7 @@ pub fn answer_on_demand(
     answer_on_demand_with(ChaseEngine::with_defaults(), program, database, query)
 }
 
-/// Like [`answer_on_demand`], with an explicit engine (strategy, budgets).
+/// Like [`answer_on_demand`], with an explicit engine (budgets, join kernel).
 pub fn answer_on_demand_with(
     engine: ChaseEngine,
     program: &Program,

@@ -16,7 +16,7 @@
 //! specific query's own join positions want.
 
 use crate::query::{AnswerSet, ConjunctiveQuery};
-use ontodq_chase::{ChaseConfig, ChaseEngine, ChaseResult};
+use ontodq_chase::{chase, ChaseResult};
 use ontodq_datalog::Program;
 use ontodq_relational::Database;
 
@@ -30,13 +30,9 @@ pub struct MaterializedEngine {
 impl MaterializedEngine {
     /// Chase `program` over `database` with the default configuration.
     pub fn new(program: &Program, database: &Database) -> Self {
-        Self::with_config(program, database, ChaseConfig::default())
-    }
-
-    /// Chase with an explicit configuration.
-    pub fn with_config(program: &Program, database: &Database, config: ChaseConfig) -> Self {
-        let result = ChaseEngine::new(config).run(program, database);
-        Self { result }
+        Self {
+            result: chase(program, database),
+        }
     }
 
     /// The underlying chase result (instance, statistics, violations).

@@ -549,7 +549,9 @@ impl QualityService {
     /// with the first applied batch (and with the first `!save` snapshot).
     ///
     /// # Errors
-    /// [`ServiceError::DuplicateContext`] when the name is taken.
+    /// [`ServiceError::DuplicateContext`] when the name is taken;
+    /// [`ontodq_core::ContextError::Rejected`] (before any chase work) when
+    /// static analysis finds an error-severity diagnostic.
     pub fn register_context(
         &self,
         name: &str,
@@ -565,18 +567,10 @@ impl QualityService {
         // Static analysis gates the chase: a program with error-severity
         // diagnostics (unsafe rules, arity clashes, …) is rejected before
         // any chase work runs, carrying the full report back to the caller.
-        let report = ontodq_core::lint_context(&context, &instance);
-        if report.error_count() > 0 {
-            return Err(ontodq_core::ContextError::Rejected(report.diagnostics).into());
-        }
-        // Chase outside the map lock: registration of a large context must
-        // not stall queries against other contexts.
-        let writer = ResumableAssessment::with_options_and_clock(
-            context.clone(),
-            instance,
-            &ontodq_core::AssessmentOptions::default(),
-            Arc::clone(&self.clock),
-        );
+        // Compile, lint and chase outside the map lock: registration of a
+        // large context must not stall queries against other contexts.
+        let writer =
+            ResumableAssessment::admit(context.clone(), instance, Arc::clone(&self.clock))?;
         self.register_writer(name, context, writer)
     }
 
@@ -628,22 +622,22 @@ impl QualityService {
                          original definition"
                     )));
                 }
+                // The static-analysis gate of `register_context`, on the
+                // report the restored writer computed anyway: a data dir
+                // must not admit a program that a plain registration
+                // refuses.
+                if writer.lint_report().error_count() > 0 {
+                    let diagnostics = writer.lint_report().diagnostics.clone();
+                    return Err(ontodq_core::ContextError::Rejected(diagnostics).into());
+                }
                 writer
             }
-            None => ResumableAssessment::with_options_and_clock(
+            None => ResumableAssessment::admit(
                 context.clone(),
                 initial_instance,
-                &ontodq_core::AssessmentOptions::default(),
                 Arc::clone(&self.clock),
-            ),
+            )?,
         };
-        // The static-analysis gate of `register_context`, on the report the
-        // writer computed anyway: a data dir must not admit a program that a
-        // plain registration refuses.
-        if writer.lint_report().error_count() > 0 {
-            let diagnostics = writer.lint_report().diagnostics.clone();
-            return Err(ontodq_core::ContextError::Rejected(diagnostics).into());
-        }
         for batch in tail {
             match batch.kind {
                 BatchKind::Insert => {

@@ -123,9 +123,8 @@ pub fn violation_summary(violations: &Violations) -> Vec<String> {
         format!("nc#{}:{}", v.constraint_index, bindings.join(","))
     }));
     out.sort();
-    // The naive strategy re-discovers (and re-records) the same violation on
-    // every round it remains present, the semi-naive one only when a delta
-    // re-derives it — compare the *sets* of violations.
+    // Compare the *sets* of violations, whatever order (and multiplicity)
+    // a driver or join kernel reports them in.
     out.dedup();
     out
 }

@@ -1,15 +1,14 @@
-//! Equivalence of the delta-driven semi-naive chase, the parallel per-rule
-//! chase, the forced worst-case-optimal (leapfrog) join kernel and the
-//! naive reference oracle: identical final instances (modulo labeled-null
-//! renaming) and identical violation sets, on the paper's hospital
-//! fixture, on generated workload instances and on Zipf-skewed cyclic
-//! triangle workloads.
+//! Equivalence of the chase drivers and join kernels: the naive reference
+//! oracle, the delta-driven semi-naive driver, and the semi-naive driver
+//! with the hash and the worst-case-optimal (leapfrog) join kernels forced
+//! reach identical final instances (modulo labeled-null renaming) and
+//! identical violation sets, on the paper's hospital fixture, on generated
+//! workload instances and on Zipf-skewed cyclic triangle workloads.
 
 use ontodq_chase::{
-    chase, chase_naive, ChaseConfig, ChaseEngine, ChaseMode, EvalStrategy, JoinEngine,
-    TerminationReason,
+    chase, chase_naive, ChaseConfig, ChaseEngine, ChaseResult, JoinEngine, TerminationReason,
 };
-use ontodq_datalog::parse_program;
+use ontodq_datalog::{parse_program, Program};
 use ontodq_integration_tests::{
     canonicalize_database, compiled_hospital, compiled_hospital_with_discharge,
     databases_equivalent, violation_summary,
@@ -18,103 +17,53 @@ use ontodq_relational::Database;
 use ontodq_workload::{generate, generate_skewed, HospitalScale, SkewedScale};
 use proptest::prelude::*;
 
-/// Parallel chase with a pinned 4-worker team: `available_parallelism` can
-/// be 1 on CI containers, and the suite must exercise the genuinely
-/// concurrent path everywhere.
-fn chase_parallel(program: &ontodq_datalog::Program, db: &Database) -> ontodq_chase::ChaseResult {
-    ChaseEngine::new(ChaseConfig::parallel_with_threads(4)).run(program, db)
+/// Semi-naive chase with `join` forced for every rule body (the `Auto`
+/// planner only picks leapfrog for cyclic shapes, so the forced variants
+/// are what exercise each kernel on every fixture).
+fn chase_with(join: JoinEngine, program: &Program, db: &Database) -> ChaseResult {
+    ChaseEngine::new(ChaseConfig::with_join(join)).run(program, db)
 }
 
-/// Semi-naive chase with the worst-case-optimal join kernel forced for
-/// every rule body (the `Auto` planner only picks it for cyclic shapes, so
-/// the forced variant is what exercises the kernel on every fixture).
-fn chase_leapfrog(program: &ontodq_datalog::Program, db: &Database) -> ontodq_chase::ChaseResult {
-    ChaseEngine::new(ChaseConfig::with_join(JoinEngine::Leapfrog)).run(program, db)
+/// The chase of `program` over `db` by every leg, labeled: the naive
+/// oracle first, then semi-naive under `Auto`, forced hash and forced
+/// leapfrog.
+fn every_leg(program: &Program, db: &Database) -> [(&'static str, ChaseResult); 4] {
+    [
+        ("naive", chase_naive(program, db)),
+        ("semi-naive", chase(program, db)),
+        ("hash", chase_with(JoinEngine::Hash, program, db)),
+        ("leapfrog", chase_with(JoinEngine::Leapfrog, program, db)),
+    ]
 }
 
-/// Assert full equivalence of all four strategies on one program +
-/// instance: `naive == semi-naive == parallel == leapfrog` modulo
+/// Assert full equivalence of all four legs on one program + instance:
+/// `naive == semi-naive == forced-hash == forced-leapfrog` modulo
 /// labeled-null renaming.
-fn assert_strategies_agree(program: &ontodq_datalog::Program, db: &Database, label: &str) {
-    let naive = chase_naive(program, db);
-    let semi = chase(program, db);
-    let parallel = chase_parallel(program, db);
-    let leapfrog = chase_leapfrog(program, db);
-    assert_eq!(
-        naive.termination, semi.termination,
-        "{label}: termination reasons diverge"
-    );
-    assert_eq!(
-        naive.termination, parallel.termination,
-        "{label}: parallel termination diverges"
-    );
-    assert_eq!(
-        naive.termination, leapfrog.termination,
-        "{label}: leapfrog termination diverges"
-    );
-    assert!(
-        databases_equivalent(&naive.database, &semi.database),
-        "{label}: instances differ modulo null renaming\nnaive:\n{:#?}\nsemi-naive:\n{:#?}",
-        canonicalize_database(&naive.database),
-        canonicalize_database(&semi.database),
-    );
-    assert!(
-        databases_equivalent(&naive.database, &parallel.database),
-        "{label}: parallel instance differs modulo null renaming\nnaive:\n{:#?}\nparallel:\n{:#?}",
-        canonicalize_database(&naive.database),
-        canonicalize_database(&parallel.database),
-    );
-    assert!(
-        databases_equivalent(&naive.database, &leapfrog.database),
-        "{label}: leapfrog instance differs modulo null renaming\nnaive:\n{:#?}\nleapfrog:\n{:#?}",
-        canonicalize_database(&naive.database),
-        canonicalize_database(&leapfrog.database),
-    );
-    assert_eq!(
-        violation_summary(&naive.violations),
-        violation_summary(&semi.violations),
-        "{label}: violation sets diverge"
-    );
-    assert_eq!(
-        violation_summary(&naive.violations),
-        violation_summary(&parallel.violations),
-        "{label}: parallel violation set diverges"
-    );
-    assert_eq!(
-        violation_summary(&naive.violations),
-        violation_summary(&leapfrog.violations),
-        "{label}: leapfrog violation set diverges"
-    );
-    assert_eq!(
-        naive.stats.tuples_added, leapfrog.stats.tuples_added,
-        "{label}: leapfrog generated a different number of tuples"
-    );
-    assert_eq!(
-        naive.stats.tuples_added, semi.stats.tuples_added,
-        "{label}: different number of generated tuples"
-    );
-    assert_eq!(
-        naive.stats.nulls_created, semi.stats.nulls_created,
-        "{label}: different number of invented nulls"
-    );
-    // The parallel engine is deterministic: a second run reproduces the
-    // instance exactly (same tuples, same null ids), not just up to
-    // renaming.
-    let parallel_again = chase_parallel(program, db);
-    assert_eq!(
-        canonicalize_database(&parallel.database),
-        canonicalize_database(&parallel_again.database),
-        "{label}: parallel run is not reproducible"
-    );
-    for relation in parallel.database.relations() {
-        let again = parallel_again
-            .database
-            .relation(relation.name())
-            .expect("reproduced run has the same relations");
+fn assert_strategies_agree(program: &Program, db: &Database, label: &str) {
+    let [(_, naive), rest @ ..] = every_leg(program, db);
+    for (leg, result) in &rest {
         assert_eq!(
-            relation.tuples(),
-            again.tuples(),
-            "{label}: parallel run is not byte-for-byte deterministic"
+            naive.termination, result.termination,
+            "{label}: {leg} termination diverges"
+        );
+        assert!(
+            databases_equivalent(&naive.database, &result.database),
+            "{label}: {leg} instance differs modulo null renaming\nnaive:\n{:#?}\n{leg}:\n{:#?}",
+            canonicalize_database(&naive.database),
+            canonicalize_database(&result.database),
+        );
+        assert_eq!(
+            violation_summary(&naive.violations),
+            violation_summary(&result.violations),
+            "{label}: {leg} violation set diverges"
+        );
+        assert_eq!(
+            naive.stats.tuples_added, result.stats.tuples_added,
+            "{label}: {leg} generated a different number of tuples"
+        );
+        assert_eq!(
+            naive.stats.nulls_created, result.stats.nulls_created,
+            "{label}: {leg} invented a different number of nulls"
         );
     }
 }
@@ -170,9 +119,8 @@ fn skewed_triangle_workloads_are_equivalent() {
 fn auto_and_forced_kernels_agree_on_triangles() {
     let workload = generate_skewed(&SkewedScale::small());
     let auto = chase(&workload.program, &workload.database);
-    let hash = ChaseEngine::new(ChaseConfig::with_join(JoinEngine::Hash))
-        .run(&workload.program, &workload.database);
-    let leapfrog = chase_leapfrog(&workload.program, &workload.database);
+    let hash = chase_with(JoinEngine::Hash, &workload.program, &workload.database);
+    let leapfrog = chase_with(JoinEngine::Leapfrog, &workload.program, &workload.database);
     assert!(databases_equivalent(&auto.database, &hash.database));
     assert!(databases_equivalent(&auto.database, &leapfrog.database));
     assert_eq!(auto.stats.tuples_added, hash.stats.tuples_added);
@@ -180,11 +128,11 @@ fn auto_and_forced_kernels_agree_on_triangles() {
 }
 
 /// Regression: a full TGD whose head atoms are all zero-arity
-/// (`Flagged() :- Thermometer(w, t, n).`) must fire on every strategy.
+/// (`Flagged() :- Thermometer(w, t, n).`) must fire on every leg.
 /// The staged batch path encodes a trigger as `sum(head arities)` flat
 /// values, which at arity 0 cannot carry a trigger count at all, so such
 /// rules have to stay on the per-trigger path — at one point the
-/// semi-naive and parallel strategies silently dropped them.
+/// semi-naive driver silently dropped them.
 #[test]
 fn zero_arity_heads_fire_on_every_strategy() {
     let program = parse_program("Flagged() :- Thermometer(w, t, n).\n").unwrap();
@@ -205,7 +153,7 @@ fn egd_unification_chains_are_equivalent() {
     let compiled = compiled_hospital();
     // The hospital program includes rule (8) (null shifts) and the EGD (6);
     // add an explicit shift and a second EGD equating shifts across days.
-    // EGDs are checked, never applied: every strategy must leave the null
+    // EGDs are checked, never applied: every leg must leave the null
     // shifts in place and report the same constant-constant clashes (the
     // null sides are unknown, not violations).
     let program = {
@@ -238,40 +186,15 @@ fn violating_instances_report_the_same_violations() {
         .unwrap();
     db.insert_values("Thermometer", ["W2", "B2", "Susan"])
         .unwrap();
-    let naive = chase_naive(&program, &db);
-    let semi = chase(&program, &db);
-    let parallel = chase_parallel(&program, &db);
+    let [(_, naive), rest @ ..] = every_leg(&program, &db);
     assert!(!naive.violations.is_empty());
-    assert_eq!(
-        violation_summary(&naive.violations),
-        violation_summary(&semi.violations)
-    );
-    assert_eq!(
-        violation_summary(&naive.violations),
-        violation_summary(&parallel.violations)
-    );
-}
-
-#[test]
-fn oblivious_mode_is_equivalent_too() {
-    let compiled = compiled_hospital();
-    let run = |strategy: EvalStrategy| {
-        ChaseEngine::new(ChaseConfig {
-            mode: ChaseMode::Oblivious,
-            strategy,
-            ..Default::default()
-        })
-        .run(&compiled.program, &compiled.database)
-    };
-    let naive = run(EvalStrategy::Naive);
-    let semi = run(EvalStrategy::SemiNaive);
-    let parallel = ChaseEngine::new(ChaseConfig {
-        mode: ChaseMode::Oblivious,
-        ..ChaseConfig::parallel_with_threads(4)
-    })
-    .run(&compiled.program, &compiled.database);
-    assert!(databases_equivalent(&naive.database, &semi.database));
-    assert!(databases_equivalent(&naive.database, &parallel.database));
+    for (leg, result) in &rest {
+        assert_eq!(
+            violation_summary(&naive.violations),
+            violation_summary(&result.violations),
+            "{leg} violation set diverges"
+        );
+    }
 }
 
 proptest! {
@@ -292,16 +215,12 @@ proptest! {
         for (a, b) in &edges {
             db.insert_values("E", [format!("n{a}"), format!("n{b}")]).unwrap();
         }
-        let naive = chase_naive(&program, &db);
-        let semi = chase(&program, &db);
-        let parallel = chase_parallel(&program, &db);
-        let leapfrog = chase_leapfrog(&program, &db);
+        let [(_, naive), rest @ ..] = every_leg(&program, &db);
         prop_assert_eq!(naive.termination, TerminationReason::Fixpoint);
-        prop_assert_eq!(semi.termination, TerminationReason::Fixpoint);
-        prop_assert_eq!(parallel.termination, TerminationReason::Fixpoint);
-        prop_assert!(databases_equivalent(&naive.database, &semi.database));
-        prop_assert!(databases_equivalent(&naive.database, &parallel.database));
-        prop_assert!(databases_equivalent(&naive.database, &leapfrog.database));
+        for (_, result) in &rest {
+            prop_assert_eq!(result.termination, TerminationReason::Fixpoint);
+            prop_assert!(databases_equivalent(&naive.database, &result.database));
+        }
     }
 
     /// Random scaled hospitals: full pipeline equivalence.
@@ -324,29 +243,18 @@ proptest! {
         };
         let workload = generate(&scale);
         let compiled = ontodq_mdm::compile(&workload.ontology);
-        let naive = chase_naive(&compiled.program, &compiled.database);
-        let semi = chase(&compiled.program, &compiled.database);
-        let parallel = chase_parallel(&compiled.program, &compiled.database);
-        let leapfrog = chase_leapfrog(&compiled.program, &compiled.database);
-        prop_assert!(databases_equivalent(&naive.database, &semi.database));
-        prop_assert!(databases_equivalent(&naive.database, &parallel.database));
-        prop_assert!(databases_equivalent(&naive.database, &leapfrog.database));
-        prop_assert_eq!(
-            violation_summary(&naive.violations),
-            violation_summary(&semi.violations)
-        );
-        prop_assert_eq!(
-            violation_summary(&naive.violations),
-            violation_summary(&parallel.violations)
-        );
-        prop_assert_eq!(
-            violation_summary(&naive.violations),
-            violation_summary(&leapfrog.violations)
-        );
+        let [(_, naive), rest @ ..] = every_leg(&compiled.program, &compiled.database);
+        for (_, result) in &rest {
+            prop_assert!(databases_equivalent(&naive.database, &result.database));
+            prop_assert_eq!(
+                violation_summary(&naive.violations),
+                violation_summary(&result.violations)
+            );
+        }
     }
 
-    /// Random skewed triangle workloads: all four strategies agree on the
-    /// cyclic body that triggers the worst-case-optimal planner.
+    /// Random skewed triangle workloads: all four legs agree on the cyclic
+    /// body that triggers the worst-case-optimal planner.
     #[test]
     fn random_skewed_triangles_agree(
         nodes in 4usize..32,
@@ -361,13 +269,10 @@ proptest! {
             seed,
         };
         let workload = generate_skewed(&scale);
-        let naive = chase_naive(&workload.program, &workload.database);
-        let semi = chase(&workload.program, &workload.database);
-        let parallel = chase_parallel(&workload.program, &workload.database);
-        let leapfrog = chase_leapfrog(&workload.program, &workload.database);
+        let [(_, naive), rest @ ..] = every_leg(&workload.program, &workload.database);
         prop_assert_eq!(naive.termination, TerminationReason::Fixpoint);
-        prop_assert!(databases_equivalent(&naive.database, &semi.database));
-        prop_assert!(databases_equivalent(&naive.database, &parallel.database));
-        prop_assert!(databases_equivalent(&naive.database, &leapfrog.database));
+        for (_, result) in &rest {
+            prop_assert!(databases_equivalent(&naive.database, &result.database));
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! Equivalence of the retraction subsystem: delete-and-rederive
 //! (`ChaseEngine::retract`, DRed) must produce the same instance as a
 //! from-scratch chase of the surviving EDB, modulo labeled-null renaming,
-//! on every evaluation strategy — and randomized insert/retract
+//! under every join kernel — and randomized insert/retract
 //! interleavings driven through the server must converge to the same
 //! snapshot and the same quality answers as a fresh registration of the
 //! surviving instance.
 
-use ontodq_chase::{chase_naive, ChaseConfig, ChaseEngine, ChaseState, EvalStrategy};
+use ontodq_chase::{chase_naive, ChaseConfig, ChaseEngine, ChaseState, JoinEngine};
 use ontodq_core::{compile_context, scenarios, Context, ContextError, ResumableAssessment};
 use ontodq_datalog::{Program, Severity};
 use ontodq_integration_tests::{canonicalize_database, databases_equivalent, retraction_program};
@@ -19,24 +19,19 @@ use ontodq_workload::{
     generate, generate_corrections, CorrectionOp, CorrectionScale, HospitalScale,
 };
 
-/// The three maintained-evaluation strategies the retraction path must
-/// agree on.  (Naive is the oracle; parallel is pinned to a 4-worker team
-/// so the genuinely concurrent path runs even on 1-CPU CI containers.)
+/// The three join kernels the retraction path must agree under: the
+/// default `Auto` planner, and hash and leapfrog forced for every rule
+/// body.  (Retraction resumes the semi-naive driver; the fresh naive chase
+/// is the oracle.)
 fn engines() -> Vec<(&'static str, ChaseEngine)> {
-    vec![
-        (
-            "naive",
-            ChaseEngine::new(ChaseConfig {
-                strategy: EvalStrategy::Naive,
-                ..Default::default()
-            }),
-        ),
-        ("semi-naive", ChaseEngine::with_defaults()),
-        (
-            "parallel",
-            ChaseEngine::new(ChaseConfig::parallel_with_threads(4)),
-        ),
+    [
+        ("auto", JoinEngine::Auto),
+        ("hash", JoinEngine::Hash),
+        ("leapfrog", JoinEngine::Leapfrog),
     ]
+    .into_iter()
+    .map(|(name, join)| (name, ChaseEngine::new(ChaseConfig::with_join(join))))
+    .collect()
 }
 
 /// Chase `db`, retract `victims` from `relation` through the engine's DRed
@@ -202,8 +197,8 @@ fn retraction_upstream_of_an_egd_over_derived_relations_matches_fresh_chase() {
 }
 
 /// The chase-level form of the same repro: `ChaseEngine::retract` alone,
-/// with no caller-side guard, equals a fresh chase of the surviving facts on
-/// every strategy.
+/// with no caller-side guard, equals a fresh chase of the surviving facts
+/// under every join kernel.
 #[test]
 fn chase_level_retraction_upstream_of_an_egd_matches_fresh_chase() {
     let program = ontodq_datalog::parse_program(&DERIVED_EGD_RULES.join("\n")).unwrap();

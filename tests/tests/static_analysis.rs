@@ -7,7 +7,7 @@
 //! randomly generated program the linter *certifies* terminating really
 //! does chase to `Fixpoint` on all three evaluation strategies.
 
-use ontodq_chase::{ChaseConfig, ChaseEngine, TerminationReason};
+use ontodq_chase::{ChaseConfig, ChaseEngine, JoinEngine, TerminationReason};
 use ontodq_core::{lint_context, scenarios, Context, ContextError};
 use ontodq_datalog::analysis::DatalogClass;
 use ontodq_datalog::{parse_program, Severity, TerminationCertificate};
@@ -240,9 +240,11 @@ fn certified_tuple_budget_hit_is_an_invariant_error() {
     for i in 0..8 {
         db.insert_values("A", [format!("a{i}")]).unwrap();
     }
-    let mut config = ChaseConfig::semi_naive();
-    config.max_new_tuples = 3;
-    config.certificate = Some(certificate);
+    let config = ChaseConfig {
+        max_new_tuples: 3,
+        certificate: Some(certificate),
+        ..Default::default()
+    };
     let result = ChaseEngine::new(config).run(&program, &db);
     assert_eq!(result.termination, TerminationReason::TupleLimit);
     let c001 = result
@@ -272,8 +274,10 @@ fn uncertified_chase_attaches_prechase_warning() {
     // No Reaches facts: the chase reaches a fixpoint immediately, but the
     // missing certificate must still be reported.
     db.insert_values("Seed", ["s"]).unwrap();
-    let mut config = ChaseConfig::semi_naive();
-    config.certificate = Some(certificate);
+    let config = ChaseConfig {
+        certificate: Some(certificate),
+        ..Default::default()
+    };
     let result = ChaseEngine::new(config).run(&program, &db);
     assert_eq!(result.termination, TerminationReason::Fixpoint);
     let c002 = result
@@ -297,7 +301,7 @@ fn chase_without_certificate_attaches_no_diagnostics() {
     let program = parse_program("B(x) :- A(x).\n").unwrap();
     let mut db = Database::new();
     db.insert_values("A", ["a"]).unwrap();
-    let result = ChaseEngine::new(ChaseConfig::semi_naive()).run(&program, &db);
+    let result = ChaseEngine::with_defaults().run(&program, &db);
     assert_eq!(result.termination, TerminationReason::Fixpoint);
     assert!(result.diagnostics.is_empty());
     assert!(result.profile.certificate.is_none());
@@ -383,8 +387,8 @@ proptest! {
 
     /// Soundness of the termination certificate: whenever the linter
     /// certifies a random program weakly acyclic, the restricted chase
-    /// reaches `Fixpoint` — with no diagnostics — on the naive, semi-naive
-    /// and parallel strategies alike.
+    /// reaches `Fixpoint` — with no diagnostics — on the naive driver and on
+    /// the semi-naive driver under every join kernel alike.
     #[test]
     fn certified_random_programs_always_reach_fixpoint(
         rules in proptest::collection::vec(arb_rule(), 1..5)
@@ -400,14 +404,20 @@ proptest! {
         db.insert_values("P", ["a"]).unwrap();
         db.insert_values("Q", ["a", "b"]).unwrap();
         db.insert_values("R", ["b", "a"]).unwrap();
-        for config in [
-            ChaseConfig::naive(),
-            ChaseConfig::semi_naive(),
-            ChaseConfig::parallel_with_threads(2),
-        ] {
-            let mut config = config;
-            config.certificate = Some(certificate.clone());
-            let result = ChaseEngine::new(config).run(&program, &db);
+        let certified = |join| {
+            ChaseEngine::new(ChaseConfig {
+                certificate: Some(certificate.clone()),
+                ..ChaseConfig::with_join(join)
+            })
+        };
+        let engines = [
+            certified(JoinEngine::Auto),
+            certified(JoinEngine::Hash),
+            certified(JoinEngine::Leapfrog),
+        ];
+        let results = std::iter::once(engines[0].run_naive(&program, &db))
+            .chain(engines.iter().map(|engine| engine.run(&program, &db)));
+        for result in results {
             prop_assert_eq!(
                 result.termination,
                 TerminationReason::Fixpoint,
