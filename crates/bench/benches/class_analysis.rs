@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ontodq_bench::compiled_hospital;
-use ontodq_datalog::{analysis, parse_program, Program};
+use ontodq_datalog::{parse_program, Program};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -30,10 +30,10 @@ fn bench_class_analysis(c: &mut Criterion) {
 
     let hospital = compiled_hospital();
     group.bench_function("classify_hospital_program", |b| {
-        b.iter(|| black_box(analysis::classify(black_box(&hospital.program))))
+        b.iter(|| black_box(ontodq_datalog::classify(black_box(&hospital.program))))
     });
     group.bench_function("separability_hospital_program", |b| {
-        b.iter(|| black_box(analysis::check_program(black_box(&hospital.program))))
+        b.iter(|| black_box(ontodq_datalog::check_program(black_box(&hospital.program))))
     });
 
     for &rules in &[10usize, 40, 160] {
@@ -41,7 +41,7 @@ fn bench_class_analysis(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("classify_synthetic", format!("rule_pairs={rules}")),
             &program,
-            |b, program| b.iter(|| black_box(analysis::classify(black_box(program)))),
+            |b, program| b.iter(|| black_box(ontodq_datalog::classify(black_box(program)))),
         );
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! navigation + thermometer guideline + nurse certification).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ontodq_core::clean_query::quality_answers;
+use ontodq_core::quality_answers;
 use ontodq_core::{assess, scenarios};
 use ontodq_mdm::fixtures::hospital;
 use std::hint::black_box;

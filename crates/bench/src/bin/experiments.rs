@@ -47,11 +47,10 @@
 
 use ontodq_bench::{compiled_hospital, compiled_hospital_with_discharge, upward_only_hospital};
 use ontodq_bench::{fmt_duration, MarkdownTable};
-use ontodq_core::clean_query::{plain_answers, quality_answers};
 use ontodq_core::{assess, scenarios};
-use ontodq_datalog::analysis;
+use ontodq_core::{plain_answers, quality_answers};
+use ontodq_mdm::compile;
 use ontodq_mdm::fixtures::hospital;
-use ontodq_mdm::{compile, navigation};
 use ontodq_qa::{answer_by_rewriting, ConjunctiveQuery, DeterministicWsqAns, MaterializedEngine};
 use ontodq_relational::{Tuple, Value};
 use ontodq_workload::{generate, HospitalScale};
@@ -393,7 +392,7 @@ fn fig1() {
     println!("{}", rels.render());
 
     let mut nav = MarkdownTable::new(["dimensional rule", "direction"]);
-    for (index, direction) in navigation::directions(&ontology) {
+    for (index, direction) in ontodq_mdm::directions(&ontology) {
         let label = ontology.rules()[index]
             .label
             .clone()
@@ -446,16 +445,16 @@ fn classes() {
     let base = compiled_hospital();
     table.row([
         "hospital (rules (7), (8), EGD (6))".to_string(),
-        analysis::classify(&base.program).to_string(),
-        analysis::check_program(&base.program)
+        ontodq_datalog::classify(&base.program).to_string(),
+        ontodq_datalog::check_program(&base.program)
             .all_separable()
             .to_string(),
     ]);
     let with10 = compiled_hospital_with_discharge();
     table.row([
         "hospital + form-(10) rule (9)".to_string(),
-        analysis::classify(&with10.program).to_string(),
-        analysis::check_program(&with10.program)
+        ontodq_datalog::classify(&with10.program).to_string(),
+        ontodq_datalog::check_program(&with10.program)
             .all_separable()
             .to_string(),
     ]);
@@ -466,8 +465,8 @@ fn classes() {
     let compiled = compile(&with_unit_egd);
     table.row([
         "hospital + rule (9) + unit-level EGD".to_string(),
-        analysis::classify(&compiled.program).to_string(),
-        analysis::check_program(&compiled.program)
+        ontodq_datalog::classify(&compiled.program).to_string(),
+        ontodq_datalog::check_program(&compiled.program)
             .all_separable()
             .to_string(),
     ]);
@@ -1436,10 +1435,10 @@ fn query_perf(scale: usize) {
 
 /// Microbenchmark of the columnar join engine, written to `BENCH_join.json`:
 ///
-/// 1. **Probe cost** — the materializing `select` (the row-oriented API
-///    edge: one `Tuple` allocation per matched row) vs the id-returning
-///    `select_ids_into` (the join-internal path: row ids into a reused
-///    buffer) over the skewed workload's hot-key relation.
+/// 1. **Probe cost** — `select_ids_into` with every match materialized
+///    through `row_tuple` (one `Tuple` allocation per matched row) vs the
+///    bare id-returning probe (the join-internal path: row ids into a
+///    reused buffer) over the skewed workload's hot-key relation.
 /// 2. **Join kernels** — the forced hash path vs the forced
 ///    worst-case-optimal path (and the `Auto` planner) chasing the cyclic
 ///    triangle program over Zipf-skewed and uniform edges, with the
@@ -1449,7 +1448,7 @@ fn query_perf(scale: usize) {
 ///    the `unsafe` a counting global allocator needs).
 fn join_bench(scale: usize) {
     use ontodq_chase::{ChaseConfig, ChaseEngine, JoinEngine};
-    use ontodq_relational::{counters, RelationInstance, RelationSchema, StampWindow};
+    use ontodq_relational::{JoinCounters, RelationInstance, RelationSchema, StampWindow};
     use ontodq_workload::{generate_skewed, SkewedScale};
 
     fn time_best<T>(runs: usize, mut f: impl FnMut() -> T) -> (std::time::Duration, T) {
@@ -1487,20 +1486,25 @@ fn join_bench(scale: usize) {
         .collect();
     let rounds = 64usize;
 
-    let before_rows = counters::snapshot();
+    let mut ids = Vec::new();
+    let before_rows = JoinCounters::snapshot();
     let (row_time, row_matched) = time_best(3, || {
         let mut matched = 0usize;
         for _ in 0..rounds {
             for key in &keys {
-                matched += relation.select(&[(0, key)]).len();
+                ids.clear();
+                relation.select_ids_into(&[(0, *key)], StampWindow::all(), &mut ids);
+                let rows: Vec<_> = ids.iter().map(|&r| relation.row_tuple(r)).collect();
+                matched += rows.len();
             }
         }
         matched
     });
-    let row_materialized = counters::snapshot().since(&before_rows).materializations;
+    let row_materialized = JoinCounters::snapshot()
+        .since(&before_rows)
+        .materializations;
 
-    let mut ids = Vec::new();
-    let before_ids = counters::snapshot();
+    let before_ids = JoinCounters::snapshot();
     let (id_time, id_matched) = time_best(3, || {
         let mut matched = 0usize;
         for _ in 0..rounds {
@@ -1512,7 +1516,7 @@ fn join_bench(scale: usize) {
         }
         matched
     });
-    let id_materialized = counters::snapshot().since(&before_ids).materializations;
+    let id_materialized = JoinCounters::snapshot().since(&before_ids).materializations;
     assert_eq!(row_matched, id_matched, "probe paths disagree on matches");
 
     let probes = rounds * keys.len();
@@ -1526,7 +1530,11 @@ fn join_bench(scale: usize) {
         "tuples materialized",
     ]);
     for (label, time, materialized) in [
-        ("select (materializing)", row_time, row_materialized),
+        (
+            "ids + row_tuple (materializing)",
+            row_time,
+            row_materialized,
+        ),
         ("select_ids_into (id-returning)", id_time, id_materialized),
     ] {
         probe_table.row([
@@ -1571,9 +1579,9 @@ fn join_bench(scale: usize) {
                     .run(&workload.program, &workload.database)
             };
             let (time, result) = time_best(3, run);
-            let before = counters::snapshot();
+            let before = JoinCounters::snapshot();
             let counted = run();
-            let delta = counters::snapshot().since(&before);
+            let delta = JoinCounters::snapshot().since(&before);
             let triggers = counted.stats.triggers_fired.max(1) as f64;
             let triangles = result
                 .database

@@ -16,8 +16,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod report;
+mod report;
 
 pub use report::{fmt_duration, MarkdownTable};
 

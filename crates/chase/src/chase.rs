@@ -14,9 +14,9 @@
 //! * the **semi-naive** driver ([`ChaseEngine::run`], [`ChaseEngine::resume`])
 //!   discovers each round's triggers by seeding the join from the *delta* of
 //!   each body atom — the rows stamped after the rule's previous evaluation
-//!   watermark (see [`ontodq_relational::RelationInstance::delta_since`] and
-//!   [`crate::eval::evaluate_delta`]).  Work per round is proportional to the
-//!   new tuples, not to the whole instance;
+//!   watermark (see [`ontodq_relational::StampWindow`] and
+//!   [`crate::eval::evaluate_delta_with`]).  Work per round is proportional
+//!   to the new tuples, not to the whole instance;
 //! * the **naive** driver ([`ChaseEngine::run_naive`], [`chase_naive`])
 //!   re-evaluates every rule body over the full instance every round — the
 //!   reference oracle the semi-naive driver is tested against (equivalence
@@ -27,7 +27,7 @@
 //! instance.  An EGD is violated only where it equates two distinct
 //! constants; a side holding a labeled null is unknown, not a violation.
 //! This is exact for *separable* EGDs, the only kind lint L105 admits
-//! (see `ontodq_datalog::analysis::separability`).
+//! (see `ontodq_datalog::separability`).
 //!
 //! For long-lived instances that receive update batches, the per-rule
 //! watermarks can be carried *across* chase runs: [`ChaseState`] +
@@ -42,11 +42,13 @@ use crate::eval::{
 };
 use crate::profile::{ChaseProfile, ChaseStats, DredTiming};
 use crate::violation::{EgdViolation, NcViolation, Violations};
-use ontodq_datalog::analysis::{magic_transform, DemandProgram};
+use ontodq_datalog::{magic_transform, DemandProgram};
 use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd};
 use ontodq_datalog::{Diagnostic, Severity, TerminationCertificate};
 use ontodq_obs::SharedClock;
-use ontodq_relational::{same_relation, Database, NullGenerator, RelationInstance, Tuple, Value};
+use ontodq_relational::{
+    same_relation, Database, NullGenerator, RelationInstance, StampWindow, Tuple, Value,
+};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -149,13 +151,7 @@ pub struct ChaseResult {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl ChaseResult {
-    /// `true` when the chase reached a fixpoint without observing any
-    /// violation — i.e. the instance is a model of the program.
-    pub fn is_consistent_model(&self) -> bool {
-        self.termination == TerminationReason::Fixpoint && self.violations.is_empty()
-    }
-}
+impl ChaseResult {}
 
 /// Statistics of one [`ChaseEngine::retract`] batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -607,20 +603,10 @@ impl ChaseEngine {
     }
 
     /// Replace the profiler's time source (see [`ontodq_obs::Clock`]) —
-    /// deterministic tests inject a frozen [`ontodq_obs::VirtualClock`].
+    /// deterministic tests inject [`ontodq_obs::frozen`].
     pub fn with_clock(mut self, clock: SharedClock) -> Self {
         self.clock = clock;
         self
-    }
-
-    /// The engine's clock.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ChaseConfig {
-        &self.config
     }
 
     /// A fresh per-rule profile honoring [`ChaseConfig::profile`].
@@ -1394,10 +1380,17 @@ impl ChaseEngine {
                                         })
                                         .collect();
                                     if let Ok(relation) = db.relation(&head.predicate) {
-                                        let refs: Vec<(usize, &Value)> =
-                                            bindings.iter().map(|(p, v)| (*p, v)).collect();
-                                        for grounded in relation.select(&refs) {
-                                            candidates.push((head.predicate.clone(), grounded));
+                                        let mut rows = Vec::new();
+                                        relation.select_ids_into(
+                                            &bindings,
+                                            StampWindow::all(),
+                                            &mut rows,
+                                        );
+                                        for row in rows {
+                                            candidates.push((
+                                                head.predicate.clone(),
+                                                relation.row_tuple(row),
+                                            ));
                                         }
                                     }
                                 }
@@ -1421,7 +1414,7 @@ impl ChaseEngine {
 
     /// **Demand-driven chase**: specialize `program` to `query` with the
     /// magic-set transformation
-    /// ([`ontodq_datalog::analysis::magic_transform`]) and chase only the
+    /// ([`ontodq_datalog::magic_transform`]) and chase only the
     /// fragment the query can observe.
     ///
     /// The input instance is pruned to the relevant relations, the magic
@@ -1447,7 +1440,7 @@ impl ChaseEngine {
     /// Run an already-computed [`DemandProgram`] (the reusable half of
     /// [`ChaseEngine::chase_for_query`], for callers that answer the same
     /// query shape against many instances).
-    pub fn chase_demand(&self, database: &Database, demand: &DemandProgram) -> ChaseResult {
+    pub(crate) fn chase_demand(&self, database: &Database, demand: &DemandProgram) -> ChaseResult {
         // Prune: the demand chase only ever reads the relevant relations.
         let names: Vec<&str> = demand.relevant.iter().map(String::as_str).collect();
         let mut db = database.restrict_to(&names);
@@ -1471,12 +1464,6 @@ impl ChaseEngine {
 /// configuration.
 pub fn chase(program: &Program, database: &Database) -> ChaseResult {
     ChaseEngine::with_defaults().run(program, database)
-}
-
-/// Convenience function: demand-driven chase of `program` restricted to
-/// `query` — see [`ChaseEngine::chase_for_query`].
-pub fn chase_on_demand(program: &Program, database: &Database, query: &Conjunction) -> ChaseResult {
-    ChaseEngine::with_defaults().chase_for_query(program, database, query)
 }
 
 /// Convenience function: run the restricted chase with the naive driver,
@@ -1636,7 +1623,10 @@ mod tests {
             .unwrap();
         for result in every_driver(&program, &db) {
             assert!(!result.violations.egd.is_empty());
-            assert!(!result.is_consistent_model());
+            assert!(
+                !(result.termination == TerminationReason::Fixpoint
+                    && result.violations.is_empty())
+            );
             let v = &result.violations.egd[0];
             let pair = (v.left, v.right);
             assert!(
@@ -1672,7 +1662,10 @@ mod tests {
         for result in every_driver(&program, &hospital_db()) {
             assert_eq!(result.violations.nc.len(), 1);
             assert_eq!(result.stats.nc_violations, 1);
-            assert!(!result.is_consistent_model());
+            assert!(
+                !(result.termination == TerminationReason::Fixpoint
+                    && result.violations.is_empty())
+            );
         }
     }
 
@@ -2117,7 +2110,7 @@ mod tests {
             "PatientUnit(u, d, p).",
         ] {
             let query = query_body(text);
-            let demanded = chase_on_demand(&program, &db, &query);
+            let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
             assert_eq!(
                 certain(&demanded.database, &query),
                 certain(&full.database, &query),
@@ -2134,7 +2127,7 @@ mod tests {
         let db = hospital_db();
         let full = chase(&program, &db);
         let query = query_body("PatientUnit(u, d, p), p = \"Lou Reed\".");
-        let demanded = chase_on_demand(&program, &db, &query);
+        let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
         // Only Lou Reed's two ward rows roll up; the full chase derives six.
         assert_eq!(demanded.stats.tuples_added, 2);
         assert_eq!(full.stats.tuples_added, 6);
@@ -2153,7 +2146,7 @@ mod tests {
         .unwrap();
         let db = hospital_db();
         let query = query_body("PatientUnit(u, d, p), p = \"Tom Waits\".");
-        let demanded = chase_on_demand(&program, &db, &query);
+        let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
         // The Shifts rule (and its null invention) never runs, and the
         // WorkingSchedules relation is not even copied.
         assert_eq!(demanded.stats.nulls_created, 0);
@@ -2174,7 +2167,7 @@ mod tests {
         }
         let full = chase(&program, &db);
         let query = query_body("T(s, y), s = \"a\".");
-        let demanded = chase_on_demand(&program, &db, &query);
+        let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
         assert_eq!(
             certain(&demanded.database, &query),
             certain(&full.database, &query)
@@ -2224,7 +2217,7 @@ mod tests {
         db.insert_values("Errors", ["bob"]).unwrap();
         let query = query_body("Good(p).");
         let full = chase(&program, &db);
-        let demanded = chase_on_demand(&program, &db, &query);
+        let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
         let expected = certain(&full.database, &query);
         assert_eq!(expected.len(), 1, "only alice is good");
         assert_eq!(certain(&demanded.database, &query), expected);
@@ -2427,7 +2420,8 @@ mod tests {
         )
         .unwrap();
         let query = query_body("PatientUnit(u, d, p).");
-        let demanded = chase_on_demand(&program, &hospital_db(), &query);
+        let demanded =
+            ChaseEngine::with_defaults().chase_for_query(&program, &hospital_db(), &query);
         // The full chase would flag every generated unit; the demand path
         // answers the query without auditing.
         assert!(demanded.violations.is_empty());

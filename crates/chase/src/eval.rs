@@ -13,7 +13,7 @@
 //! * [`evaluate`] joins over the **full** instance — the reference semantics
 //!   that the chase's naive mode and the query-answering algorithms in
 //!   `ontodq-qa` build on;
-//! * [`evaluate_delta`] is the **semi-naive** mode: it only returns
+//! * [`evaluate_delta_with`] is the **semi-naive** mode: it only returns
 //!   assignments in which at least one positive atom matches a row stamped
 //!   *after* a given epoch (the delta).  It runs one rotated join per body
 //!   position — position `i` restricted to the delta, positions before `i`
@@ -54,7 +54,7 @@ use ontodq_relational::{Database, RelationInstance, StampWindow, Value};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JoinEngine {
     /// Choose per conjunction: the worst-case-optimal path when the body
-    /// has ≥ 3 atoms sharing variables ([`plan_uses_wco`]), the hash path
+    /// has ≥ 3 atoms sharing variables (`plan_uses_wco`), the hash path
     /// otherwise.
     #[default]
     Auto,
@@ -73,7 +73,7 @@ pub enum JoinEngine {
 /// produce intermediate results asymptotically larger than the output
 /// (the triangle query is the canonical case); bodies below the threshold
 /// are small enough that the hash path's per-atom index probes win.
-pub fn plan_uses_wco(conjunction: &Conjunction, engine: JoinEngine) -> bool {
+pub(crate) fn plan_uses_wco(conjunction: &Conjunction, engine: JoinEngine) -> bool {
     match engine {
         JoinEngine::Hash => false,
         JoinEngine::Leapfrog => conjunction.atoms.len() >= 2,
@@ -239,12 +239,7 @@ pub fn evaluate_with(
 /// once, by the rotation of its first delta atom.  Negated atoms and
 /// comparisons are checked against the full instance, exactly as in
 /// [`evaluate`].
-pub fn evaluate_delta(db: &Database, conjunction: &Conjunction, floor: u64) -> Vec<Assignment> {
-    evaluate_delta_with(db, conjunction, floor, JoinEngine::Auto)
-}
-
-/// [`evaluate_delta`] with an explicit join-engine choice.
-pub fn evaluate_delta_with(
+pub(crate) fn evaluate_delta_with(
     db: &Database,
     conjunction: &Conjunction,
     floor: u64,
@@ -395,7 +390,11 @@ pub fn is_satisfiable(db: &Database, conjunction: &Conjunction) -> bool {
 /// Like [`evaluate`], but stops after `limit` assignments have been found.
 /// Always the hash path: early-exit workloads want the first answer fast,
 /// not a worst-case-optimal enumeration of all of them.
-pub fn evaluate_limited(db: &Database, conjunction: &Conjunction, limit: usize) -> Vec<Assignment> {
+pub(crate) fn evaluate_limited(
+    db: &Database,
+    conjunction: &Conjunction,
+    limit: usize,
+) -> Vec<Assignment> {
     let mut results = Vec::new();
     if limit == 0 {
         return results;
@@ -415,7 +414,7 @@ pub fn evaluate_limited(db: &Database, conjunction: &Conjunction, limit: usize) 
 /// Extend `assignment` so that all of `atoms` are satisfied; calls `found`
 /// for every complete extension.  Used both for body evaluation and for the
 /// restricted chase's "head already satisfied" check.
-pub fn extend_over_atoms(
+pub(crate) fn extend_over_atoms(
     db: &Database,
     atoms: &[&Atom],
     assignment: Assignment,
@@ -435,7 +434,7 @@ pub fn extend_over_atoms(
 }
 
 /// Is there any extension of `assignment` satisfying all of `atoms`?
-pub fn has_extension(db: &Database, atoms: &[&Atom], assignment: &Assignment) -> bool {
+pub(crate) fn has_extension(db: &Database, atoms: &[&Atom], assignment: &Assignment) -> bool {
     let planned: Vec<PlannedAtom> = atoms.iter().map(|a| PlannedAtom::unrestricted(a)).collect();
     let resolved = match resolve(db, &planned) {
         Some(r) => r,
@@ -555,7 +554,7 @@ pub fn evaluate_project(
 /// The `(relation, position)` pairs of a conjunction that an equality join
 /// or a constant selection can probe: positions holding a constant, or a
 /// variable that also occurs elsewhere in the conjunction's positive part.
-pub fn index_positions(conjunction: &Conjunction) -> Vec<(String, usize)> {
+pub(crate) fn index_positions(conjunction: &Conjunction) -> Vec<(String, usize)> {
     use std::collections::HashMap;
     let mut occurrences: HashMap<&str, usize> = HashMap::new();
     // Negated atoms join too: each is probed once per satisfying assignment
@@ -586,7 +585,7 @@ pub fn index_positions(conjunction: &Conjunction) -> Vec<(String, usize)> {
     out
 }
 
-/// Build the hash indexes [`index_positions`] suggests for `conjunction`,
+/// Build the hash indexes `index_positions` suggests for `conjunction`,
 /// skipping relations that do not exist (or whose arity disagrees) and
 /// positions already indexed.  Indexes built here are maintained
 /// incrementally by `ontodq-relational` on every subsequent insert, so the
@@ -938,7 +937,7 @@ mod tests {
         let db = hospital_db();
         // All rows are stamped 0 and the floor is below them only when we
         // compare against an epoch that precedes every insert; since stamps
-        // start at 0, evaluate_delta over a fresh database needs the
+        // start at 0, evaluate_delta_with over a fresh database needs the
         // pre-insert watermark.  Advance the epoch and re-insert to get a
         // clean split instead.
         let full: std::collections::BTreeSet<String> = evaluate(&db, &rule7_body())
@@ -952,17 +951,18 @@ mod tests {
                 db2.insert(rel.name(), t).unwrap();
             }
         }
-        let delta: std::collections::BTreeSet<String> = evaluate_delta(&db2, &rule7_body(), 0)
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
+        let delta: std::collections::BTreeSet<String> =
+            evaluate_delta_with(&db2, &rule7_body(), 0, JoinEngine::Auto)
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
         assert_eq!(full, delta);
     }
 
     #[test]
     fn delta_after_current_epoch_is_empty() {
         let db = hospital_db();
-        assert!(evaluate_delta(&db, &rule7_body(), db.epoch()).is_empty());
+        assert!(evaluate_delta_with(&db, &rule7_body(), db.epoch(), JoinEngine::Auto).is_empty());
     }
 
     #[test]
@@ -977,7 +977,7 @@ mod tests {
         // One new UnitWard row re-parents nothing (fresh ward) but pairs
         // with no PatientWard rows.
         db.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
-        let delta = evaluate_delta(&db, &rule7_body(), watermark);
+        let delta = evaluate_delta_with(&db, &rule7_body(), watermark, JoinEngine::Auto);
         assert_eq!(delta.len(), 1);
         assert_eq!(
             delta[0].get(&Variable::new("p")),
@@ -997,7 +997,7 @@ mod tests {
         db.insert_values("PatientWard", ["W9", "Sep/9", "Nick Cave"])
             .unwrap();
         db.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
-        let delta = evaluate_delta(&db, &rule7_body(), watermark);
+        let delta = evaluate_delta_with(&db, &rule7_body(), watermark, JoinEngine::Auto);
         let nicks: Vec<_> = delta
             .iter()
             .filter(|a| a.get(&Variable::new("p")) == Some(&Value::str("Nick Cave")))
@@ -1024,7 +1024,7 @@ mod tests {
             .map(|a| a.to_string())
             .collect();
         let delta: std::collections::BTreeSet<String> =
-            evaluate_delta(&db, &rule7_body(), watermark)
+            evaluate_delta_with(&db, &rule7_body(), watermark, JoinEngine::Auto)
                 .iter()
                 .map(|a| a.to_string())
                 .collect();
@@ -1047,7 +1047,7 @@ mod tests {
             CompareOp::Eq,
             Term::constant("Nick Cave"),
         ));
-        let delta = evaluate_delta(&db, &conj, watermark);
+        let delta = evaluate_delta_with(&db, &conj, watermark, JoinEngine::Auto);
         assert_eq!(delta.len(), 1);
     }
 

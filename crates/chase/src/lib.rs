@@ -9,36 +9,34 @@
 //! introducing labeled nulls; dimensional constraints (EGDs and negative
 //! constraints) restrict the admissible instances.  This crate provides:
 //!
-//! * [`eval`] — evaluation of rule bodies / conjunctive queries over a
+//! * `eval` — evaluation of rule bodies / conjunctive queries over a
 //!   [`ontodq_relational::Database`] (the reference semantics reused by the
 //!   query-answering algorithms in `ontodq-qa`),
-//! * [`mod@chase`] — the restricted chase of the TGDs (a semi-naive driver,
+//! * `chase` — the restricted chase of the TGDs (a semi-naive driver,
 //!   and the naive driver kept as its reference oracle), with EGDs and
 //!   negative constraints checked (never applied) on the result, and
 //!   delete-and-rederive retraction ([`ChaseEngine::retract`]),
-//! * [`violation`] and [`profile`] — structured reports of what the chase
+//! * `violation` and `profile` — structured reports of what the chase
 //!   found and did ([`ChaseStats`]) and where its time went
 //!   ([`ChaseProfile`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod chase;
-pub mod eval;
-pub mod profile;
-pub mod violation;
-pub mod wco;
+mod chase;
+mod eval;
+mod profile;
+mod violation;
+mod wco;
 
 pub use chase::{
-    chase, chase_incremental, chase_naive, chase_on_demand, ensure_demand_indexes,
-    ensure_rule_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
-    RetractStats, TerminationReason,
+    chase, chase_incremental, chase_naive, ensure_demand_indexes, ensure_rule_indexes, ChaseConfig,
+    ChaseEngine, ChaseResult, ChaseState, RetractResult, RetractStats, TerminationReason,
 };
 pub use eval::{
-    ensure_indexes, evaluate, evaluate_delta, evaluate_delta_with, evaluate_limited,
-    evaluate_project, evaluate_with, has_extension, index_positions, is_satisfiable, plan_uses_wco,
-    JoinEngine,
+    ensure_indexes, evaluate, evaluate_project, evaluate_with, is_satisfiable, JoinEngine,
 };
 pub use profile::{ChaseProfile, ChaseStats, DredTiming, RuleProfile};
 pub use violation::{EgdViolation, NcViolation, Violations};

@@ -36,9 +36,9 @@ pub struct ChaseStats {
     /// Number of fresh labeled nulls invented.
     pub nulls_created: usize,
     /// Number of hard EGD violations (two distinct constants equated).
-    pub egd_violations: usize,
+    pub(crate) egd_violations: usize,
     /// Number of negative-constraint violations observed.
-    pub nc_violations: usize,
+    pub(crate) nc_violations: usize,
 }
 
 impl fmt::Display for ChaseStats {
@@ -77,9 +77,9 @@ pub struct RuleProfile {
     /// Cumulative trigger-discovery (join) time, in microseconds.
     pub join_micros: u64,
     /// Evaluations that took the hash-join kernel.
-    pub hash_evals: u64,
+    pub(crate) hash_evals: u64,
     /// Evaluations that took the worst-case-optimal (leapfrog) kernel.
-    pub wco_evals: u64,
+    pub(crate) wco_evals: u64,
 }
 
 impl RuleProfile {
@@ -166,7 +166,7 @@ impl ChaseProfile {
 
     /// An enabled profile with one zeroed [`RuleProfile`] per `labels`
     /// entry.
-    pub fn for_rules(labels: Vec<String>) -> Self {
+    pub(crate) fn for_rules(labels: Vec<String>) -> Self {
         Self {
             enabled: true,
             rules: labels

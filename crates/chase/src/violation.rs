@@ -13,13 +13,13 @@ pub struct EgdViolation {
     /// Index of the EGD in the program.
     pub egd_index: usize,
     /// Optional label of the EGD.
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// Value of the left-hand head variable.
     pub left: Value,
     /// Value of the right-hand head variable.
     pub right: Value,
     /// The body assignment that witnessed the violation.
-    pub witness: Assignment,
+    pub(crate) witness: Assignment,
 }
 
 impl fmt::Display for EgdViolation {
@@ -42,7 +42,7 @@ pub struct NcViolation {
     /// Index of the constraint in the program.
     pub constraint_index: usize,
     /// Optional label of the constraint.
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// The body assignment that witnessed the violation.
     pub witness: Assignment,
 }

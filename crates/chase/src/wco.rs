@@ -34,7 +34,7 @@
 
 use crate::eval::{Binder, ResolvedAtom};
 use ontodq_datalog::{Term, Variable};
-use ontodq_relational::{counters, intersect_sorted, FxHashSet, Value};
+use ontodq_relational::{intersect_sorted, record_wco_seek, FxHashSet, Value};
 
 /// A per-atom candidate set of row ids, always sorted ascending.
 enum Cand {
@@ -219,7 +219,7 @@ fn enumerate(
 /// one exists on the first position (clamped/intersected by galloping);
 /// falls back to a column filter otherwise.
 fn restrict(ra: &ResolvedAtom, cand: &Cand, positions: &[usize], value: Value) -> Cand {
-    counters::record_wco_seek();
+    record_wco_seek();
     let first = positions[0];
     let mut ids: Vec<u32> = match (ra.relation.index(first), cand) {
         (Some(index), Cand::Range(lo, hi)) => {

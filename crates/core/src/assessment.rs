@@ -12,7 +12,7 @@ use crate::metrics::{QualityMetrics, RelationQuality};
 use ontodq_chase::{
     ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
 };
-use ontodq_datalog::{lint_with, Diagnostic, LintReport, Program};
+use ontodq_datalog::{lint_with, LintReport, Program};
 use ontodq_mdm::compile;
 use ontodq_relational::{same_relation, Database, RelationInstance, RelationSchema, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,8 +31,6 @@ pub struct AssessmentResult {
     pub metrics: QualityMetrics,
     /// The chase result (statistics, violations, profile).
     pub chase: ChaseResult,
-    /// The combined Datalog± program that was chased (ontology + context).
-    pub program: Program,
 }
 
 impl AssessmentResult {
@@ -43,12 +41,6 @@ impl AssessmentResult {
             .relation(relation)
             .map(|r| r.tuples().to_vec())
             .unwrap_or_default()
-    }
-
-    /// `true` when the context's constraints were not violated by the
-    /// contextual instance.
-    pub fn is_consistent(&self) -> bool {
-        self.chase.violations.is_empty()
     }
 }
 
@@ -73,7 +65,6 @@ pub fn assess(context: &Context, instance: &Database) -> AssessmentResult {
         quality_database,
         metrics,
         chase,
-        program,
     }
 }
 
@@ -103,11 +94,12 @@ pub fn compile_context(context: &Context, instance: &Database) -> (Program, Data
         }
     }
 
-    // 3. External sources become part of the contextual instance.  Schema
-    //    conflicts were already rejected by `ContextBuilder::build`.
-    database
-        .merge(&context.external_sources)
-        .expect("external sources merge into the contextual instance");
+    // 3. External sources become part of the contextual instance.
+    //    `ContextBuilder::build` refused every external relation whose arity
+    //    differs from the ontology's or that shadows a contextual copy, so
+    //    the merge only adds relations or unions same-arity ones: it has no
+    //    error left to report.
+    let _ = database.merge(&context.external_sources);
 
     // 4. The context's own rules (contextual predicates, quality predicates,
     //    quality versions) join the program.
@@ -119,7 +111,7 @@ pub fn compile_context(context: &Context, instance: &Database) -> (Program, Data
 /// Statically analyse the compiled program of `context` over `instance`:
 /// run `ontodq-lint` with the deployment knowledge only the pipeline has —
 /// the extensional relations the pre-chase contextual instance actually
-/// provides, and the context's [`Context::goal_predicates`] as the
+/// provides, and the context's goal predicates (its quality predicates and versions) as the
 /// reachability goals.
 ///
 /// The report's [`ontodq_datalog::TerminationCertificate`] is what
@@ -160,7 +152,7 @@ fn lint_compiled(context: &Context, program: &Program, database: &Database) -> L
 ///
 /// Exposed so long-lived services (`ontodq-server`) can re-extract after an
 /// incremental re-chase without re-running the whole pipeline.
-pub fn extract_quality(
+pub(crate) fn extract_quality(
     context: &Context,
     instance: &Database,
     chased: &Database,
@@ -280,8 +272,6 @@ struct Extracted {
 struct ChaseSummary {
     stats: ontodq_chase::ChaseStats,
     violations: ontodq_chase::Violations,
-    termination: ontodq_chase::TerminationReason,
-    diagnostics: Vec<Diagnostic>,
 }
 
 impl ChaseSummary {
@@ -289,8 +279,6 @@ impl ChaseSummary {
         Self {
             stats: result.stats.clone(),
             violations: result.violations.clone(),
-            termination: result.termination,
-            diagnostics: result.diagnostics.clone(),
         }
     }
 }
@@ -380,27 +368,10 @@ impl ResumableAssessment {
     /// watermark vectors line up with the recompiled rule positions.  The
     /// caller then folds any write-ahead-log tail in through the regular
     /// [`ResumableAssessment::insert_batch`] path, each batch paying only an
-    /// incremental re-chase.
+    /// incremental re-chase.  `clock` times the profiler.
     ///
     /// The last-step statistics start out empty (the step that produced the
     /// persisted state ran in another process).
-    pub fn restore(
-        context: Context,
-        instance: Database,
-        state: ChaseState,
-        batches_applied: u64,
-    ) -> Self {
-        Self::restore_with_clock(
-            context,
-            instance,
-            state,
-            batches_applied,
-            ontodq_obs::monotonic(),
-        )
-    }
-
-    /// Like [`ResumableAssessment::restore`] with an injected profiler
-    /// clock.
     pub fn restore_with_clock(
         context: Context,
         instance: Database,
@@ -437,8 +408,6 @@ impl ResumableAssessment {
             last: ChaseSummary {
                 stats: ontodq_chase::ChaseStats::default(),
                 violations: ontodq_chase::Violations::default(),
-                termination: ontodq_chase::TerminationReason::Fixpoint,
-                diagnostics: Vec::new(),
             },
             batches_applied,
             profile: ontodq_chase::ChaseProfile::disabled(),
@@ -447,14 +416,9 @@ impl ResumableAssessment {
         }
     }
 
-    /// The context being assessed against.
-    pub fn context(&self) -> &Context {
-        &self.context
-    }
-
     /// The resumable chase state (chased contextual instance, per-rule epoch
     /// watermarks, null counter) — what persistence layers serialize, and
-    /// what [`ResumableAssessment::restore`] takes back.
+    /// what [`ResumableAssessment::restore_with_clock`] takes back.
     pub fn state(&self) -> &ChaseState {
         &self.state
     }
@@ -531,11 +495,6 @@ impl ResumableAssessment {
     /// Violations observed by the most recent chase step.
     pub fn last_violations(&self) -> &ontodq_chase::Violations {
         &self.last.violations
-    }
-
-    /// Why the most recent chase step stopped.
-    pub fn last_termination(&self) -> ontodq_chase::TerminationReason {
-        self.last.termination
     }
 
     /// Number of update batches folded in since construction.
@@ -739,7 +698,7 @@ impl ResumableAssessment {
 
     /// Extract the current quality versions and metrics (steps 6–7 of the
     /// pipeline) from the live chased instance — the same result as
-    /// [`extract_quality`], but only the assessed relations whose original
+    /// `extract_quality`, but only the assessed relations whose original
     /// or `…_q` relation changed since the previous call are recomputed;
     /// the rest are carried forward (shared, not copied).
     pub fn extract(&mut self) -> (Database, QualityMetrics) {
@@ -770,33 +729,26 @@ impl ResumableAssessment {
             self.extracted.metrics.clone(),
         )
     }
-
-    /// Package the current state as a full [`AssessmentResult`], equivalent
-    /// (up to labeled-null renaming and chase statistics) to re-running
-    /// [`assess`] over the accumulated instance.
-    pub fn assessment(&self) -> AssessmentResult {
-        let (quality_database, metrics) =
-            extract_quality(&self.context, &self.instance, self.state.database());
-        AssessmentResult {
-            contextual_instance: self.state.database().clone(),
-            quality_database,
-            metrics,
-            chase: ChaseResult {
-                database: self.state.database().clone(),
-                stats: self.last.stats.clone(),
-                violations: self.last.violations.clone(),
-                termination: self.last.termination,
-                profile: self.profile.clone(),
-                diagnostics: self.last.diagnostics.clone(),
-            },
-            program: self.program.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ResumableAssessment {
+        /// The current quality versions and metrics, as [`assess`] over the
+        /// accumulated instance reports them.
+        fn assessment(&self) -> (Database, QualityMetrics) {
+            extract_quality(&self.context, &self.instance, self.state.database())
+        }
+    }
+
+    fn tuples(quality: &Database, relation: &str) -> Vec<Tuple> {
+        quality
+            .relation(relation)
+            .map(|r| r.tuples().to_vec())
+            .unwrap_or_default()
+    }
     use crate::scenarios::hospital_context;
     use ontodq_mdm::fixtures::hospital;
     use ontodq_relational::Value;
@@ -863,7 +815,7 @@ mod tests {
         assert!(result.chase.stats.tuples_added > 0);
         // The closed-intensive-unit constraint flags the Sep/7 tuple, so the
         // contextual instance is not violation-free.
-        assert!(!result.is_consistent());
+        assert!(!result.chase.violations.is_empty());
         assert_eq!(result.chase.violations.nc.len(), 1);
     }
 
@@ -894,10 +846,10 @@ mod tests {
         let resumable = ResumableAssessment::new(context, instance);
         let snap = resumable.assessment();
         assert_eq!(
-            snap.quality_tuples("Measurements"),
+            tuples(&snap.0, "Measurements"),
             batch.quality_tuples("Measurements")
         );
-        assert_eq!(snap.metrics.relations, batch.metrics.relations);
+        assert_eq!(snap.1.relations, batch.metrics.relations);
     }
 
     #[test]
@@ -910,10 +862,7 @@ mod tests {
         let all: Vec<Tuple> = full.relation("Measurements").unwrap().tuples().to_vec();
 
         let mut resumable = ResumableAssessment::new(context.clone(), Database::new());
-        assert!(resumable
-            .assessment()
-            .quality_tuples("Measurements")
-            .is_empty());
+        assert!(tuples(&resumable.assessment().0, "Measurements").is_empty());
 
         let (first, second) = all.split_at(all.len() / 2);
         for batch in [first, second] {
@@ -930,13 +879,13 @@ mod tests {
 
         let scratch = assess(&context, &full);
         let snap = resumable.assessment();
-        let mut incremental = snap.quality_tuples("Measurements");
+        let mut incremental = tuples(&snap.0, "Measurements");
         let mut from_scratch = scratch.quality_tuples("Measurements");
         incremental.sort();
         from_scratch.sort();
         assert_eq!(incremental, from_scratch);
         assert_eq!(
-            snap.metrics.relations.get("Measurements"),
+            snap.1.relations.get("Measurements"),
             scratch.metrics.relations.get("Measurements")
         );
     }
@@ -957,7 +906,7 @@ mod tests {
         let mut survivors = full.clone();
         survivors.delete("Measurements", &victim);
         let scratch = assess(&context, &survivors);
-        let mut incremental = resumable.assessment().quality_tuples("Measurements");
+        let mut incremental = tuples(&resumable.assessment().0, "Measurements");
         let mut from_scratch = scratch.quality_tuples("Measurements");
         incremental.sort();
         from_scratch.sort();
@@ -1006,7 +955,7 @@ mod tests {
             }
         }
         let scratch = assess(&context, &survivors);
-        let mut incremental = resumable.assessment().quality_tuples("Measurements");
+        let mut incremental = tuples(&resumable.assessment().0, "Measurements");
         let mut from_scratch = scratch.quality_tuples("Measurements");
         incremental.sort();
         from_scratch.sort();
@@ -1062,7 +1011,7 @@ mod tests {
             survivors.delete("Measurements", t);
         }
         let scratch = assess(&context, &survivors);
-        let mut incremental = resumable.assessment().quality_tuples("Measurements");
+        let mut incremental = tuples(&resumable.assessment().0, "Measurements");
         let mut from_scratch = scratch.quality_tuples("Measurements");
         incremental.sort();
         from_scratch.sort();
@@ -1123,11 +1072,12 @@ mod tests {
         )])
         .unwrap();
 
-        let mut restored = ResumableAssessment::restore(
+        let mut restored = ResumableAssessment::restore_with_clock(
             context,
             live.instance().clone(),
             live.state().clone(),
             live.batches_applied(),
+            ontodq_obs::monotonic(),
         );
         assert_eq!(restored.batches_applied(), 1);
         assert_eq!(
@@ -1217,11 +1167,12 @@ mod tests {
             ]),
         )])
         .unwrap();
-        let restored = ResumableAssessment::restore(
+        let restored = ResumableAssessment::restore_with_clock(
             context,
             live.instance().clone(),
             live.state().clone(),
             live.batches_applied(),
+            ontodq_obs::monotonic(),
         );
         let q = ConjunctiveQuery::parse("Q(t, p, v) :- Measurements(t, p, v).").unwrap();
         assert_eq!(restored.answer_on_demand(&q), live.answer_on_demand(&q));

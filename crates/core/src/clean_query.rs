@@ -65,7 +65,7 @@ pub fn plain_answers(instance: &Database, query: &ConjunctiveQuery) -> AnswerSet
 /// context is compiled over `instance`, the query is rewritten to the
 /// quality versions, and only the fragment of the contextual ontology the
 /// query can observe is chased (the magic-set transformation of
-/// [`ontodq_datalog::analysis::magic_transform`], driven through
+/// [`ontodq_datalog::magic_transform`], driven through
 /// [`ontodq_chase::ChaseEngine::chase_for_query`]).
 ///
 /// The answers equal [`quality_answers`] over a full [`crate::assess`] run;
@@ -80,16 +80,6 @@ pub fn quality_answers_on_demand(
     let (program, database) = crate::assessment::compile_context(context, instance);
     let rewritten = rewrite_to_quality(context, query);
     ontodq_qa::certain_answers_on_demand(&program, &database, &rewritten)
-}
-
-/// One-shot helper: assess and answer in a single call.
-pub fn assess_and_answer(
-    context: &Context,
-    instance: &Database,
-    query: &ConjunctiveQuery,
-) -> AnswerSet {
-    let assessment = crate::assessment::assess(context, instance);
-    quality_answers(context, &assessment, query)
 }
 
 #[cfg(test)]
@@ -156,7 +146,7 @@ mod tests {
         let instance = hospital::measurements_database();
         let q = ConjunctiveQuery::parse("Q(t, p, v) :- Measurements(t, p, v), p = \"Tom Waits\".")
             .unwrap();
-        let answers = assess_and_answer(&context, &instance, &q);
+        let answers = quality_answers(&context, &assess(&context, &instance), &q);
         let expected: Vec<Tuple> = hospital::expected_quality_measurements();
         assert_eq!(answers.len(), expected.len());
         for t in expected {

@@ -46,7 +46,9 @@ pub enum ContextError {
         /// What it parsed to instead.
         parsed: String,
     },
-    /// Two external sources disagreed on a relation schema.
+    /// An external source cannot join the contextual instance: two sources
+    /// disagree on a relation schema, or an external relation conflicts
+    /// with the ontology's relation or a contextual copy of that name.
     ExternalSourceConflict(String),
     /// The compiled program failed static analysis: `ontodq-lint` reported
     /// error-severity diagnostics (unsafe rules, arity clashes, …).  Carries
@@ -86,7 +88,7 @@ impl std::error::Error for ContextError {}
 
 /// How a relation of the instance under assessment enters the context.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaMapping {
+pub(crate) enum SchemaMapping {
     /// The relation is copied verbatim into a contextual relation (a
     /// "nickname"); the paper's `Measurements ↦ Measurements^c`.
     Copy {
@@ -100,7 +102,7 @@ pub enum SchemaMapping {
 impl SchemaMapping {
     /// The default contextual copy mapping for `relation`, using the paper's
     /// `R ↦ R_c` naming.
-    pub fn copy_of(relation: &str) -> Self {
+    pub(crate) fn copy_of(relation: &str) -> Self {
         SchemaMapping::Copy {
             original: relation.to_string(),
             contextual: format!("{relation}_c"),
@@ -108,14 +110,14 @@ impl SchemaMapping {
     }
 
     /// The original relation name.
-    pub fn original(&self) -> &str {
+    pub(crate) fn original(&self) -> &str {
         match self {
             SchemaMapping::Copy { original, .. } => original,
         }
     }
 
     /// The contextual relation name.
-    pub fn contextual(&self) -> &str {
+    pub(crate) fn contextual(&self) -> &str {
         match self {
             SchemaMapping::Copy { contextual, .. } => contextual,
         }
@@ -141,41 +143,41 @@ pub struct QualityPredicate {
     /// Predicate name (e.g. `TakenWithTherm`).
     pub name: String,
     /// Defining rules (their heads use `name`).
-    pub rules: Vec<Tgd>,
+    pub(crate) rules: Vec<Tgd>,
     /// Human-readable statement of the quality requirement it captures.
     pub description: String,
 }
 
 /// The definition of the quality version `S^q` of one original relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QualityVersionSpec {
+pub(crate) struct QualityVersionSpec {
     /// The original relation name `S`.
-    pub original: String,
+    pub(crate) original: String,
     /// The name of the quality-version predicate (default `S_q`).
-    pub quality_name: String,
+    pub(crate) quality_name: String,
     /// The rules defining the quality version.
-    pub rules: Vec<Tgd>,
+    pub(crate) rules: Vec<Tgd>,
 }
 
 /// A context for data quality assessment.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
     /// Context name, for diagnostics.
-    pub name: String,
+    pub(crate) name: String,
     /// Mappings from the instance under assessment into the context.
-    pub mappings: Vec<SchemaMapping>,
+    pub(crate) mappings: Vec<SchemaMapping>,
     /// The multidimensional ontology `M`.
-    pub ontology: MdOntology,
+    pub(crate) ontology: MdOntology,
     /// Rules defining additional contextual predicates (e.g. the expanded
     /// `Measurements'` relation).
-    pub contextual_rules: Vec<Tgd>,
+    pub(crate) contextual_rules: Vec<Tgd>,
     /// Quality predicates `P_i`.
     pub quality_predicates: Vec<QualityPredicate>,
     /// Quality-version definitions, keyed by original relation name.
-    pub quality_versions: BTreeMap<String, QualityVersionSpec>,
+    pub(crate) quality_versions: BTreeMap<String, QualityVersionSpec>,
     /// External sources `E_i` (extra extensional data available to the
     /// context).
-    pub external_sources: Database,
+    pub(crate) external_sources: Database,
 }
 
 impl Context {
@@ -192,7 +194,7 @@ impl Context {
 
     /// The quality-version predicate name for `relation` (`{relation}_q` by
     /// default, or whatever the spec declares).
-    pub fn quality_name_of(&self, relation: &str) -> String {
+    pub(crate) fn quality_name_of(&self, relation: &str) -> String {
         self.quality_versions
             .get(relation)
             .map(|spec| spec.quality_name.clone())
@@ -211,7 +213,7 @@ impl Context {
     /// every quality-version predicate `S_i^q` — the outputs an assessment
     /// extracts.  The linter's reachability analysis treats rules outside
     /// the cone of these goals as unreachable.
-    pub fn goal_predicates(&self) -> Vec<String> {
+    pub(crate) fn goal_predicates(&self) -> Vec<String> {
         let mut goals: Vec<String> = self
             .quality_predicates
             .iter()
@@ -230,7 +232,7 @@ impl Context {
     /// All rules contributed by the context itself (contextual rules, quality
     /// predicates, quality versions) — the ontology's rules are added
     /// separately during assessment.
-    pub fn context_rules(&self) -> Vec<Tgd> {
+    pub(crate) fn context_rules(&self) -> Vec<Tgd> {
         let mut rules = self.contextual_rules.clone();
         for qp in &self.quality_predicates {
             rules.extend(qp.rules.iter().cloned());
@@ -278,16 +280,6 @@ impl ContextBuilder {
     /// `{relation}_c`.
     pub fn copy_relation(mut self, relation: &str) -> Self {
         self.context.mappings.push(SchemaMapping::copy_of(relation));
-        self
-    }
-
-    /// Map `relation` into the context as a copy with an explicit contextual
-    /// name.
-    pub fn copy_relation_as(mut self, relation: &str, contextual: &str) -> Self {
-        self.context.mappings.push(SchemaMapping::Copy {
-            original: relation.to_string(),
-            contextual: contextual.to_string(),
-        });
         self
     }
 
@@ -356,13 +348,46 @@ impl ContextBuilder {
     ///
     /// # Errors
     /// Returns the first error accumulated while building — a malformed rule
-    /// text, a non-TGD rule, or an external-source schema conflict.
+    /// text, a non-TGD rule, or an external-source schema conflict: two
+    /// sources disagreeing on a relation, an external relation whose arity
+    /// differs from the ontology's relation of that name, or one that
+    /// shadows a contextual copy.
     pub fn build(mut self) -> Result<Context, ContextError> {
-        if self.errors.is_empty() {
-            Ok(self.context)
-        } else {
-            Err(self.errors.remove(0))
+        if !self.errors.is_empty() {
+            return Err(self.errors.remove(0));
         }
+        self.context.check_external_sources()?;
+        Ok(self.context)
+    }
+}
+
+impl Context {
+    /// Refuse external relations that cannot merge into the compiled
+    /// contextual instance, so that `compile_context` only ever unions
+    /// same-arity relations.
+    fn check_external_sources(&self) -> Result<(), ContextError> {
+        let arities = self.ontology.relation_arities();
+        for name in self.external_sources.relation_names() {
+            let Ok(relation) = self.external_sources.relation(name) else {
+                continue;
+            };
+            let arity = relation.schema().arity();
+            if let Some(&expected) = arities.get(name) {
+                if expected != arity {
+                    return Err(ContextError::ExternalSourceConflict(format!(
+                        "external relation '{name}' has arity {arity}, \
+                         the ontology's has arity {expected}"
+                    )));
+                }
+            }
+            if let Some(mapping) = self.mappings.iter().find(|m| m.contextual() == name) {
+                return Err(ContextError::ExternalSourceConflict(format!(
+                    "external relation '{name}' shadows the contextual copy of '{}'",
+                    mapping.original()
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -451,11 +476,12 @@ mod tests {
         external
             .insert_values("NurseRegistry", ["Helen", "cert."])
             .unwrap();
-        let ctx = Context::builder("ctx")
-            .copy_relation_as("Measurements", "MeasurementsContextCopy")
-            .external_source(external)
-            .build()
-            .unwrap();
+        let mut builder = Context::builder("ctx");
+        builder.context.mappings.push(SchemaMapping::Copy {
+            original: "Measurements".to_string(),
+            contextual: "MeasurementsContextCopy".to_string(),
+        });
+        let ctx = builder.external_source(external).build().unwrap();
         assert_eq!(
             ctx.contextual_name_of("Measurements"),
             Some("MeasurementsContextCopy")

@@ -10,13 +10,12 @@
 //! ontology (`ontodq-mdm`), quality predicates, quality-version definitions
 //! and external sources.  [`assess`] compiles everything into a single
 //! Datalog± program, chases it (`ontodq-chase`), and extracts the quality
-//! versions `D^q`; [`clean_query::quality_answers`] rewrites queries over the
+//! versions `D^q`; [`quality_answers`] rewrites queries over the
 //! original relations into queries over the quality versions — the paper's
 //! *quality query answering*.
 //!
 //! ```
-//! use ontodq_core::{assess, scenarios};
-//! use ontodq_core::clean_query::{plain_answers, quality_answers};
+//! use ontodq_core::{assess, plain_answers, quality_answers, scenarios};
 //! use ontodq_mdm::fixtures::hospital;
 //!
 //! // The paper's running example end to end: Table I in, Table II out.
@@ -32,23 +31,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod assessment;
-pub mod clean_query;
-pub mod context;
-pub mod metrics;
-pub mod report;
+mod assessment;
+mod clean_query;
+mod context;
+mod metrics;
 pub mod scenarios;
 
 pub use assessment::{
     assess, compile_context, lint_context, AssessmentResult, BatchOutcome, ResumableAssessment,
 };
 pub use clean_query::{
-    assess_and_answer, plain_answers, quality_answers, quality_answers_on_demand,
-    rewrite_to_quality,
+    plain_answers, quality_answers, quality_answers_on_demand, rewrite_to_quality,
 };
-pub use context::{
-    Context, ContextBuilder, ContextError, QualityPredicate, QualityVersionSpec, SchemaMapping,
-};
+pub use context::{Context, ContextBuilder, ContextError, QualityPredicate};
 pub use metrics::{QualityMetrics, RelationQuality};
-pub use report::QualityReport;

@@ -12,7 +12,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationQuality {
     /// Relation name.
-    pub relation: String,
+    pub(crate) relation: String,
     /// |D| — tuples in the original relation.
     pub original_count: usize,
     /// |D^q| — tuples in the quality version.
@@ -25,12 +25,12 @@ pub struct RelationQuality {
     /// the context *completes* data rather than only filtering it).
     pub added: usize,
     /// The rejected tuples themselves (for reporting and cleaning).
-    pub rejected_tuples: Vec<Tuple>,
+    pub(crate) rejected_tuples: Vec<Tuple>,
 }
 
 impl RelationQuality {
     /// Compare an original relation with its quality version.
-    pub fn compare(relation: &str, original: &[Tuple], quality: &[Tuple]) -> Self {
+    pub(crate) fn compare(relation: &str, original: &[Tuple], quality: &[Tuple]) -> Self {
         let quality_set: HashSet<&Tuple> = quality.iter().collect();
         let original_set: HashSet<&Tuple> = original.iter().collect();
         let retained = original.iter().filter(|t| quality_set.contains(t)).count();
@@ -63,19 +63,8 @@ impl RelationQuality {
 
     /// The symmetric-difference size |D △ D^q| — the paper's departure
     /// measure.
-    pub fn departure(&self) -> usize {
+    pub(crate) fn departure(&self) -> usize {
         self.rejected + self.added
-    }
-
-    /// A normalized departure in [0, 1]: departure divided by |D ∪ D^q|
-    /// (0 when both are empty).
-    pub fn normalized_departure(&self) -> f64 {
-        let union = self.original_count + self.added;
-        if union == 0 {
-            0.0
-        } else {
-            self.departure() as f64 / union as f64
-        }
     }
 }
 
@@ -105,7 +94,7 @@ pub struct QualityMetrics {
 
 impl QualityMetrics {
     /// Overall retention ratio (micro-average across relations).
-    pub fn overall_retention(&self) -> f64 {
+    pub(crate) fn overall_retention(&self) -> f64 {
         let (retained, total): (usize, usize) = self
             .relations
             .values()
@@ -160,7 +149,6 @@ mod tests {
         assert_eq!(m.added, 1);
         assert_eq!(m.departure(), 3);
         assert!((m.retention_ratio() - 1.0 / 3.0).abs() < 1e-9);
-        assert!((m.normalized_departure() - 3.0 / 4.0).abs() < 1e-9);
         assert!(m.rejected_tuples.contains(&t(&["b"])));
         assert!(m.rejected_tuples.contains(&t(&["c"])));
         assert!(m.to_string().contains("retained=1"));
@@ -171,7 +159,6 @@ mod tests {
         let m = RelationQuality::compare("R", &[], &[]);
         assert_eq!(m.retention_ratio(), 1.0);
         assert_eq!(m.departure(), 0);
-        assert_eq!(m.normalized_departure(), 0.0);
     }
 
     #[test]

@@ -15,12 +15,20 @@
 //! * the quality version `Measurements_q` selects the tuples that satisfy
 //!   the quality conditions.
 
-use crate::context::Context;
+use crate::context::{Context, ContextBuilder};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_qa::ConjunctiveQuery;
 
 /// The context of Example 7, built over the hospital ontology.
 pub fn hospital_context() -> Context {
+    hospital_context_builder()
+        .build()
+        .expect("the Example 7 context is well-formed")
+}
+
+/// The builder of [`hospital_context`], for callers that add external
+/// sources before building.
+pub fn hospital_context_builder() -> ContextBuilder {
     Context::builder("hospital-quality-context")
         .ontology(hospital::ontology())
         .copy_relation("Measurements")
@@ -47,8 +55,6 @@ pub fn hospital_context() -> Context {
                 "Measurements_q(t, p, v) :- MeasurementsExt(t, p, v, y, b), y = \"cert.\", b = B1.",
             ],
         )
-        .build()
-        .expect("the Example 7 context is well-formed")
 }
 
 /// The doctor's query of Examples 1 and 7: "the body temperatures of Tom

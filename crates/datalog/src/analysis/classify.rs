@@ -59,7 +59,7 @@ pub struct ClassReport {
     /// Guarded membership.
     pub guarded: bool,
     /// Weakly-guarded membership.
-    pub weakly_guarded: bool,
+    pub(crate) weakly_guarded: bool,
     /// Sticky membership.
     pub sticky: bool,
     /// Weakly-sticky membership.
@@ -68,7 +68,7 @@ pub struct ClassReport {
     pub weakly_acyclic: bool,
     /// The most specific class in the order linear ⊂ guarded, sticky ⊂
     /// weakly-sticky, etc.
-    pub most_specific: DatalogClass,
+    pub(crate) most_specific: DatalogClass,
 }
 
 impl fmt::Display for ClassReport {
@@ -88,19 +88,19 @@ impl fmt::Display for ClassReport {
 }
 
 /// Is every TGD linear (single body atom)?
-pub fn is_linear(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_linear(tgds: &[Tgd]) -> bool {
     tgds.iter().all(Tgd::is_linear)
 }
 
 /// Is every TGD guarded (some body atom contains all body variables)?
-pub fn is_guarded(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_guarded(tgds: &[Tgd]) -> bool {
     tgds.iter().all(Tgd::is_guarded)
 }
 
 /// Is every TGD weakly guarded?  A TGD is weakly guarded (w.r.t. the whole
 /// set) when some body atom contains all the body variables that occur
 /// *only* at affected positions of the body.
-pub fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
     let affected = PositionGraph::affected_positions(tgds);
     tgds.iter().all(|tgd| {
         // Variables of the body that occur only at affected positions.
@@ -136,7 +136,7 @@ pub fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
 
 /// Is the TGD set sticky?  (No marked variable occurs more than once in the
 /// body of its TGD.)
-pub fn is_sticky(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_sticky(tgds: &[Tgd]) -> bool {
     let marking = Marking::compute(tgds);
     tgds.iter().enumerate().all(|(idx, tgd)| {
         tgd.body
@@ -146,17 +146,8 @@ pub fn is_sticky(tgds: &[Tgd]) -> bool {
     })
 }
 
-/// Is the TGD set weakly sticky?  (Every variable occurring more than once in
-/// a body is non-marked or occurs at least once at a finite-rank position.)
-pub fn is_weakly_sticky(tgds: &[Tgd]) -> bool {
-    is_weakly_sticky_with(
-        tgds,
-        &PositionGraph::from_tgds(tgds, schema_positions(tgds)),
-    )
-}
-
 /// Weak-stickiness test reusing an already-built position graph.
-pub fn is_weakly_sticky_with(tgds: &[Tgd], graph: &PositionGraph) -> bool {
+pub(crate) fn is_weakly_sticky_with(tgds: &[Tgd], graph: &PositionGraph) -> bool {
     let marking = Marking::compute(tgds);
     let finite = graph.finite_rank_positions();
     tgds.iter().enumerate().all(|(idx, tgd)| {
@@ -173,11 +164,6 @@ pub fn is_weakly_sticky_with(tgds: &[Tgd], graph: &PositionGraph) -> bool {
             })
         })
     })
-}
-
-/// Is the TGD set weakly acyclic (terminating restricted chase)?
-pub fn is_weakly_acyclic(tgds: &[Tgd]) -> bool {
-    PositionGraph::from_tgds(tgds, schema_positions(tgds)).is_weakly_acyclic()
 }
 
 /// All schema positions mentioned by `tgds` (first-seen arity per
@@ -254,8 +240,8 @@ mod tests {
             "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
              Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).\n",
         );
-        assert!(is_weakly_sticky(&tgds));
-        assert!(is_weakly_acyclic(&tgds));
+        assert!(classify_tgds(&tgds).weakly_sticky);
+        assert!(classify_tgds(&tgds).weakly_acyclic);
         assert!(!is_linear(&tgds));
         // Not guarded: rule (7) has no atom with {w, d, p, u}.
         assert!(!is_guarded(&tgds));
@@ -281,7 +267,7 @@ mod tests {
         // sticky even with a join.
         let tgds = tgds_of("T(x, y, z) :- R(x, y), S(y, z).\n");
         assert!(is_sticky(&tgds));
-        assert!(is_weakly_sticky(&tgds));
+        assert!(classify_tgds(&tgds).weakly_sticky);
     }
 
     #[test]
@@ -294,8 +280,8 @@ mod tests {
              R(y, z) :- R(x, y).\n",
         );
         assert!(!is_sticky(&tgds));
-        assert!(!is_weakly_acyclic(&tgds));
-        assert!(!is_weakly_sticky(&tgds));
+        assert!(!classify_tgds(&tgds).weakly_acyclic);
+        assert!(!classify_tgds(&tgds).weakly_sticky);
         assert_eq!(
             classify_tgds(&tgds).most_specific,
             DatalogClass::Unrestricted
@@ -312,10 +298,10 @@ mod tests {
             "P(y, z) :- P(x, y).\n\
              A(x, w) :- P(y, x), Q(y, w).\n",
         );
-        assert!(!is_weakly_acyclic(&tgds));
+        assert!(!classify_tgds(&tgds).weakly_acyclic);
         assert!(!is_sticky(&tgds));
         assert!(!is_guarded(&tgds));
-        assert!(is_weakly_sticky(&tgds));
+        assert!(classify_tgds(&tgds).weakly_sticky);
         let report = classify_tgds(&tgds);
         assert!(report.weakly_sticky);
         assert!(!report.sticky && !report.weakly_acyclic && !report.guarded);

@@ -63,11 +63,11 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleRef {
     /// Rule kind: `tgd`, `egd`, `constraint` or `delete`.
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Index within the program's list of that kind.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The rule, rendered back to its concrete syntax.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 impl fmt::Display for RuleRef {
@@ -94,7 +94,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// A diagnostic with no rule anchor and no witness (builder root; chain
-    /// [`Diagnostic::at`] / [`Diagnostic::witnessed`] to attach them).
+    /// `Diagnostic::at` / [`Diagnostic::witnessed`] to attach them).
     pub fn new(code: &'static str, severity: Severity, message: impl Into<String>) -> Self {
         Self {
             code,
@@ -106,7 +106,7 @@ impl Diagnostic {
     }
 
     /// Anchor the diagnostic to a rule.
-    pub fn at(mut self, kind: &'static str, index: usize, text: impl Into<String>) -> Self {
+    pub(crate) fn at(mut self, kind: &'static str, index: usize, text: impl Into<String>) -> Self {
         self.rule = Some(RuleRef {
             kind,
             index,
@@ -177,7 +177,7 @@ pub struct TerminationCertificate {
 impl TerminationCertificate {
     /// Classify `tgds` and extract a witness cycle when termination cannot
     /// be certified.
-    pub fn of_tgds(tgds: &[Tgd]) -> Self {
+    pub(crate) fn of_tgds(tgds: &[Tgd]) -> Self {
         let report = classify_tgds(tgds);
         let witness_cycle = if report.weakly_acyclic {
             Vec::new()
@@ -261,11 +261,6 @@ impl LintReport {
     /// Number of warning findings.
     pub fn warning_count(&self) -> usize {
         self.warnings().len()
-    }
-
-    /// `true` when the program has no error findings (warnings allowed).
-    pub fn is_ok(&self) -> bool {
-        self.error_count() == 0
     }
 
     /// One-line summary: `class=… certified=… errors=N warnings=M`.
@@ -843,7 +838,11 @@ mod tests {
         )
         .unwrap();
         let report = lint(&program);
-        assert!(report.is_ok(), "unexpected errors: {:?}", report.errors());
+        assert!(
+            report.error_count() == 0,
+            "unexpected errors: {:?}",
+            report.errors()
+        );
         assert_eq!(report.warning_count(), 0);
         assert!(report.certificate.terminating);
         assert_eq!(report.strata, Some(1));
@@ -855,7 +854,7 @@ mod tests {
     fn comparison_only_head_variable_is_unsafe() {
         let program = parse_program("Q(x, y) :- P(x), y > 5.\n").unwrap();
         let report = lint(&program);
-        assert!(!report.is_ok());
+        assert!(report.error_count() > 0);
         let error = &report.errors()[0];
         assert_eq!(error.code, "L001");
         assert_eq!(error.witness.as_deref(), Some("y"));
@@ -873,7 +872,7 @@ mod tests {
     fn pure_existential_head_variables_are_fine() {
         let program = parse_program("Shifts(w, z) :- Ward(w).\n").unwrap();
         let report = lint(&program);
-        assert!(report.is_ok());
+        assert!(report.error_count() == 0);
     }
 
     #[test]
@@ -889,7 +888,7 @@ mod tests {
     fn dead_rule_needs_edb_knowledge() {
         let program = parse_program("P(x) :- Ghost(x).\n").unwrap();
         // Without an EDB set the lint stays silent.
-        assert!(lint(&program).is_ok());
+        assert!(lint(&program).error_count() == 0);
         // With one that lacks 'Ghost' the rule is dead.
         let edb: BTreeSet<String> = ["Real".to_string()].into_iter().collect();
         let report = lint_with(&program, Some(&edb), &[]);

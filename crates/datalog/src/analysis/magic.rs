@@ -47,22 +47,22 @@ use ontodq_relational::{Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A set of bound argument positions (0-based) of one predicate.
-pub type BoundSet = BTreeSet<usize>;
+pub(crate) type BoundSet = BTreeSet<usize>;
 
 /// Aggregate statistics of one [`magic_transform`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DemandStats {
+pub(crate) struct DemandStats {
     /// TGDs of the input program dropped as irrelevant to the query.
-    pub pruned_tgds: usize,
+    pub(crate) pruned_tgds: usize,
     /// Rule copies that carry a magic guard atom.
-    pub guarded_rules: usize,
+    pub(crate) guarded_rules: usize,
     /// Magic propagation rules emitted.
-    pub propagation_rules: usize,
+    pub(crate) propagation_rules: usize,
     /// Distinct magic predicates introduced.
-    pub magic_predicates: usize,
+    pub(crate) magic_predicates: usize,
     /// Intensional predicates demanded without any binding (derived in
     /// full, relevance-restricted only).
-    pub fully_demanded: usize,
+    pub(crate) fully_demanded: usize,
 }
 
 /// The output of [`magic_transform`]: a query-specialized program plus the
@@ -82,7 +82,7 @@ pub struct DemandProgram {
     /// the input instance.
     pub relevant: BTreeSet<String>,
     /// Transformation statistics.
-    pub stats: DemandStats,
+    pub(crate) stats: DemandStats,
 }
 
 impl DemandProgram {

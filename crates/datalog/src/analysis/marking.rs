@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 /// The result of the marking procedure over a set of TGDs.
 #[derive(Debug, Clone, Default)]
-pub struct Marking {
+pub(crate) struct Marking {
     /// Pairs (TGD index, variable) such that the variable is marked in the
     /// body of that TGD.
     marked: BTreeSet<(usize, Variable)>,
@@ -32,7 +32,7 @@ pub struct Marking {
 
 impl Marking {
     /// Run the marking procedure to fixpoint.
-    pub fn compute(tgds: &[Tgd]) -> Self {
+    pub(crate) fn compute(tgds: &[Tgd]) -> Self {
         let mut marking = Marking::default();
 
         // Base step: body variables that do not appear in the head.
@@ -94,18 +94,8 @@ impl Marking {
     }
 
     /// Is `var` marked in the body of TGD number `tgd_index`?
-    pub fn is_marked(&self, tgd_index: usize, var: &Variable) -> bool {
+    pub(crate) fn is_marked(&self, tgd_index: usize, var: &Variable) -> bool {
         self.marked.contains(&(tgd_index, *var))
-    }
-
-    /// The set of positions at which marked variables occur (in bodies).
-    pub fn marked_positions(&self) -> &BTreeSet<Position> {
-        &self.marked_positions
-    }
-
-    /// All (TGD index, variable) marked pairs.
-    pub fn marked_pairs(&self) -> &BTreeSet<(usize, Variable)> {
-        &self.marked
     }
 }
 
@@ -137,10 +127,10 @@ mod tests {
         assert_eq!(tgds.len(), 2);
         // Marked positions include the body positions of w in rule 0.
         assert!(marking
-            .marked_positions()
+            .marked_positions
             .contains(&Position::new("PatientWard", 0)));
         assert!(marking
-            .marked_positions()
+            .marked_positions
             .contains(&Position::new("UnitWard", 1)));
     }
 
@@ -159,14 +149,14 @@ mod tests {
         // 1 (a marked position) → v marked in rule 1.
         assert!(marking.is_marked(0, &Variable::new("y")));
         assert!(marking.is_marked(1, &Variable::new("v")));
-        assert!(marking.marked_positions().contains(&Position::new("R", 0)));
+        assert!(marking.marked_positions.contains(&Position::new("R", 0)));
     }
 
     #[test]
     fn no_marking_for_full_identity_rules() {
         let (_, marking) = marking_of("Copy(x, y) :- Orig(x, y).\n");
-        assert!(marking.marked_pairs().is_empty());
-        assert!(marking.marked_positions().is_empty());
+        assert!(marking.marked.is_empty());
+        assert!(marking.marked_positions.is_empty());
     }
 
     #[test]

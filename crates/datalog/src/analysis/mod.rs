@@ -14,19 +14,12 @@
 //!   EGD-separability surfacing, and the [`lint::TerminationCertificate`]
 //!   the chase engine consumes.
 
-pub mod classify;
-pub mod lint;
-pub mod magic;
-pub mod marking;
-pub mod separability;
+pub(crate) mod classify;
+pub(crate) mod lint;
+pub(crate) mod magic;
+pub(crate) mod marking;
+pub(crate) mod separability;
 
-pub use classify::{
-    classify, classify_tgds, is_guarded, is_linear, is_sticky, is_weakly_acyclic,
-    is_weakly_guarded, is_weakly_sticky, ClassReport, DatalogClass,
-};
-pub use lint::{
-    lint, lint_with, Diagnostic, LintReport, RuleRef, Severity, TerminationCertificate,
-};
-pub use magic::{magic_transform, BoundSet, DemandProgram, DemandStats};
-pub use marking::Marking;
-pub use separability::{check_egds, check_program, EgdSeparability, SeparabilityReport};
+pub use classify::{classify, classify_tgds, ClassReport, DatalogClass};
+pub use magic::{magic_transform, DemandProgram};
+pub use separability::{check_program, EgdSeparability, SeparabilityReport};

@@ -53,15 +53,6 @@ impl SeparabilityReport {
     pub fn all_separable(&self) -> bool {
         self.egds.iter().all(|e| e.separable)
     }
-
-    /// The indices of EGDs that failed the check.
-    pub fn non_separable_indices(&self) -> Vec<usize> {
-        self.egds
-            .iter()
-            .filter(|e| !e.separable)
-            .map(|e| e.egd_index)
-            .collect()
-    }
 }
 
 /// Positions at which `var` occurs in the body of `egd`.
@@ -80,7 +71,11 @@ fn body_positions_of(egd: &Egd, var: &Variable) -> Vec<Position> {
 }
 
 /// Check one EGD against a set of affected positions.
-pub fn check_egd(egd: &Egd, egd_index: usize, affected: &BTreeSet<Position>) -> EgdSeparability {
+pub(crate) fn check_egd(
+    egd: &Egd,
+    egd_index: usize,
+    affected: &BTreeSet<Position>,
+) -> EgdSeparability {
     let mut offending = Vec::new();
     for var in [&egd.left, &egd.right] {
         for pos in body_positions_of(egd, var) {
@@ -104,7 +99,7 @@ pub fn check_program(program: &Program) -> SeparabilityReport {
 }
 
 /// Check explicit EGDs against explicit TGDs.
-pub fn check_egds(tgds: &[Tgd], egds: &[Egd]) -> SeparabilityReport {
+pub(crate) fn check_egds(tgds: &[Tgd], egds: &[Egd]) -> SeparabilityReport {
     let affected = PositionGraph::affected_positions(tgds);
     SeparabilityReport {
         egds: egds
@@ -133,7 +128,13 @@ mod tests {
         .unwrap();
         let report = check_program(&program);
         assert!(report.all_separable());
-        assert!(report.non_separable_indices().is_empty());
+        assert!(report
+            .egds
+            .iter()
+            .filter(|e| !e.separable)
+            .map(|e| e.egd_index)
+            .collect::<Vec<_>>()
+            .is_empty());
     }
 
     #[test]
@@ -147,7 +148,15 @@ mod tests {
         .unwrap();
         let report = check_program(&program);
         assert!(!report.all_separable());
-        assert_eq!(report.non_separable_indices(), vec![0]);
+        assert_eq!(
+            report
+                .egds
+                .iter()
+                .filter(|e| !e.separable)
+                .map(|e| e.egd_index)
+                .collect::<Vec<_>>(),
+            vec![0]
+        );
         let offending = &report.egds[0].offending_positions;
         assert!(offending.contains(&Position::new("Shifts", 3)));
     }

@@ -57,17 +57,8 @@ impl Atom {
     }
 
     /// `true` when every argument is a constant.
-    pub fn is_ground(&self) -> bool {
+    pub(crate) fn is_ground(&self) -> bool {
         self.terms.iter().all(Term::is_const)
-    }
-
-    /// The positions (0-based) at which `var` occurs.
-    pub fn positions_of(&self, var: &Variable) -> Vec<usize> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (t.as_var() == Some(var)).then_some(i))
-            .collect()
     }
 }
 
@@ -141,7 +132,7 @@ impl CompareOp {
     }
 
     /// The textual form used by the parser and printer.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             CompareOp::Eq => "=",
             CompareOp::Neq => "!=",
@@ -222,14 +213,8 @@ impl Conjunction {
     }
 
     /// An empty conjunction (true).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
-    }
-
-    /// Add a positive atom (builder style).
-    pub fn and(mut self, atom: Atom) -> Self {
-        self.atoms.push(atom);
-        self
     }
 
     /// Add a negated atom (builder style).
@@ -269,7 +254,7 @@ impl Conjunction {
     /// Variables appearing in more than one *positive* atom occurrence or
     /// more than once within a positive atom — the "shared"/join variables
     /// relevant to stickiness analysis.
-    pub fn repeated_variables(&self) -> Vec<Variable> {
+    pub(crate) fn repeated_variables(&self) -> Vec<Variable> {
         use std::collections::BTreeMap;
         let mut counts: BTreeMap<Variable, usize> = BTreeMap::new();
         for atom in &self.atoms {
@@ -336,7 +321,6 @@ mod tests {
     fn atom_variables_and_positions() {
         let a = Atom::new("UnitWard", vec![Term::var("u"), Term::var("u")]);
         assert_eq!(a.variables(), vec![Variable::new("u")]);
-        assert_eq!(a.positions_of(&Variable::new("u")), vec![0, 1]);
         assert_eq!(a.arity(), 2);
         assert!(!a.is_ground());
     }
@@ -422,14 +406,16 @@ mod tests {
 
     #[test]
     fn conjunction_builder_and_variables() {
-        let conj = Conjunction::positive(vec![patient_ward()])
-            .and(Atom::with_vars("UnitWard", &["u", "w"]))
-            .and_not(Atom::with_vars("Closed", &["u"]))
-            .and_compare(Comparison::new(
-                Term::var("d"),
-                CompareOp::Ge,
-                Term::constant(Value::parse_time("Sep/5").unwrap()),
-            ));
+        let conj = Conjunction::positive(vec![
+            patient_ward(),
+            Atom::with_vars("UnitWard", &["u", "w"]),
+        ])
+        .and_not(Atom::with_vars("Closed", &["u"]))
+        .and_compare(Comparison::new(
+            Term::var("d"),
+            CompareOp::Ge,
+            Term::constant(Value::parse_time("Sep/5").unwrap()),
+        ));
         let vars = conj.variables();
         assert_eq!(
             vars,

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Predicate-level dependency graph.
 #[derive(Debug, Clone, Default)]
-pub struct PredicateGraph {
+pub(crate) struct PredicateGraph {
     /// Edges: body predicate → head predicates it can feed.
     edges: BTreeMap<String, BTreeSet<String>>,
     /// All nodes (predicates), including isolated ones.
@@ -27,7 +27,7 @@ pub struct PredicateGraph {
 impl PredicateGraph {
     /// Build the predicate graph of a program (TGDs only; constraints and
     /// EGDs do not generate data).
-    pub fn build(program: &Program) -> Self {
+    pub(crate) fn build(program: &Program) -> Self {
         let mut graph = PredicateGraph::default();
         for (pred, _) in program.predicates() {
             graph.nodes.insert(pred);
@@ -46,34 +46,9 @@ impl PredicateGraph {
         graph
     }
 
-    /// All predicates.
-    pub fn nodes(&self) -> &BTreeSet<String> {
-        &self.nodes
-    }
-
-    /// Direct successors of `predicate`.
-    pub fn successors(&self, predicate: &str) -> BTreeSet<String> {
-        self.edges.get(predicate).cloned().unwrap_or_default()
-    }
-
-    /// Every predicate reachable from any of `seeds` (including the seeds
-    /// themselves).
-    pub fn reachable_from(&self, seeds: &[&str]) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = seeds.iter().map(|s| s.to_string()).collect();
-        let mut queue: VecDeque<String> = seen.iter().cloned().collect();
-        while let Some(current) = queue.pop_front() {
-            for next in self.successors(&current) {
-                if seen.insert(next.clone()) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        seen
-    }
-
     /// Every predicate from which some predicate in `targets` is reachable
     /// (the predicates a query over `targets` may depend on).
-    pub fn ancestors_of(&self, targets: &[&str]) -> BTreeSet<String> {
+    pub(crate) fn ancestors_of(&self, targets: &[&str]) -> BTreeSet<String> {
         // Build the reverse adjacency on the fly.
         let mut reverse: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for (from, tos) in &self.edges {
@@ -97,70 +72,32 @@ impl PredicateGraph {
         }
         seen
     }
-
-    /// `true` when the TGD-induced graph has a cycle (recursion between
-    /// predicates).
-    pub fn has_cycle(&self) -> bool {
-        // Kahn's algorithm: a cycle exists iff topological sort is partial.
-        let mut indegree: BTreeMap<&str, usize> =
-            self.nodes.iter().map(|n| (n.as_str(), 0)).collect();
-        for tos in self.edges.values() {
-            for to in tos {
-                *indegree.entry(to.as_str()).or_insert(0) += 1;
-            }
-        }
-        let mut queue: VecDeque<&str> = indegree
-            .iter()
-            .filter_map(|(n, d)| (*d == 0).then_some(*n))
-            .collect();
-        let mut visited = 0;
-        while let Some(node) = queue.pop_front() {
-            visited += 1;
-            if let Some(tos) = self.edges.get(node) {
-                for to in tos {
-                    let d = indegree
-                        .get_mut(to.as_str())
-                        .expect("every edge target is a node");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push_back(to.as_str());
-                    }
-                }
-            }
-        }
-        visited < indegree.len()
-    }
 }
 
 /// An edge of the position dependency graph.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PositionEdge {
+pub(crate) struct PositionEdge {
     /// Source position (a body position of a frontier variable).
-    pub from: Position,
+    pub(crate) from: Position,
     /// Target position (a head position).
-    pub to: Position,
+    pub(crate) to: Position,
     /// `true` for *special* edges: the target position holds an existential
     /// variable, i.e. firing the rule creates a fresh null there.
-    pub special: bool,
+    pub(crate) special: bool,
 }
 
 /// Position-level dependency graph of a set of TGDs.
 #[derive(Debug, Clone, Default)]
-pub struct PositionGraph {
+pub(crate) struct PositionGraph {
     /// All positions of the program's schema.
-    pub positions: BTreeSet<Position>,
+    pub(crate) positions: BTreeSet<Position>,
     /// The edges.
-    pub edges: Vec<PositionEdge>,
+    pub(crate) edges: Vec<PositionEdge>,
 }
 
 impl PositionGraph {
-    /// Build the position graph for a program's TGDs.
-    pub fn build(program: &Program) -> Self {
-        Self::from_tgds(&program.tgds, program.positions())
-    }
-
     /// Build the position graph from explicit TGDs and schema positions.
-    pub fn from_tgds(tgds: &[Tgd], all_positions: Vec<Position>) -> Self {
+    pub(crate) fn from_tgds(tgds: &[Tgd], all_positions: Vec<Position>) -> Self {
         let mut graph = PositionGraph {
             positions: all_positions.into_iter().collect(),
             edges: Vec::new(),
@@ -216,7 +153,7 @@ impl PositionGraph {
 
     /// Successors of a position (pairs of target position and edge
     /// specialness).
-    pub fn successors(&self, from: &Position) -> Vec<(&Position, bool)> {
+    pub(crate) fn successors(&self, from: &Position) -> Vec<(&Position, bool)> {
         self.edges
             .iter()
             .filter(|e| &e.from == from)
@@ -227,7 +164,7 @@ impl PositionGraph {
     /// The set of positions that lie on or are reachable from a cycle that
     /// contains a special edge — the positions of **infinite rank**, where an
     /// unbounded number of fresh nulls may appear during the chase.
-    pub fn infinite_rank_positions(&self) -> BTreeSet<Position> {
+    pub(crate) fn infinite_rank_positions(&self) -> BTreeSet<Position> {
         // Step 1: find positions that are on a cycle through a special edge:
         // for each special edge (u ⇒ v), if u is reachable from v then every
         // node on some v→…→u path together with u, v lies on such a cycle.
@@ -255,7 +192,7 @@ impl PositionGraph {
 
     /// The positions of **finite rank** (complement of
     /// [`PositionGraph::infinite_rank_positions`] within the schema).
-    pub fn finite_rank_positions(&self) -> BTreeSet<Position> {
+    pub(crate) fn finite_rank_positions(&self) -> BTreeSet<Position> {
         let infinite = self.infinite_rank_positions();
         self.positions
             .iter()
@@ -266,7 +203,7 @@ impl PositionGraph {
 
     /// Weak acyclicity: no cycle goes through a special edge.  Weakly acyclic
     /// TGD sets have a terminating (restricted) chase on every instance.
-    pub fn is_weakly_acyclic(&self) -> bool {
+    pub(crate) fn is_weakly_acyclic(&self) -> bool {
         self.edges
             .iter()
             .filter(|e| e.special)
@@ -279,7 +216,7 @@ impl PositionGraph {
     /// concrete reason the program is not weakly acyclic, suitable for
     /// diagnostics.  `None` exactly when
     /// [`PositionGraph::is_weakly_acyclic`] holds.
-    pub fn special_cycle(&self) -> Option<Vec<Position>> {
+    pub(crate) fn special_cycle(&self) -> Option<Vec<Position>> {
         for edge in self.edges.iter().filter(|e| e.special) {
             if let Some(path) = self.path(&edge.to, &edge.from) {
                 let mut cycle = Vec::with_capacity(path.len() + 1);
@@ -349,7 +286,7 @@ impl PositionGraph {
     /// during the chase.  A position is affected when an existential variable
     /// occurs there in some head, or when a frontier variable that occurs in
     /// the body *only* at affected positions occurs there in some head.
-    pub fn affected_positions(tgds: &[Tgd]) -> BTreeSet<Position> {
+    pub(crate) fn affected_positions(tgds: &[Tgd]) -> BTreeSet<Position> {
         let mut affected: BTreeSet<Position> = BTreeSet::new();
         // Base case: existential positions.
         for tgd in tgds {
@@ -411,6 +348,13 @@ mod tests {
     use crate::parser::parse_program;
     use crate::rule::tgd;
 
+    fn graph_of(program: &Program) -> PositionGraph {
+        PositionGraph::from_tgds(
+            &program.tgds,
+            crate::analysis::classify::schema_positions(&program.tgds),
+        )
+    }
+
     fn hospital_like() -> Program {
         parse_program(
             "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
@@ -422,11 +366,9 @@ mod tests {
     #[test]
     fn predicate_graph_edges_and_reachability() {
         let graph = PredicateGraph::build(&hospital_like());
-        assert!(graph.successors("PatientWard").contains("PatientUnit"));
-        assert!(graph.successors("UnitWard").contains("Shifts"));
-        let reach = graph.reachable_from(&["WorkingSchedules"]);
-        assert!(reach.contains("Shifts"));
-        assert!(!reach.contains("PatientUnit"));
+        assert!(graph.edges["PatientWard"].contains("PatientUnit"));
+        assert!(graph.edges["UnitWard"].contains("Shifts"));
+        assert!(!graph.edges["WorkingSchedules"].contains("PatientUnit"));
         let anc = graph.ancestors_of(&["Shifts"]);
         assert!(anc.contains("WorkingSchedules"));
         assert!(anc.contains("UnitWard"));
@@ -434,17 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn cycle_detection_on_predicates() {
-        let acyclic = PredicateGraph::build(&hospital_like());
-        assert!(!acyclic.has_cycle());
-        let cyclic = parse_program("P(x) :- Q(x).\nQ(x) :- P(x).\n").unwrap();
-        assert!(PredicateGraph::build(&cyclic).has_cycle());
-    }
-
-    #[test]
     fn position_graph_marks_special_edges() {
         let program = hospital_like();
-        let graph = PositionGraph::build(&program);
+        let graph = graph_of(&program);
         // Rule (8): WorkingSchedules[d]→Shifts[d] is normal; the existential
         // z at Shifts[3] gets special edges from every frontier body position.
         assert!(graph.edges.iter().any(|e| !e.special
@@ -463,7 +397,7 @@ mod tests {
 
     #[test]
     fn hospital_rules_are_weakly_acyclic_with_finite_ranks() {
-        let graph = PositionGraph::build(&hospital_like());
+        let graph = graph_of(&hospital_like());
         assert!(graph.is_weakly_acyclic());
         assert!(graph.infinite_rank_positions().is_empty());
         assert_eq!(graph.finite_rank_positions(), graph.positions);
@@ -473,7 +407,7 @@ mod tests {
     fn self_feeding_existential_rule_has_infinite_rank_positions() {
         // R(y, z) :- R(x, y). — the classic non-terminating chase shape.
         let program = parse_program("R(y, z) :- R(x, y).\n").unwrap();
-        let graph = PositionGraph::build(&program);
+        let graph = graph_of(&program);
         assert!(!graph.is_weakly_acyclic());
         let infinite = graph.infinite_rank_positions();
         assert!(infinite.contains(&Position::new("R", 0)));

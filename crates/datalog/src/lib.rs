@@ -10,15 +10,15 @@
 //! paper uses to express dimensional rules and dimensional constraints
 //! (forms (1)–(4) and (10)).  This crate provides:
 //!
-//! * the term/atom/rule/program representation ([`term`], [`atom`], [`rule`],
-//!   [`program`]),
-//! * ground assignments and unifiers ([`substitution`]),
+//! * the term/atom/rule/program representation (`term`, `atom`, `rule`,
+//!   `program`),
+//! * ground assignments and unifiers (`substitution`),
 //! * a concrete text syntax with a parser and round-tripping printers
-//!   ([`parser`]),
-//! * predicate and position dependency graphs ([`graph`]),
+//!   (`parser`),
+//! * predicate and position dependency graphs (`graph`),
 //! * the syntactic class analyses that the paper's tractability claims rest
 //!   on — sticky, weakly sticky, linear, guarded, weakly guarded, weakly
-//!   acyclic — and the EGD separability check ([`analysis`]).
+//!   acyclic — and the EGD separability check (`analysis`).
 //!
 //! Chasing programs over data and answering queries live in `ontodq-chase`
 //! and `ontodq-qa`; compiling multidimensional ontologies into programs lives
@@ -26,19 +26,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod analysis;
-pub mod atom;
-pub mod graph;
-pub mod parser;
-pub mod program;
-pub mod rule;
-pub mod substitution;
-pub mod term;
+mod analysis;
+mod atom;
+mod graph;
+mod parser;
+mod program;
+mod rule;
+mod substitution;
+mod term;
 
 pub use analysis::lint::{
     lint, lint_with, Diagnostic, LintReport, RuleRef, Severity, TerminationCertificate,
+};
+pub use analysis::{
+    check_program, classify, classify_tgds, magic_transform, ClassReport, DatalogClass,
+    DemandProgram, EgdSeparability, SeparabilityReport,
 };
 pub use atom::{Atom, CompareOp, Comparison, Conjunction};
 pub use parser::{parse_program, parse_rule, ParseError};

@@ -43,9 +43,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human-readable message.
-    pub message: String,
+    pub(crate) message: String,
     /// The offending rule text (trimmed), if known.
-    pub rule_text: Option<String>,
+    pub(crate) rule_text: Option<String>,
 }
 
 impl ParseError {

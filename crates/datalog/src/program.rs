@@ -3,7 +3,6 @@
 
 use crate::atom::Atom;
 use crate::rule::{ConditionalDelete, Egd, Fact, NegativeConstraint, Retraction, Rule, Tgd};
-use ontodq_relational::Database;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -15,9 +14,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Position {
     /// Predicate name.
-    pub predicate: String,
+    pub(crate) predicate: String,
     /// Argument index (0-based).
-    pub index: usize,
+    pub(crate) index: usize,
 }
 
 impl Position {
@@ -60,7 +59,7 @@ impl Program {
     }
 
     /// Add any rule.
-    pub fn add_rule(&mut self, rule: Rule) {
+    pub(crate) fn add_rule(&mut self, rule: Rule) {
         match rule {
             Rule::Tgd(r) => self.tgds.push(r),
             Rule::Egd(r) => self.egds.push(r),
@@ -69,30 +68,6 @@ impl Program {
             Rule::Retract(r) => self.retractions.push(r),
             Rule::Delete(r) => self.deletions.push(r),
         }
-    }
-
-    /// Add a TGD (builder style).
-    pub fn with_tgd(mut self, tgd: Tgd) -> Self {
-        self.tgds.push(tgd);
-        self
-    }
-
-    /// Add an EGD (builder style).
-    pub fn with_egd(mut self, egd: Egd) -> Self {
-        self.egds.push(egd);
-        self
-    }
-
-    /// Add a negative constraint (builder style).
-    pub fn with_constraint(mut self, nc: NegativeConstraint) -> Self {
-        self.constraints.push(nc);
-        self
-    }
-
-    /// Add a fact (builder style).
-    pub fn with_fact(mut self, fact: Fact) -> Self {
-        self.facts.push(fact);
-        self
     }
 
     /// Total number of rules of all kinds.
@@ -152,14 +127,6 @@ impl Program {
             delete.body.negated.iter().for_each(&mut record);
         }
         out
-    }
-
-    /// All schema positions of all predicates.
-    pub fn positions(&self) -> Vec<Position> {
-        self.predicates()
-            .iter()
-            .flat_map(|(p, arity)| (0..*arity).map(|i| Position::new(p.clone(), i)))
-            .collect()
     }
 
     /// Predicates that occur in some TGD head (the intensional predicates).
@@ -256,22 +223,6 @@ impl Program {
         problems
     }
 
-    /// Load the program's facts into a database (predicates become untyped
-    /// relations).  Returns the number of tuples inserted.
-    pub fn facts_into_database(&self, db: &mut Database) -> usize {
-        let mut added = 0;
-        for fact in &self.facts {
-            let atom = fact.atom();
-            if db
-                .relation_or_create(&atom.predicate, atom.arity())
-                .insert_unchecked(fact.tuple())
-            {
-                added += 1;
-            }
-        }
-        added
-    }
-
     /// Merge another program's rules into this one.
     pub fn extend(&mut self, other: Program) {
         self.tgds.extend(other.tgds);
@@ -298,32 +249,34 @@ mod tests {
     use crate::atom::{Atom, Conjunction};
     use crate::rule::tgd;
     use crate::term::{Term, Variable};
-    use ontodq_relational::Tuple;
 
     fn sample_program() -> Program {
-        Program::new()
-            .with_tgd(tgd(
-                Atom::with_vars("PatientUnit", &["u", "d", "p"]),
-                vec![
-                    Atom::with_vars("PatientWard", &["w", "d", "p"]),
-                    Atom::with_vars("UnitWard", &["u", "w"]),
-                ],
-            ))
-            .with_egd(Egd::new(
-                Conjunction::positive(vec![
-                    Atom::with_vars("Thermometer", &["w", "t", "n"]),
-                    Atom::with_vars("Thermometer", &["w2", "t2", "n2"]),
-                    Atom::with_vars("UnitWard", &["u", "w"]),
-                    Atom::with_vars("UnitWard", &["u", "w2"]),
-                ]),
-                Variable::new("t"),
-                Variable::new("t2"),
-            ))
-            .with_constraint(NegativeConstraint::new(
-                Conjunction::positive(vec![Atom::with_vars("PatientUnit", &["u", "d", "p"])])
-                    .and_not(Atom::with_vars("Unit", &["u"])),
-            ))
-            .with_fact(Fact::new(Atom::new("Unit", vec![Term::constant("Standard")])).unwrap())
+        let mut program = Program::new();
+        program.tgds.push(tgd(
+            Atom::with_vars("PatientUnit", &["u", "d", "p"]),
+            vec![
+                Atom::with_vars("PatientWard", &["w", "d", "p"]),
+                Atom::with_vars("UnitWard", &["u", "w"]),
+            ],
+        ));
+        program.egds.push(Egd::new(
+            Conjunction::positive(vec![
+                Atom::with_vars("Thermometer", &["w", "t", "n"]),
+                Atom::with_vars("Thermometer", &["w2", "t2", "n2"]),
+                Atom::with_vars("UnitWard", &["u", "w"]),
+                Atom::with_vars("UnitWard", &["u", "w2"]),
+            ]),
+            Variable::new("t"),
+            Variable::new("t2"),
+        ));
+        program.constraints.push(NegativeConstraint::new(
+            Conjunction::positive(vec![Atom::with_vars("PatientUnit", &["u", "d", "p"])])
+                .and_not(Atom::with_vars("Unit", &["u"])),
+        ));
+        program
+            .facts
+            .push(Fact::new(Atom::new("Unit", vec![Term::constant("Standard")])).unwrap());
+        program
     }
 
     #[test]
@@ -344,15 +297,7 @@ mod tests {
         assert_eq!(preds.get("PatientWard"), Some(&3));
         assert_eq!(preds.get("UnitWard"), Some(&2));
         assert_eq!(preds.get("Unit"), Some(&1));
-        let positions = p.positions();
-        assert!(positions.contains(&Position::new("PatientWard", 2)));
-        assert_eq!(
-            positions
-                .iter()
-                .filter(|p| p.predicate == "Thermometer")
-                .count(),
-            3
-        );
+        assert_eq!(preds.get("Thermometer"), Some(&3));
     }
 
     #[test]
@@ -405,21 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn facts_load_into_database() {
-        let p = sample_program();
-        let mut db = Database::new();
-        let added = p.facts_into_database(&mut db);
-        assert_eq!(added, 1);
-        assert!(db.contains("Unit", &Tuple::from_iter(["Standard"])));
-        // Loading again adds nothing (set semantics).
-        let mut db2 = db.clone();
-        assert_eq!(p.facts_into_database(&mut db2), 0);
-    }
-
-    #[test]
     fn extend_merges_programs() {
         let mut a = sample_program();
-        let b = Program::new().with_tgd(tgd(
+        let mut b = Program::new();
+        b.tgds.push(tgd(
             Atom::with_vars("Q", &["x"]),
             vec![Atom::with_vars("P", &["x"])],
         ));

@@ -41,7 +41,7 @@ impl Tgd {
     }
 
     /// Construct a TGD with a conjunctive head.
-    pub fn with_heads(body: Conjunction, head: Vec<Atom>) -> Self {
+    pub(crate) fn with_heads(body: Conjunction, head: Vec<Atom>) -> Self {
         Self {
             label: None,
             body,
@@ -103,15 +103,6 @@ impl Tgd {
         })
     }
 
-    /// Predicates appearing in the body (positive atoms only).
-    pub fn body_predicates(&self) -> Vec<&str> {
-        self.body
-            .atoms
-            .iter()
-            .map(|a| a.predicate.as_str())
-            .collect()
-    }
-
     /// Predicates appearing in the head.
     pub fn head_predicates(&self) -> Vec<&str> {
         self.head.iter().map(|a| a.predicate.as_str()).collect()
@@ -166,7 +157,7 @@ impl Egd {
     }
 
     /// `true` when both equated variables occur in the body (well-formed).
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         let vars = self.body_variables();
         vars.contains(&self.left) && vars.contains(&self.right)
     }
@@ -284,7 +275,7 @@ impl fmt::Display for Retraction {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConditionalDelete {
     /// Optional rule label.
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// The single head atom naming what to delete.
     pub head: Atom,
     /// The body conjunction; may contain negated atoms and comparisons.
@@ -309,7 +300,7 @@ impl ConditionalDelete {
 
     /// Head variables not bound by any positive body atom (the wildcard
     /// positions).
-    pub fn wildcard_variables(&self) -> BTreeSet<Variable> {
+    pub(crate) fn wildcard_variables(&self) -> BTreeSet<Variable> {
         let body_vars: BTreeSet<Variable> = self.body.variables().into_iter().collect();
         self.head
             .variables()

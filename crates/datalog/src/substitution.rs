@@ -215,7 +215,7 @@ impl Unifier {
     /// bindings (with an occurs-check-free walk; our terms are flat, so
     /// chains always terminate as long as bindings are acyclic, which
     /// [`Unifier::unify_terms`] maintains).
-    pub fn walk(&self, term: &Term) -> Term {
+    pub(crate) fn walk(&self, term: &Term) -> Term {
         let mut current = term.clone();
         let mut steps = 0;
         while let Term::Var(v) = &current {

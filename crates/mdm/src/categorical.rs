@@ -54,14 +54,6 @@ impl CategoricalAttribute {
         }
     }
 
-    /// Non-categorical attribute constructor with an explicit type.
-    pub fn non_categorical_typed(name: impl Into<String>, ty: AttributeType) -> Self {
-        CategoricalAttribute::NonCategorical {
-            name: name.into(),
-            ty,
-        }
-    }
-
     /// The attribute's name.
     pub fn name(&self) -> &str {
         match self {
@@ -71,12 +63,12 @@ impl CategoricalAttribute {
     }
 
     /// `true` when the attribute is categorical.
-    pub fn is_categorical(&self) -> bool {
+    pub(crate) fn is_categorical(&self) -> bool {
         matches!(self, CategoricalAttribute::Categorical { .. })
     }
 
     /// The `(dimension, category)` the attribute is linked to, if categorical.
-    pub fn link(&self) -> Option<(&str, &str)> {
+    pub(crate) fn link(&self) -> Option<(&str, &str)> {
         match self {
             CategoricalAttribute::Categorical {
                 dimension,
@@ -135,32 +127,12 @@ impl CategoricalRelationSchema {
     }
 
     /// Positions (0-based) of the categorical attributes.
-    pub fn categorical_positions(&self) -> Vec<usize> {
+    pub(crate) fn categorical_positions(&self) -> Vec<usize> {
         self.attributes
             .iter()
             .enumerate()
             .filter_map(|(i, a)| a.is_categorical().then_some(i))
             .collect()
-    }
-
-    /// Positions (0-based) of the non-categorical attributes.
-    pub fn non_categorical_positions(&self) -> Vec<usize> {
-        self.attributes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| (!a.is_categorical()).then_some(i))
-            .collect()
-    }
-
-    /// The position of the attribute named `name`.
-    pub fn position_of(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a.name() == name)
-    }
-
-    /// The `(dimension, category)` link of the attribute at `position`, if it
-    /// is categorical.
-    pub fn link_at(&self, position: usize) -> Option<(&str, &str)> {
-        self.attributes.get(position).and_then(|a| a.link())
     }
 
     /// The categorical links of the relation as
@@ -176,7 +148,7 @@ impl CategoricalRelationSchema {
     /// The corresponding relational schema (categorical attributes are
     /// string-typed member names; non-categorical attributes keep their
     /// declared type).
-    pub fn to_relation_schema(&self) -> RelationSchema {
+    pub(crate) fn to_relation_schema(&self) -> RelationSchema {
         RelationSchema::new(
             self.name.clone(),
             self.attributes
@@ -264,11 +236,6 @@ mod tests {
         let schema = patient_ward();
         assert_eq!(schema.arity(), 3);
         assert_eq!(schema.categorical_positions(), vec![0, 1]);
-        assert_eq!(schema.non_categorical_positions(), vec![2]);
-        assert_eq!(schema.position_of("Day"), Some(1));
-        assert_eq!(schema.position_of("Nurse"), None);
-        assert_eq!(schema.link_at(0), Some(("Hospital", "Ward")));
-        assert_eq!(schema.link_at(2), None);
         assert_eq!(schema.links().len(), 2);
     }
 
@@ -320,7 +287,10 @@ mod tests {
             "Measurement",
             vec![
                 CategoricalAttribute::categorical("Time", "Time", "Time"),
-                CategoricalAttribute::non_categorical_typed("Value", AttributeType::Double),
+                CategoricalAttribute::NonCategorical {
+                    name: "Value".into(),
+                    ty: AttributeType::Double,
+                },
             ],
         );
         let rel = schema.to_relation_schema();

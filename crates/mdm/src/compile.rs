@@ -113,7 +113,6 @@ mod tests {
     use crate::dimension_instance::DimensionInstance;
     use crate::dimension_schema::DimensionSchema;
     use ontodq_chase::chase;
-    use ontodq_datalog::analysis;
     use ontodq_relational::Value;
 
     fn mini_ontology() -> MdOntology {
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn compiled_dimensional_rules_are_weakly_sticky_and_weakly_acyclic() {
         let compiled = compile(&mini_ontology());
-        let report = analysis::classify(&compiled.program);
+        let report = ontodq_datalog::classify(&compiled.program);
         assert!(report.weakly_sticky);
         assert!(report.weakly_acyclic);
     }

@@ -53,18 +53,6 @@ impl DimensionInstance {
         Ok(self)
     }
 
-    /// Add several members to a category.
-    pub fn add_members<I, V>(&mut self, category: &str, members: I) -> Result<&mut Self>
-    where
-        I: IntoIterator<Item = V>,
-        V: Into<Value>,
-    {
-        for m in members {
-            self.add_member(category, m)?;
-        }
-        Ok(self)
-    }
-
     /// Record that `child_member` (in `child_category`) rolls up to
     /// `parent_member` (in `parent_category`).  The categories must be
     /// adjacent in the schema and both members must have been declared;
@@ -95,12 +83,12 @@ impl DimensionInstance {
     }
 
     /// The members of `category`.
-    pub fn members_of(&self, category: &str) -> BTreeSet<Value> {
+    pub(crate) fn members_of(&self, category: &str) -> BTreeSet<Value> {
         self.members.get(category).cloned().unwrap_or_default()
     }
 
     /// Is `member` a member of `category`?
-    pub fn is_member(&self, category: &str, member: &Value) -> bool {
+    pub(crate) fn is_member(&self, category: &str, member: &Value) -> bool {
         self.members
             .get(category)
             .map(|ms| ms.contains(member))
@@ -113,7 +101,7 @@ impl DimensionInstance {
     }
 
     /// The adjacency-level roll-up pairs between two adjacent categories.
-    pub fn rollup_pairs(
+    pub(crate) fn rollup_pairs(
         &self,
         child_category: &str,
         parent_category: &str,
@@ -126,7 +114,7 @@ impl DimensionInstance {
 
     /// The direct parents of `member` (of `child_category`) in
     /// `parent_category`.
-    pub fn parents_of_member(
+    pub(crate) fn parents_of_member(
         &self,
         child_category: &str,
         member: &Value,
@@ -135,20 +123,6 @@ impl DimensionInstance {
         self.rollup_pairs(child_category, parent_category)
             .into_iter()
             .filter_map(|(c, p)| (&c == member).then_some(p))
-            .collect()
-    }
-
-    /// The direct children of `member` (of `parent_category`) in
-    /// `child_category`.
-    pub fn children_of_member(
-        &self,
-        parent_category: &str,
-        member: &Value,
-        child_category: &str,
-    ) -> BTreeSet<Value> {
-        self.rollup_pairs(child_category, parent_category)
-            .into_iter()
-            .filter_map(|(c, p)| (&p == member).then_some(c))
             .collect()
     }
 
@@ -181,40 +155,6 @@ impl DimensionInstance {
                     }
                     if seen.insert((parent_category.clone(), parent)) {
                         queue.push_back((parent_category.clone(), parent));
-                    }
-                }
-            }
-        }
-        result
-    }
-
-    /// The transitive drill-down of `member` from `from_category` to
-    /// `to_category` (the set of descendants of the member in `to_category`).
-    pub fn drill_down(
-        &self,
-        from_category: &str,
-        member: &Value,
-        to_category: &str,
-    ) -> BTreeSet<Value> {
-        if from_category == to_category {
-            return if self.is_member(from_category, member) {
-                std::iter::once(*member).collect()
-            } else {
-                BTreeSet::new()
-            };
-        }
-        let mut result = BTreeSet::new();
-        let mut queue: VecDeque<(String, Value)> = VecDeque::new();
-        let mut seen: BTreeSet<(String, Value)> = BTreeSet::new();
-        queue.push_back((from_category.to_string(), *member));
-        while let Some((category, current)) = queue.pop_front() {
-            for child_category in self.schema.children_of(&category) {
-                for child in self.children_of_member(&category, &current, &child_category) {
-                    if child_category == to_category {
-                        result.insert(child);
-                    }
-                    if seen.insert((child_category.clone(), child)) {
-                        queue.push_back((child_category.clone(), child));
                     }
                 }
             }
@@ -344,10 +284,6 @@ mod tests {
             dim.parents_of_member("Ward", &Value::str("W1"), "Unit"),
             [Value::str("Standard")].into()
         );
-        assert_eq!(
-            dim.children_of_member("Unit", &Value::str("Standard"), "Ward"),
-            [Value::str("W1"), Value::str("W2")].into()
-        );
         assert!(dim
             .parents_of_member("Ward", &Value::str("W9"), "Unit")
             .is_empty());
@@ -363,10 +299,6 @@ mod tests {
         assert_eq!(
             dim.roll_up("Ward", &Value::str("W4"), "Institution"),
             [Value::str("H2")].into()
-        );
-        assert_eq!(
-            dim.drill_down("Institution", &Value::str("H1"), "Ward"),
-            [Value::str("W1"), Value::str("W2"), Value::str("W3")].into()
         );
         // Same category: identity on members.
         assert_eq!(

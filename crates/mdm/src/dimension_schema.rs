@@ -56,13 +56,13 @@ impl DimensionSchema {
     }
 
     /// Add a category (idempotent).
-    pub fn add_category(&mut self, category: impl Into<String>) -> &mut Self {
+    pub(crate) fn add_category(&mut self, category: impl Into<String>) -> &mut Self {
         self.categories.insert(category.into());
         self
     }
 
     /// Add an adjacency edge `child ≺ parent`; both categories must exist.
-    pub fn add_edge(
+    pub(crate) fn add_edge(
         &mut self,
         child: impl Into<String>,
         parent: impl Into<String>,
@@ -87,17 +87,17 @@ impl DimensionSchema {
     }
 
     /// Does the schema contain `category`?
-    pub fn has_category(&self, category: &str) -> bool {
+    pub(crate) fn has_category(&self, category: &str) -> bool {
         self.categories.contains(category)
     }
 
     /// Direct parent categories of `category`.
-    pub fn parents_of(&self, category: &str) -> BTreeSet<String> {
+    pub(crate) fn parents_of(&self, category: &str) -> BTreeSet<String> {
         self.parents.get(category).cloned().unwrap_or_default()
     }
 
     /// Direct child categories of `category`.
-    pub fn children_of(&self, category: &str) -> BTreeSet<String> {
+    pub(crate) fn children_of(&self, category: &str) -> BTreeSet<String> {
         self.parents
             .iter()
             .filter(|&(_child, parents)| parents.contains(category))
@@ -106,7 +106,7 @@ impl DimensionSchema {
     }
 
     /// The adjacency edges as (child, parent) pairs.
-    pub fn edges(&self) -> Vec<(String, String)> {
+    pub(crate) fn edges(&self) -> Vec<(String, String)> {
         self.parents
             .iter()
             .flat_map(|(c, ps)| ps.iter().map(move |p| (c.clone(), p.clone())))
@@ -114,7 +114,7 @@ impl DimensionSchema {
     }
 
     /// Is `child` adjacent to (a direct child of) `parent`?
-    pub fn is_adjacent(&self, child: &str, parent: &str) -> bool {
+    pub(crate) fn is_adjacent(&self, child: &str, parent: &str) -> bool {
         self.parents
             .get(child)
             .map(|ps| ps.contains(parent))
@@ -122,7 +122,7 @@ impl DimensionSchema {
     }
 
     /// Does `lower` roll up (transitively, strictly) to `upper`?
-    pub fn rolls_up_to(&self, lower: &str, upper: &str) -> bool {
+    pub(crate) fn rolls_up_to(&self, lower: &str, upper: &str) -> bool {
         if lower == upper {
             return false;
         }
@@ -140,24 +140,6 @@ impl DimensionSchema {
             }
         }
         false
-    }
-
-    /// The categories with no children (the finest-grained levels).
-    pub fn bottom_categories(&self) -> BTreeSet<String> {
-        self.categories
-            .iter()
-            .filter(|c| self.children_of(c).is_empty())
-            .cloned()
-            .collect()
-    }
-
-    /// The categories with no parents (the coarsest levels, usually `All`).
-    pub fn top_categories(&self) -> BTreeSet<String> {
-        self.categories
-            .iter()
-            .filter(|c| self.parents_of(c).is_empty())
-            .cloned()
-            .collect()
     }
 
     /// The level of a category: the length of the longest upward path from a
@@ -227,25 +209,6 @@ impl DimensionSchema {
         }
         Ok(())
     }
-
-    /// All upward paths (as lists of categories, inclusive) from `lower` to
-    /// `upper`.
-    pub fn paths_between(&self, lower: &str, upper: &str) -> Vec<Vec<String>> {
-        let mut paths = Vec::new();
-        let mut stack = vec![(lower.to_string(), vec![lower.to_string()])];
-        while let Some((current, path)) = stack.pop() {
-            if current == upper {
-                paths.push(path);
-                continue;
-            }
-            for parent in self.parents_of(&current) {
-                let mut next = path.clone();
-                next.push(parent.clone());
-                stack.push((parent, next));
-            }
-        }
-        paths
-    }
 }
 
 impl fmt::Display for DimensionSchema {
@@ -265,11 +228,6 @@ mod tests {
     /// The Hospital dimension of Fig. 1: Ward → Unit → Institution → All.
     fn hospital() -> DimensionSchema {
         DimensionSchema::chain("Hospital", ["Ward", "Unit", "Institution", "AllHospital"])
-    }
-
-    /// The Time dimension of Fig. 1: Time → Day → Month → Year → All.
-    fn time() -> DimensionSchema {
-        DimensionSchema::chain("Time", ["Time", "Day", "Month", "Year", "AllTime"])
     }
 
     #[test]
@@ -292,16 +250,6 @@ mod tests {
         assert!(!h.rolls_up_to("Unit", "Ward"));
         assert!(!h.rolls_up_to("Ward", "Ward"));
         assert!(!h.rolls_up_to("Ward", "Day"));
-    }
-
-    #[test]
-    fn bottom_and_top_categories() {
-        let h = hospital();
-        assert_eq!(h.bottom_categories(), ["Ward".to_string()].into());
-        assert_eq!(h.top_categories(), ["AllHospital".to_string()].into());
-        let t = time();
-        assert_eq!(t.bottom_categories(), ["Time".to_string()].into());
-        assert_eq!(t.top_categories(), ["AllTime".to_string()].into());
     }
 
     #[test]
@@ -330,10 +278,6 @@ mod tests {
         assert_eq!(loc.parents_of("City").len(), 2);
         assert_eq!(loc.children_of("Country").len(), 2);
         assert_eq!(loc.level_of("Country"), Some(2));
-        let paths = loc.paths_between("City", "Country");
-        assert_eq!(paths.len(), 2);
-        assert!(paths.iter().all(|p| p.first().unwrap() == "City"));
-        assert!(paths.iter().all(|p| p.last().unwrap() == "Country"));
     }
 
     #[test]
@@ -357,14 +301,6 @@ mod tests {
             schema.validate(),
             Err(MdError::CyclicCategoryGraph { .. })
         ));
-    }
-
-    #[test]
-    fn paths_between_same_category_is_singleton() {
-        let h = hospital();
-        let paths = h.paths_between("Unit", "Unit");
-        assert_eq!(paths, vec![vec!["Unit".to_string()]]);
-        assert!(h.paths_between("Unit", "Ward").is_empty());
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl From<ontodq_relational::RelationalError> for MdError {
 }
 
 /// Result alias for the MD layer.
-pub type Result<T> = std::result::Result<T, MdError>;
+pub(crate) type Result<T> = std::result::Result<T, MdError>;
 
 #[cfg(test)]
 mod tests {

@@ -17,31 +17,32 @@
 //!   bundling dimensions, categorical relations with data, dimensional rules
 //!   (forms (4)/(10)), dimensional EGDs (form (2)) and negative constraints
 //!   (form (3)),
-//! * [`mod@compile`] — the translation into Datalog± (category predicates,
+//! * `compile` — the translation into Datalog± (category predicates,
 //!   parent–child predicates, referential constraints of form (1)) consumed
 //!   by `ontodq-chase` and `ontodq-qa`,
-//! * [`navigation`] — upward/downward direction analysis of dimensional
+//! * `navigation` — upward/downward direction analysis of dimensional
 //!   rules, used to decide whether FO query rewriting applies,
 //! * [`fixtures::hospital`] — the paper's running example, verbatim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod categorical;
-pub mod compile;
-pub mod dimension_instance;
-pub mod dimension_schema;
-pub mod error;
+mod categorical;
+mod compile;
+mod dimension_instance;
+mod dimension_schema;
+mod error;
 pub mod fixtures;
-pub mod navigation;
-pub mod ontology;
-pub mod summarizability;
+mod navigation;
+mod ontology;
 
 pub use categorical::{CategoricalAttribute, CategoricalRelationSchema};
 pub use compile::{compile, CompiledOntology};
 pub use dimension_instance::DimensionInstance;
 pub use dimension_schema::DimensionSchema;
-pub use error::{MdError, Result};
-pub use navigation::{direction_of, is_upward_only, NavigationDirection, NavigationReport};
+pub use error::MdError;
+pub use navigation::{
+    directions, is_upward_only, report as navigation_report, NavigationDirection, NavigationReport,
+};
 pub use ontology::{MdOntology, OntologySummary};
-pub use summarizability::{RollupProfile, SummarizabilityReport};

@@ -10,7 +10,7 @@
 //! requires value invention and hence chase- or resolution-based answering.
 
 use crate::ontology::MdOntology;
-use ontodq_datalog::{Atom, Term, Tgd, Variable};
+use ontodq_datalog::{Atom, Tgd, Variable};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -46,7 +46,7 @@ fn variables_of(atoms: &[&Atom]) -> BTreeSet<Variable> {
 
 /// Analyze the navigation direction of one dimensional rule with respect to
 /// an ontology (whose dimensions determine the parent–child predicates).
-pub fn direction_of(ontology: &MdOntology, rule: &Tgd) -> NavigationDirection {
+pub(crate) fn direction_of(ontology: &MdOntology, rule: &Tgd) -> NavigationDirection {
     let parent_child = ontology.parent_child_predicates();
     let category_names: BTreeSet<&str> = ontology
         .dimensions()
@@ -154,7 +154,7 @@ pub fn is_upward_only(ontology: &MdOntology) -> bool {
 
 /// `true` when some rule introduces existential values (labeled nulls) —
 /// downward rules with schema mismatches or form-(10) rules.
-pub fn has_value_invention(ontology: &MdOntology) -> bool {
+pub(crate) fn has_value_invention(ontology: &MdOntology) -> bool {
     ontology
         .rules()
         .iter()
@@ -179,13 +179,6 @@ pub fn report(ontology: &MdOntology) -> NavigationReport {
         upward_only: is_upward_only(ontology),
         value_invention: has_value_invention(ontology),
     }
-}
-
-/// Does the given term occur in the rule's head?  Exposed for use by the
-/// rewriting layer when it needs to know which parent–child joins feed head
-/// positions.
-pub fn term_in_head(rule: &Tgd, term: &Term) -> bool {
-    rule.head.iter().any(|a| a.terms.contains(term))
 }
 
 #[cfg(test)]
@@ -316,12 +309,5 @@ mod tests {
             NavigationDirection::NonNavigational.to_string(),
             "non-navigational"
         );
-    }
-
-    #[test]
-    fn term_in_head_helper() {
-        let rule = tgd("PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).");
-        assert!(term_in_head(&rule, &Term::var("u")));
-        assert!(!term_in_head(&rule, &Term::var("w")));
     }
 }

@@ -80,18 +80,6 @@ impl MdOntology {
         self
     }
 
-    /// Add a dimensional EGD (form (2)).
-    pub fn add_egd(&mut self, egd: Egd) -> &mut Self {
-        self.egds.push(egd);
-        self
-    }
-
-    /// Add a dimensional negative constraint (form (3)).
-    pub fn add_constraint(&mut self, nc: NegativeConstraint) -> &mut Self {
-        self.constraints.push(nc);
-        self
-    }
-
     /// Parse a rule in the `ontodq-datalog` text syntax and add it to the
     /// ontology (TGDs become dimensional rules, EGDs dimensional EGDs,
     /// `! :- …` constraints dimensional constraints; facts are rejected —
@@ -127,7 +115,7 @@ impl MdOntology {
     }
 
     /// The dimension called `name`.
-    pub fn dimension(&self, name: &str) -> Result<&DimensionInstance> {
+    pub(crate) fn dimension(&self, name: &str) -> Result<&DimensionInstance> {
         self.dimensions
             .get(name)
             .ok_or_else(|| MdError::UnknownDimension(name.to_string()))
@@ -156,24 +144,24 @@ impl MdOntology {
     }
 
     /// The dimensional EGDs.
-    pub fn egds(&self) -> &[Egd] {
+    pub(crate) fn egds(&self) -> &[Egd] {
         &self.egds
     }
 
     /// The dimensional negative constraints.
-    pub fn constraints(&self) -> &[NegativeConstraint] {
+    pub(crate) fn constraints(&self) -> &[NegativeConstraint] {
         &self.constraints
     }
 
     /// The name of the parent–child predicate for an adjacency edge, in the
     /// paper's style: `UnitWard`, `MonthDay`, `DayTime`, …
-    pub fn parent_child_predicate(parent_category: &str, child_category: &str) -> String {
+    pub(crate) fn parent_child_predicate(parent_category: &str, child_category: &str) -> String {
         format!("{parent_category}{child_category}")
     }
 
     /// All parent–child predicate names of the ontology, mapped to
     /// `(dimension, child category, parent category)`.
-    pub fn parent_child_predicates(&self) -> BTreeMap<String, (String, String, String)> {
+    pub(crate) fn parent_child_predicates(&self) -> BTreeMap<String, (String, String, String)> {
         let mut out = BTreeMap::new();
         for (dim_name, dim) in &self.dimensions {
             for (child, parent) in dim.schema().edges() {
@@ -186,11 +174,37 @@ impl MdOntology {
         out
     }
 
+    /// The arity of every relation the compiled ontology defines: the
+    /// extensional data, the categorical relations, one unary predicate per
+    /// category and one binary parent–child predicate per adjacency edge.
+    /// Data merged into the compiled instance must agree with these.
+    pub fn relation_arities(&self) -> BTreeMap<String, usize> {
+        let mut out: BTreeMap<String, usize> = self
+            .parent_child_predicates()
+            .into_keys()
+            .map(|predicate| (predicate, 2))
+            .collect();
+        for dimension in self.dimensions.values() {
+            for category in dimension.schema().categories() {
+                out.insert(category.clone(), 1);
+            }
+        }
+        for (name, schema) in &self.relations {
+            out.insert(name.clone(), schema.arity());
+        }
+        for name in self.data.relation_names() {
+            if let Ok(relation) = self.data.relation(name) {
+                out.insert(name.to_string(), relation.schema().arity());
+            }
+        }
+        out
+    }
+
     /// Check the referential integrity of the categorical data: every value
     /// at a categorical position must be a member of the linked category
     /// (labeled nulls are exempt — they stand for unknown members).  Returns
     /// all violations found.
-    pub fn referential_violations(&self) -> Vec<MdError> {
+    pub(crate) fn referential_violations(&self) -> Vec<MdError> {
         let mut violations = Vec::new();
         for (name, schema) in &self.relations {
             let Ok(instance) = self.data.relation(name) else {
@@ -287,21 +301,21 @@ impl MdOntology {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OntologySummary {
     /// Number of dimensions.
-    pub dimensions: usize,
+    pub(crate) dimensions: usize,
     /// Total number of categories across dimensions.
-    pub categories: usize,
+    pub(crate) categories: usize,
     /// Total number of members across categories.
     pub members: usize,
     /// Number of categorical relations.
-    pub categorical_relations: usize,
+    pub(crate) categorical_relations: usize,
     /// Total number of tuples in categorical relations.
-    pub categorical_tuples: usize,
+    pub(crate) categorical_tuples: usize,
     /// Number of dimensional rules.
-    pub rules: usize,
+    pub(crate) rules: usize,
     /// Number of dimensional EGDs.
-    pub egds: usize,
+    pub(crate) egds: usize,
     /// Number of dimensional negative constraints.
-    pub constraints: usize,
+    pub(crate) constraints: usize,
 }
 
 impl fmt::Display for OntologySummary {

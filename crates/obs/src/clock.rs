@@ -1,12 +1,11 @@
 //! The clock seam: every latency measurement and `micros=` response field
 //! in the workspace reads time through a [`Clock`], never `Instant::now()`
 //! directly.  Production code installs a [`MonotonicClock`]; deterministic
-//! tests and the record/replay harness install a [`VirtualClock`] (frozen
-//! or script-advanced), which makes timed output byte-for-byte reproducible
+//! tests and the record/replay harness install a frozen [`VirtualClock`],
+//! which makes timed output byte-for-byte reproducible
 //! with no masking.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,13 +23,13 @@ pub type SharedClock = Arc<dyn Clock>;
 
 /// The production clock: monotonic time since construction.
 #[derive(Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: Instant,
 }
 
 impl MonotonicClock {
     /// A monotonic clock whose origin is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             origin: Instant::now(),
         }
@@ -49,38 +48,24 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// A manually-advanced clock for tests and deterministic replay.
-///
-/// Never moves on its own: two runs driving the same script against a
-/// frozen (or identically-advanced) `VirtualClock` observe identical
+/// A clock that never moves, for tests and deterministic replay: two runs
+/// driving the same script against a `VirtualClock` observe identical
 /// timestamps, so every derived `micros=` field is reproducible.
 #[derive(Debug, Default)]
-pub struct VirtualClock {
-    now: AtomicU64,
+pub(crate) struct VirtualClock {
+    now: u64,
 }
 
 impl VirtualClock {
-    /// A virtual clock starting at `start_micros`.
-    pub fn new(start_micros: u64) -> Self {
-        Self {
-            now: AtomicU64::new(start_micros),
-        }
-    }
-
-    /// Move the clock forward by `micros`.
-    pub fn advance(&self, micros: u64) {
-        self.now.fetch_add(micros, Ordering::SeqCst);
-    }
-
-    /// Set the clock to an absolute reading.
-    pub fn set(&self, micros: u64) {
-        self.now.store(micros, Ordering::SeqCst);
+    /// A virtual clock reading `micros` forever.
+    pub(crate) fn new(micros: u64) -> Self {
+        Self { now: micros }
     }
 }
 
 impl Clock for VirtualClock {
     fn now_micros(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
+        self.now
     }
 }
 
@@ -112,10 +97,6 @@ mod tests {
         let clock = VirtualClock::new(5);
         assert_eq!(clock.now_micros(), 5);
         assert_eq!(clock.now_micros(), 5);
-        clock.advance(10);
-        assert_eq!(clock.now_micros(), 15);
-        clock.set(3);
-        assert_eq!(clock.now_micros(), 3);
     }
 
     #[test]

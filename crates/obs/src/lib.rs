@@ -2,13 +2,13 @@
 //!
 //! The workspace's observability layer, `std`-only like everything else:
 //!
-//! * a **clock seam** ([`Clock`], [`MonotonicClock`], [`VirtualClock`]) —
-//!   every latency measurement and `micros=` response field reads time
-//!   through an injected clock, so deterministic tests and the
-//!   record/replay harness swap in a virtual clock and get byte-identical
-//!   output with no masking;
+//! * a **clock seam** ([`Clock`], [`SharedClock`]; [`monotonic`] for
+//!   production, [`frozen`] for replay) — every latency measurement and
+//!   `micros=` response field reads time through an injected clock, so
+//!   deterministic tests and the record/replay harness swap in a frozen
+//!   clock and get byte-identical output with no masking;
 //! * **lock-free instruments** ([`Counter`], [`Gauge`], [`Histogram`] with
-//!   `p50`/`p95`/`p99`/`max` readout over fixed exponential buckets);
+//!   `p95`/`max` readout over fixed exponential buckets);
 //! * a **[`Registry`]** mapping stable metric names (plus label sets) to
 //!   instruments and rendering the whole state in the Prometheus text
 //!   exposition format (the server's `!metrics` command);
@@ -20,11 +20,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod clock;
-pub mod metrics;
-pub mod trace;
+mod clock;
+mod metrics;
+mod trace;
 
-pub use clock::{frozen, monotonic, Clock, MonotonicClock, SharedClock, VirtualClock};
-pub use metrics::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BOUNDS_MICROS};
-pub use trace::{Span, SpanLog, SpanRecord};
+pub use clock::{frozen, monotonic, Clock, SharedClock};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use trace::{SpanLog, SpanRecord};

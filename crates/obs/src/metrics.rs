@@ -72,12 +72,6 @@ impl Gauge {
         self.value.store(value, Ordering::Relaxed);
     }
 
-    /// Raise the value to `value` if it is higher (high-watermark
-    /// semantics).
-    pub fn set_max(&self, value: u64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -86,7 +80,7 @@ impl Gauge {
 
 /// Default latency bucket upper bounds, in microseconds: a 1-2.5-5 ladder
 /// from 1 µs to 10 s.  An implicit `+Inf` bucket catches the rest.
-pub const DEFAULT_LATENCY_BOUNDS_MICROS: &[u64] = &[
+pub(crate) const DEFAULT_LATENCY_BOUNDS_MICROS: &[u64] = &[
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
     250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
 ];
@@ -108,13 +102,13 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram over [`DEFAULT_LATENCY_BOUNDS_MICROS`].
+    /// A histogram over `DEFAULT_LATENCY_BOUNDS_MICROS`.
     pub fn latency() -> Self {
         Self::with_bounds(DEFAULT_LATENCY_BOUNDS_MICROS)
     }
 
     /// A histogram over explicit ascending bucket upper bounds.
-    pub fn with_bounds(bounds: &[u64]) -> Self {
+    pub(crate) fn with_bounds(bounds: &[u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Self {
             bounds: bounds.to_vec(),
@@ -145,14 +139,14 @@ impl Histogram {
     }
 
     /// Largest observed value (exact, unlike the bucketed quantiles).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`), resolved to the upper bound of the
     /// bucket containing it (the exact [`Histogram::max`] for the overflow
     /// bucket).  Returns 0 with no observations.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -171,28 +165,18 @@ impl Histogram {
         self.max()
     }
 
-    /// Median (bucket-resolved).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
     /// 95th percentile (bucket-resolved).
     pub fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
-    /// 99th percentile (bucket-resolved).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
+    pub(crate) fn bounds(&self) -> &[u64] {
         &self.bounds
     }
 
     /// Per-bucket counts (non-cumulative), overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -333,11 +317,6 @@ impl Registry {
         self.register(name, help, labels, Handle::Counter(counter));
     }
 
-    /// Adopt an externally-owned gauge under `name{labels}`.
-    pub fn adopt_gauge(&self, name: &str, help: &str, labels: &[(&str, &str)], gauge: Arc<Gauge>) {
-        self.register(name, help, labels, Handle::Gauge(gauge));
-    }
-
     /// Adopt an externally-owned histogram under `name{labels}`.
     pub fn adopt_histogram(
         &self,
@@ -420,10 +399,7 @@ mod tests {
 
         let gauge = Gauge::new();
         gauge.set(7);
-        gauge.set_max(3);
         assert_eq!(gauge.get(), 7);
-        gauge.set_max(11);
-        assert_eq!(gauge.get(), 11);
     }
 
     #[test]
@@ -437,16 +413,16 @@ mod tests {
         assert_eq!(histogram.max(), 5000);
         // Buckets: ≤10 → 3, ≤100 → 1, ≤1000 → 1, +Inf → 1.
         assert_eq!(histogram.bucket_counts(), vec![3, 1, 1, 1]);
-        assert_eq!(histogram.p50(), 10);
+        assert_eq!(histogram.quantile(0.50), 10);
         assert_eq!(histogram.quantile(1.0), 5000);
-        assert_eq!(histogram.p99(), 5000);
+        assert_eq!(histogram.quantile(0.99), 5000);
     }
 
     #[test]
     fn empty_histogram_quantiles_are_zero() {
         let histogram = Histogram::latency();
-        assert_eq!(histogram.p50(), 0);
-        assert_eq!(histogram.p99(), 0);
+        assert_eq!(histogram.quantile(0.50), 0);
+        assert_eq!(histogram.quantile(0.99), 0);
         assert_eq!(histogram.max(), 0);
     }
 

@@ -1,18 +1,12 @@
 //! Span-style tracing: a bounded ring of recent [`SpanRecord`]s.
 //!
-//! Two ways in:
-//!
-//! * [`SpanLog::span`] returns a guard that measures from construction to
-//!   drop through the injected [`Clock`] and records itself;
-//! * [`SpanLog::record`] pushes an already-measured record — the slow-query
-//!   log uses this, since the duration is measured by the protocol loop
-//!   anyway.
+//! [`SpanLog::record`] pushes an already-measured record: the slow-query
+//! log measures the duration in the protocol loop anyway.
 //!
 //! The ring is deliberately tiny and lossy: it answers "what just
 //! happened", not "what ever happened".  When full, the oldest record is
 //! dropped.
 
-use crate::clock::Clock;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -54,22 +48,6 @@ impl SpanLog {
         ring.push_back(record);
     }
 
-    /// Start a measured span; it records itself when dropped.
-    pub fn span<'a>(
-        &'a self,
-        clock: &'a dyn Clock,
-        name: impl Into<String>,
-        detail: impl Into<String>,
-    ) -> Span<'a> {
-        Span {
-            log: self,
-            clock,
-            name: name.into(),
-            detail: detail.into(),
-            start_micros: clock.now_micros(),
-        }
-    }
-
     /// Oldest-first copy of the current contents.
     pub fn recent(&self) -> Vec<SpanRecord> {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
@@ -85,44 +63,11 @@ impl SpanLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop every record.
-    pub fn clear(&self) {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-
-    /// Maximum number of records the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// An in-flight span; records itself into its [`SpanLog`] on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    log: &'a SpanLog,
-    clock: &'a dyn Clock,
-    name: String,
-    detail: String,
-    start_micros: u64,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let end = self.clock.now_micros();
-        self.log.record(SpanRecord {
-            name: std::mem::take(&mut self.name),
-            detail: std::mem::take(&mut self.detail),
-            start_micros: self.start_micros,
-            duration_micros: end.saturating_sub(self.start_micros),
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
 
     #[test]
     fn ring_is_bounded_and_ordered() {
@@ -139,20 +84,5 @@ mod tests {
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].name, "s1");
         assert_eq!(recent[1].name, "s2");
-    }
-
-    #[test]
-    fn span_guard_measures_through_the_clock() {
-        let clock = VirtualClock::new(100);
-        let log = SpanLog::new(8);
-        {
-            let _span = log.span(&clock, "work", "payload");
-            clock.advance(25);
-        }
-        let recent = log.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].start_micros, 100);
-        assert_eq!(recent[0].duration_micros, 25);
-        assert_eq!(recent[0].detail, "payload");
     }
 }

@@ -12,9 +12,9 @@
 //!   top-down backtracking search for accepting resolution proof schemas,
 //!   answering Boolean conjunctive queries directly over the extensional
 //!   database and open queries by enumerating candidate substitutions,
-//! * [`mod@rewrite`] — first-order (union-of-CQ) rewriting for upward-navigation
+//! * `rewrite` — first-order (union-of-CQ) rewriting for upward-navigation
 //!   ontologies, evaluated directly on the extensional database,
-//! * [`demand`] — demand-driven (magic-set) answering: the program is
+//! * `demand` — demand-driven (magic-set) answering: the program is
 //!   specialized to the query's bound constants and only the relevant
 //!   fragment is chased.
 //!
@@ -24,21 +24,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod demand;
-pub mod materialize;
-pub mod query;
-pub mod resolution;
-pub mod rewrite;
+mod demand;
+mod materialize;
+mod query;
+mod resolution;
+mod rewrite;
 
 pub use demand::{answer_on_demand, certain_answers_on_demand, DemandAnswer};
 pub use materialize::{certain_answers, MaterializedEngine};
 pub use query::{AnswerSet, ConjunctiveQuery};
-pub use resolution::{DeterministicWsqAns, ResolutionConfig};
-pub use rewrite::{
-    answer_by_rewriting, answer_by_rewriting_prepared, rewrite, rewrite_with, RewriteConfig,
-    UnionQuery,
-};
+pub use resolution::DeterministicWsqAns;
+pub use rewrite::{answer_by_rewriting, rewrite, UnionQuery};
 
 // Compile-time thread-safety audit: `ontodq-server` prepares queries once
 // and reuses them from every worker thread (the shared prepared-query

@@ -12,8 +12,7 @@
 //! `ontodq-chase`: the (semi-naive) chase builds hash indexes for every
 //! rule-body join position and maintains them incrementally while
 //! materializing, so queries over the chased instance hit indexed joins for
-//! free.  [`MaterializedEngine::prepare`] additionally builds the indexes a
-//! specific query's own join positions want.
+//! free.
 
 use crate::query::{AnswerSet, ConjunctiveQuery};
 use ontodq_chase::{chase, ChaseResult};
@@ -35,27 +34,14 @@ impl MaterializedEngine {
         }
     }
 
-    /// The underlying chase result (instance, statistics, violations).
-    pub fn chase_result(&self) -> &ChaseResult {
-        &self.result
-    }
-
     /// The chased (materialized) instance.
     pub fn materialized(&self) -> &Database {
         &self.result.database
     }
 
-    /// Build the hash indexes `query`'s join positions benefit from on the
-    /// materialized instance (idempotent; indexes the chase already built
-    /// are reused).  Worth calling before answering the same query shape
-    /// repeatedly.
-    pub fn prepare(&mut self, query: &ConjunctiveQuery) {
-        ontodq_chase::ensure_indexes(&mut self.result.database, &query.body);
-    }
-
     /// All answers to the query over the materialized instance, including
     /// tuples containing labeled nulls (the "possible" answers).
-    pub fn all_answers(&self, query: &ConjunctiveQuery) -> AnswerSet {
+    pub(crate) fn all_answers(&self, query: &ConjunctiveQuery) -> AnswerSet {
         let tuples = ontodq_chase::evaluate_project(
             &self.result.database,
             &query.body,
@@ -162,7 +148,7 @@ mod tests {
         // Shifts data.
         assert!(engine.materialized().has_relation("PatientUnit"));
         assert!(engine.materialized().has_relation("Shifts"));
-        assert!(engine.chase_result().stats.tuples_added > 0);
+        assert!(engine.result.stats.tuples_added > 0);
     }
 
     #[test]
@@ -179,7 +165,7 @@ mod tests {
         // Preparing a query adds its own join/constant positions.
         let q = ConjunctiveQuery::parse("Q(d) :- Shifts(W2, d, \"Mark\", s).").unwrap();
         let before = engine.certain_answers(&q);
-        engine.prepare(&q);
+        ontodq_chase::ensure_indexes(&mut engine.result.database, &q.body);
         assert!(engine
             .materialized()
             .relation("Shifts")

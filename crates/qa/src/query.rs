@@ -1,6 +1,6 @@
 //! Conjunctive queries and answer sets.
 
-use ontodq_datalog::{parse_rule, Atom, Conjunction, Rule, Term, Variable};
+use ontodq_datalog::{parse_rule, Conjunction, Rule, Term, Variable};
 use ontodq_relational::Tuple;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -30,11 +30,6 @@ impl ConjunctiveQuery {
             answer_variables,
             body,
         }
-    }
-
-    /// A Boolean query with the given body.
-    pub fn boolean(body: Conjunction) -> Self {
-        Self::new("Q", Vec::new(), body)
     }
 
     /// Parse a query written as a rule, e.g.
@@ -79,7 +74,7 @@ impl ConjunctiveQuery {
     }
 
     /// `true` when the query is Boolean (no answer variables).
-    pub fn is_boolean(&self) -> bool {
+    pub(crate) fn is_boolean(&self) -> bool {
         self.answer_variables.is_empty()
     }
 
@@ -99,7 +94,7 @@ impl ConjunctiveQuery {
 
     /// The Boolean query obtained by substituting `tuple` for the answer
     /// variables (positionally).  Panics if the arity does not match.
-    pub fn instantiate(&self, tuple: &Tuple) -> ConjunctiveQuery {
+    pub(crate) fn instantiate(&self, tuple: &Tuple) -> ConjunctiveQuery {
         assert_eq!(tuple.arity(), self.arity(), "arity mismatch in instantiate");
         let mut unifier = ontodq_datalog::Unifier::new();
         for (var, value) in self.answer_variables.iter().zip(tuple.values()) {
@@ -111,11 +106,6 @@ impl ConjunctiveQuery {
             answer_variables: Vec::new(),
             body: unifier.apply_conjunction(&self.body),
         }
-    }
-
-    /// The body atoms of the query.
-    pub fn atoms(&self) -> &[Atom] {
-        &self.body.atoms
     }
 }
 

@@ -26,20 +26,20 @@
 
 use crate::query::{AnswerSet, ConjunctiveQuery};
 use ontodq_datalog::{Atom, Comparison, Program, Term, Tgd, Unifier, Variable};
-use ontodq_relational::{Database, NullGenerator, Tuple, Value};
+use ontodq_relational::{Database, NullGenerator, StampWindow, Tuple, Value};
 use std::collections::BTreeSet;
 
 /// Configuration of the resolution-based answering procedure.
 #[derive(Debug, Clone)]
-pub struct ResolutionConfig {
+pub(crate) struct ResolutionConfig {
     /// Maximum number of nested TGD resolutions along one proof branch.
     /// Weak stickiness bounds the necessary depth polynomially in the fixed
     /// rule set; the default is generous for the ontologies in this crate.
-    pub max_rule_depth: usize,
+    pub(crate) max_rule_depth: usize,
     /// Upper bound on the number of candidate substitutions enumerated for
     /// open queries (|adom|^arity can explode; the guard keeps the engine
     /// predictable — exceeding it returns the answers found so far).
-    pub max_open_candidates: usize,
+    pub(crate) max_open_candidates: usize,
 }
 
 impl Default for ResolutionConfig {
@@ -66,7 +66,7 @@ impl<'a> DeterministicWsqAns<'a> {
     }
 
     /// Create an engine with an explicit configuration.
-    pub fn with_config(
+    pub(crate) fn with_config(
         program: &'a Program,
         database: &'a Database,
         config: ResolutionConfig,
@@ -192,14 +192,17 @@ impl<'a> DeterministicWsqAns<'a> {
         // program-fact) tuple.
         if let Ok(relation) = self.database.relation(&goal.predicate) {
             if relation.schema().arity() == goal.arity() {
-                // Bind constant positions (borrowed) to narrow the scan.
-                let bindings: Vec<(usize, &Value)> = goal
+                // Bind constant positions to narrow the scan.
+                let bindings: Vec<(usize, Value)> = goal
                     .terms
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, t)| t.as_const().map(|v| (i, v)))
+                    .filter_map(|(i, t)| t.as_const().map(|v| (i, *v)))
                     .collect();
-                for tuple in relation.select(&bindings) {
+                let mut rows = Vec::new();
+                relation.select_ids_into(&bindings, StampWindow::all(), &mut rows);
+                for row in rows {
+                    let tuple = relation.row_tuple(row);
                     let mut candidate = unifier.clone();
                     if unify_with_tuple(&mut candidate, &goal, &tuple) {
                         if let Some(result) =

@@ -2,7 +2,7 @@
 //! Section IV of the paper.
 //!
 //! For ontologies whose dimensional rules only navigate upward (detected
-//! syntactically by `ontodq_mdm::navigation::is_upward_only`), conjunctive
+//! syntactically by `ontodq_mdm::is_upward_only`), conjunctive
 //! queries can be rewritten into a union of conjunctive queries that is
 //! evaluated *directly* on the extensional database, with no chase and no
 //! resolution search.  The rewriting repeatedly unfolds query atoms against
@@ -24,11 +24,11 @@ use std::fmt;
 
 /// Configuration of the rewriting procedure.
 #[derive(Debug, Clone)]
-pub struct RewriteConfig {
+pub(crate) struct RewriteConfig {
     /// Maximum number of distinct conjunctive queries generated.
-    pub max_queries: usize,
+    pub(crate) max_queries: usize,
     /// Maximum number of unfolding steps.
-    pub max_steps: usize,
+    pub(crate) max_steps: usize,
 }
 
 impl Default for RewriteConfig {
@@ -85,12 +85,6 @@ impl UnionQuery {
             ontodq_chase::ensure_indexes(database, &query.body);
         }
     }
-
-    /// [`UnionQuery::prepare`] + [`UnionQuery::evaluate`] in one call.
-    pub fn evaluate_prepared(&self, database: &mut Database) -> AnswerSet {
-        self.prepare(database);
-        self.evaluate(database)
-    }
 }
 
 impl fmt::Display for UnionQuery {
@@ -109,7 +103,7 @@ pub fn rewrite(program: &Program, query: &ConjunctiveQuery) -> UnionQuery {
 }
 
 /// Rewrite with an explicit configuration.
-pub fn rewrite_with(
+pub(crate) fn rewrite_with(
     program: &Program,
     query: &ConjunctiveQuery,
     config: &RewriteConfig,
@@ -158,18 +152,6 @@ pub fn answer_by_rewriting(
     query: &ConjunctiveQuery,
 ) -> AnswerSet {
     rewrite(program, query).evaluate(database)
-}
-
-/// Rewrite and evaluate in one step, building the rewriting's join indexes
-/// on the extensional database first (they persist on `database` and are
-/// maintained incrementally by `ontodq-relational`, so repeated calls pay
-/// the build cost once).
-pub fn answer_by_rewriting_prepared(
-    program: &Program,
-    database: &mut Database,
-    query: &ConjunctiveQuery,
-) -> AnswerSet {
-    rewrite(program, query).evaluate_prepared(database)
 }
 
 /// Attempt to unfold `atom` (at `atom_index` in `query`) against head atom
@@ -498,7 +480,9 @@ mod tests {
             .unwrap();
         let plain = answer_by_rewriting(&compiled.program, &compiled.database, &q);
         let mut db = compiled.database.clone();
-        let prepared = answer_by_rewriting_prepared(&compiled.program, &mut db, &q);
+        let rewritten = rewrite(&compiled.program, &q);
+        rewritten.prepare(&mut db);
+        let prepared = rewritten.evaluate(&db);
         assert_eq!(plain, prepared);
         // The rewriting joins PatientWard and UnitWard on the ward variable;
         // preparation must have left an index behind on at least one of the

@@ -4,7 +4,7 @@
 //! their operational counters are plain relaxed atomics (like the
 //! [`crate::SymbolInterner`]'s write counter) rather than values threaded
 //! through every call signature.  `ontodq-server` surfaces a
-//! [`snapshot`] in `!stats`; benches diff snapshots around a measured
+//! [`JoinCounters::snapshot`] in `!stats`; benches diff snapshots around a measured
 //! region to report per-trigger costs.
 //!
 //! The counters are monotone totals for the whole process, incremented with
@@ -57,6 +57,17 @@ pub struct JoinCounters {
 }
 
 impl JoinCounters {
+    /// The current totals.
+    pub fn snapshot() -> JoinCounters {
+        JoinCounters {
+            probes: PROBES.load(Ordering::Relaxed),
+            gallop_seeks: GALLOP_SEEKS.load(Ordering::Relaxed),
+            wco_seeks: WCO_SEEKS.load(Ordering::Relaxed),
+            materializations: MATERIALIZATIONS.load(Ordering::Relaxed),
+            relation_copies: RELATION_COPIES.load(Ordering::Relaxed),
+        }
+    }
+
     /// Counter deltas since `earlier` (saturating, so a stale baseline
     /// never underflows).
     pub fn since(&self, earlier: &JoinCounters) -> JoinCounters {
@@ -74,13 +85,13 @@ impl JoinCounters {
 
 /// Record one id-returning probe.
 #[inline]
-pub fn record_probe() {
+pub(crate) fn record_probe() {
     PROBES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record `n` galloping steps taken by a postings intersection.
 #[inline]
-pub fn record_gallop_seeks(n: u64) {
+pub(crate) fn record_gallop_seeks(n: u64) {
     if n > 0 {
         GALLOP_SEEKS.fetch_add(n, Ordering::Relaxed);
     }
@@ -94,7 +105,7 @@ pub fn record_wco_seek() {
 
 /// Record `n` tuple materializations out of the arena.
 #[inline]
-pub fn record_materializations(n: u64) {
+pub(crate) fn record_materializations(n: u64) {
     if n > 0 {
         MATERIALIZATIONS.fetch_add(n, Ordering::Relaxed);
     }
@@ -102,19 +113,8 @@ pub fn record_materializations(n: u64) {
 
 /// Record one copy-on-write deep copy of a shared relation.
 #[inline]
-pub fn record_relation_copy() {
+pub(crate) fn record_relation_copy() {
     RELATION_COPIES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The current totals.
-pub fn snapshot() -> JoinCounters {
-    JoinCounters {
-        probes: PROBES.load(Ordering::Relaxed),
-        gallop_seeks: GALLOP_SEEKS.load(Ordering::Relaxed),
-        wco_seeks: WCO_SEEKS.load(Ordering::Relaxed),
-        materializations: MATERIALIZATIONS.load(Ordering::Relaxed),
-        relation_copies: RELATION_COPIES.load(Ordering::Relaxed),
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn counters_are_monotone_and_diffable() {
-        let before = snapshot();
+        let before = JoinCounters::snapshot();
         record_probe();
         record_gallop_seeks(3);
         record_wco_seek();
@@ -131,7 +131,7 @@ mod tests {
         record_relation_copy();
         record_gallop_seeks(0); // no-op
         record_materializations(0); // no-op
-        let after = snapshot();
+        let after = JoinCounters::snapshot();
         let delta = after.since(&before);
         // Other tests may run concurrently, so deltas are lower bounds.
         assert!(delta.probes >= 1);

@@ -94,8 +94,8 @@ impl Database {
     }
 
     /// Advance the epoch by one, so that subsequent inserts are
-    /// distinguishable from all existing rows via
-    /// [`RelationInstance::delta_since`].  Returns the new epoch.  No
+    /// distinguishable from all existing rows by their stamps (see
+    /// [`crate::StampWindow`]).  Returns the new epoch.  No
     /// relation is touched: each picks the epoch up when it is next opened
     /// for writing.
     pub fn advance_epoch(&mut self) -> u64 {
@@ -612,10 +612,10 @@ mod tests {
         let original = sample();
         let mut copy = original.clone();
         assert_eq!(shared(&original, &copy), ["PatientWard", "UnitWard"]);
-        let before = counters::snapshot().relation_copies;
+        let before = crate::JoinCounters::snapshot().relation_copies;
         copy.insert_values("UnitWard", ["Oncology", "W9"]).unwrap();
         // Exactly the written relation was copied; the original is intact.
-        assert!(counters::snapshot().relation_copies > before);
+        assert!(crate::JoinCounters::snapshot().relation_copies > before);
         assert_eq!(shared(&original, &copy), ["PatientWard"]);
         assert_eq!(original.relation("UnitWard").unwrap().len(), 2);
         assert_eq!(copy.relation("UnitWard").unwrap().len(), 3);

@@ -79,7 +79,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;

@@ -15,8 +15,8 @@ use crate::value::Value;
 
 /// A single-attribute hash index over a relation's rows.
 ///
-/// Postings are keyed by [`Value`] under the crate's [FxHash
-/// shim](crate::fxhash): keys are interned scalars, so both insert and probe
+/// Postings are keyed by [`Value`] under the crate's FxHash shim
+/// ([`crate::FxHashMap`]): keys are interned scalars, so both insert and probe
 /// hash a handful of machine words.  Probes ([`HashIndex::lookup`]) take the
 /// key by reference and return a borrowed sorted id slice — callers never
 /// rebuild or clone a probe `Value`, and never allocate to ask a question.
@@ -48,7 +48,7 @@ impl HashIndex {
     }
 
     /// The indexed position.
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.position
     }
 
@@ -69,7 +69,7 @@ impl HashIndex {
     /// a full index rebuild.  Postings are sorted, so removal is a binary
     /// search plus one shift; emptied postings lists are dropped entirely.
     /// Returns whether the row was present.
-    pub fn remove(&mut self, row: u32, value: &Value) -> bool {
+    pub(crate) fn remove(&mut self, row: u32, value: &Value) -> bool {
         let Some(ids) = self.entries.get_mut(value) else {
             return false;
         };
@@ -83,29 +83,19 @@ impl HashIndex {
         true
     }
 
-    /// Number of distinct keys in the index.
-    pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Approximate heap footprint of the postings, in bytes.
-    pub fn postings_bytes(&self) -> usize {
+    pub(crate) fn postings_bytes(&self) -> usize {
         self.entries
             .values()
             .map(|v| v.capacity() * std::mem::size_of::<u32>())
             .sum()
-    }
-
-    /// Drop all entries (used when the underlying relation is rewritten).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
 /// Clamp a sorted id slice to ids in `[lo, hi)` — a stamp window is a
 /// contiguous id range, so window restriction of a postings list is two
 /// binary searches.
-pub fn clamp_sorted(ids: &[u32], lo: u32, hi: u32) -> &[u32] {
+pub(crate) fn clamp_sorted(ids: &[u32], lo: u32, hi: u32) -> &[u32] {
     let start = ids.partition_point(|&r| r < lo);
     let end = ids.partition_point(|&r| r < hi);
     &ids[start..end]
@@ -118,7 +108,7 @@ pub fn clamp_sorted(ids: &[u32], lo: u32, hi: u32) -> &[u32] {
 /// the shorter one, so the cost is `O(short · log(long/short))` — the regime
 /// hash-join probe chains degenerate in (one huge postings list walked per
 /// delta row) is exactly where this wins.  Each call records its seek count
-/// in the process-wide [`counters`].
+/// in the process-wide `counters`.
 pub fn intersect_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut base = 0usize;
@@ -151,7 +141,7 @@ pub fn intersect_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 
 /// Is `id` contained in the sorted slice `ids`?  Binary search, counted as
 /// one galloping seek.
-pub fn contains_sorted(ids: &[u32], id: u32) -> bool {
+pub(crate) fn contains_sorted(ids: &[u32], id: u32) -> bool {
     counters::record_gallop_seeks(1);
     ids.binary_search(&id).is_ok()
 }
@@ -159,6 +149,13 @@ pub fn contains_sorted(ids: &[u32], id: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HashIndex {
+        /// Number of distinct keys in the index.
+        fn distinct_keys(&self) -> usize {
+            self.entries.len()
+        }
+    }
 
     fn column() -> Vec<Value> {
         // Second attribute of the classic UnitWard sample.
@@ -218,14 +215,6 @@ mod tests {
         assert!(index.remove(2, &Value::str("Intensive")));
         assert!(index.lookup(&Value::str("Intensive")).is_empty());
         assert_eq!(index.distinct_keys(), 2);
-    }
-
-    #[test]
-    fn clear_empties_the_index() {
-        let mut index = HashIndex::build(0, &column());
-        index.clear();
-        assert_eq!(index.distinct_keys(), 0);
-        assert!(index.lookup(&Value::str("Standard")).is_empty());
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! * [`Value`] — domain constants (strings, integers, doubles, booleans,
 //!   timestamps) and **labeled nulls** introduced by existential rules,
 //! * [`Tuple`], [`RelationSchema`], [`RelationInstance`] — typed relations
-//!   with set semantics and optional hash [`index`]es,
+//!   with set semantics and optional hash `index`es,
 //! * [`Database`] — named collections of relations playing the roles of the
 //!   instance under assessment `D`, the contextual instance `C`, and the
 //!   extensional data `D_M` of the multidimensional ontology,
-//! * a tiny [`csv`] loader used by examples and benches.
 //!
 //! The substrate is deliberately free of external dependencies and free of
 //! query-processing logic: conjunctive-query evaluation lives in
@@ -22,26 +21,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod counters;
-pub mod csv;
-pub mod database;
-pub mod error;
-pub mod fxhash;
-pub mod index;
-pub mod interner;
-pub mod null;
-pub mod relation;
-pub mod schema;
-pub mod tuple;
-pub mod value;
+mod counters;
+mod database;
+mod error;
+mod fxhash;
+mod index;
+mod interner;
+mod null;
+mod relation;
+mod schema;
+mod tuple;
+mod value;
 
-pub use counters::JoinCounters;
+pub use counters::{record_wco_seek, JoinCounters};
 pub use database::{same_relation, Database};
 pub use error::{RelationalError, Result};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use index::{clamp_sorted, contains_sorted, intersect_sorted, HashIndex};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
+pub use index::{intersect_sorted, HashIndex};
 pub use interner::{Sym, SymbolInterner};
 pub use null::{NullGenerator, NullId};
 pub use relation::{RelationInstance, StampWindow};
@@ -148,10 +147,13 @@ mod proptests {
                 idx_rel.insert_unchecked(Tuple::new(row.clone()));
             }
             idx_rel.build_index(0);
-            let bindings = vec![(0usize, &probe)];
-            let scan: Vec<Tuple> = scan_rel.select(&bindings);
-            let indexed: Vec<Tuple> = idx_rel.select(&bindings);
-            prop_assert_eq!(scan, indexed);
+            let bindings = vec![(0usize, probe)];
+            let select = |rel: &RelationInstance| {
+                let mut ids = Vec::new();
+                rel.select_ids_into(&bindings, StampWindow::all(), &mut ids);
+                ids.into_iter().map(|r| rel.row_tuple(r)).collect::<Vec<Tuple>>()
+            };
+            prop_assert_eq!(select(&scan_rel), select(&idx_rel));
         }
 
     }

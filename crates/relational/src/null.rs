@@ -67,25 +67,6 @@ impl NullGenerator {
     pub fn peek(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
     }
-
-    /// Ensure future nulls are numbered strictly above `floor`.
-    ///
-    /// Used when loading an instance that already contains labeled nulls so
-    /// that freshly generated nulls cannot collide with existing ones.
-    pub fn bump_past(&self, floor: u64) {
-        let mut current = self.next.load(Ordering::Relaxed);
-        while current <= floor {
-            match self.next.compare_exchange(
-                current,
-                floor + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
 }
 
 impl Clone for NullGenerator {
@@ -116,16 +97,6 @@ mod tests {
         let gen = NullGenerator::starting_at(100);
         assert_eq!(gen.fresh(), NullId(100));
         assert_eq!(gen.fresh(), NullId(101));
-    }
-
-    #[test]
-    fn bump_past_prevents_collisions() {
-        let gen = NullGenerator::new();
-        gen.bump_past(41);
-        assert_eq!(gen.fresh(), NullId(42));
-        // Bumping below the current counter is a no-op.
-        gen.bump_past(10);
-        assert_eq!(gen.fresh(), NullId(43));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!
 //! Stamps are the substrate of the semi-naive (delta-driven) chase in
 //! `ontodq-chase`: every insert records the relation's current epoch, and
-//! [`RelationInstance::delta_since`] / [`StampWindow`]-restricted selection
-//! expose exactly the rows added after a given epoch.  Stamps are kept
+//! [`StampWindow`]-restricted selection exposes exactly the rows added after a given epoch.  Stamps are kept
 //! sorted (rows are only ever appended at the current epoch), which makes a
 //! stamp window a **contiguous row-id range**: window restriction of an id set is
 //! two binary searches, never a filter pass.
@@ -233,13 +232,8 @@ impl RelationInstance {
         self.columns.get(position).map(Vec::as_slice)
     }
 
-    /// The epoch new inserts are stamped with.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The stamp of the most recently inserted row, if any.
-    pub fn last_stamp(&self) -> Option<u64> {
+    pub(crate) fn last_stamp(&self) -> Option<u64> {
         self.stamps.last().copied()
     }
 
@@ -300,7 +294,7 @@ impl RelationInstance {
     }
 
     /// The first row id stamped strictly after `epoch` (possibly `len()`).
-    pub fn first_row_after(&self, epoch: u64) -> u32 {
+    pub(crate) fn first_row_after(&self, epoch: u64) -> u32 {
         self.stamps.partition_point(|s| *s <= epoch) as u32
     }
 
@@ -313,15 +307,6 @@ impl RelationInstance {
             .map(|e| self.first_row_after(e))
             .unwrap_or(self.rows);
         lo..hi.max(lo)
-    }
-
-    /// The live rows inserted strictly after `epoch`, materialized in
-    /// insertion order.
-    pub fn delta_since(&self, epoch: u64) -> Vec<Tuple> {
-        (self.first_row_after(epoch)..self.rows)
-            .filter(|&r| self.is_live(r))
-            .map(|r| self.row_tuple(r))
-            .collect()
     }
 
     /// Does the instance contain `tuple`?
@@ -406,20 +391,6 @@ impl RelationInstance {
             self.live.push(true);
         }
         true
-    }
-
-    /// Insert many tuples; returns the number actually added.
-    pub fn insert_all<I>(&mut self, tuples: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let mut added = 0;
-        for t in tuples {
-            if self.insert(t)? {
-                added += 1;
-            }
-        }
-        Ok(added)
     }
 
     /// Tombstone the row holding exactly `tuple`, if live: the row is
@@ -524,22 +495,6 @@ impl RelationInstance {
         self.indexes.get(&position)
     }
 
-    /// Rows matching all of `bindings` (position → required value),
-    /// materialized as tuples.  An API-edge convenience over
-    /// [`RelationInstance::select_ids_into`].
-    pub fn select(&self, bindings: &[(usize, &Value)]) -> Vec<Tuple> {
-        self.select_window(bindings, StampWindow::all())
-    }
-
-    /// Like [`RelationInstance::select`], restricted to rows whose insert
-    /// epoch lies inside `window`.
-    pub fn select_window(&self, bindings: &[(usize, &Value)], window: StampWindow) -> Vec<Tuple> {
-        let owned: Vec<(usize, Value)> = bindings.iter().map(|(p, v)| (*p, **v)).collect();
-        let mut ids = Vec::new();
-        self.select_ids_into(&owned, window, &mut ids);
-        ids.into_iter().map(|r| self.row_tuple(r)).collect()
-    }
-
     /// **Allocation-free probe**: append to `out` the ids (ascending) of
     /// rows inside `window` matching all of `bindings`.
     ///
@@ -571,7 +526,7 @@ impl RelationInstance {
             return;
         }
         // A binding position beyond the arity matches nothing (rather than
-        // panicking on the column access below) — `select` is a public API
+        // panicking on the column access below) — the probe is a public API
         // and the row-oriented predecessor was total over bad positions.
         if bindings.iter().any(|(pos, _)| *pos >= self.columns.len()) {
             return;
@@ -764,6 +719,30 @@ impl fmt::Display for RelationInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RelationInstance {
+        /// Rows matching all of `bindings`, materialized as tuples.
+        fn probe(&self, bindings: &[(usize, &Value)]) -> Vec<Tuple> {
+            self.probe_window(bindings, StampWindow::all())
+        }
+
+        /// [`RelationInstance::select_ids_into`] over `window`, materialized.
+        fn probe_window(&self, bindings: &[(usize, &Value)], window: StampWindow) -> Vec<Tuple> {
+            let owned: Vec<(usize, Value)> = bindings.iter().map(|(p, v)| (*p, **v)).collect();
+            let mut ids = Vec::new();
+            self.select_ids_into(&owned, window, &mut ids);
+            ids.into_iter().map(|r| self.row_tuple(r)).collect()
+        }
+
+        /// The live rows inserted strictly after `epoch`, materialized in
+        /// insertion order: the oracle the stamp tests compare against.
+        pub(crate) fn delta_since(&self, epoch: u64) -> Vec<Tuple> {
+            (self.first_row_after(epoch)..self.rows)
+                .filter(|&r| self.is_live(r))
+                .map(|r| self.row_tuple(r))
+                .collect()
+        }
+    }
     use crate::schema::{Attribute, AttributeType};
 
     fn ward_schema() -> RelationSchema {
@@ -818,26 +797,26 @@ mod tests {
     #[test]
     fn select_without_index_scans() {
         let r = sample();
-        let hits = r.select(&[(0, &Value::str("Standard"))]);
+        let hits = r.probe(&[(0, &Value::str("Standard"))]);
         assert_eq!(hits.len(), 2);
-        let none = r.select(&[(0, &Value::str("Oncology"))]);
+        let none = r.probe(&[(0, &Value::str("Oncology"))]);
         assert!(none.is_empty());
     }
 
     #[test]
     fn select_with_index_matches_scan() {
         let mut r = sample();
-        let scan: Vec<Tuple> = r.select(&[(0, &Value::str("Standard"))]);
+        let scan: Vec<Tuple> = r.probe(&[(0, &Value::str("Standard"))]);
         r.build_index(0);
         assert!(r.has_index(0));
-        let indexed: Vec<Tuple> = r.select(&[(0, &Value::str("Standard"))]);
+        let indexed: Vec<Tuple> = r.probe(&[(0, &Value::str("Standard"))]);
         assert_eq!(scan, indexed);
     }
 
     #[test]
     fn select_with_multiple_bindings() {
         let r = sample();
-        let hits = r.select(&[(0, &Value::str("Standard")), (1, &Value::str("W2"))]);
+        let hits = r.probe(&[(0, &Value::str("Standard")), (1, &Value::str("W2"))]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0], Tuple::from_iter(["Standard", "W2"]));
     }
@@ -855,10 +834,10 @@ mod tests {
             ]))
             .unwrap();
         }
-        let scan = r.select(&[(0, &Value::int(0)), (1, &Value::int(0))]);
+        let scan = r.probe(&[(0, &Value::int(0)), (1, &Value::int(0))]);
         r.build_index(0);
         r.build_index(1);
-        let indexed = r.select(&[(0, &Value::int(0)), (1, &Value::int(0))]);
+        let indexed = r.probe(&[(0, &Value::int(0)), (1, &Value::int(0))]);
         assert_eq!(scan, indexed);
         assert_eq!(indexed.len(), 200 / 6 + 1); // i ≡ 0 (mod 6)
     }
@@ -879,7 +858,7 @@ mod tests {
     #[test]
     fn select_empty_bindings_returns_all() {
         let r = sample();
-        assert_eq!(r.select(&[]).len(), 4);
+        assert_eq!(r.probe(&[]).len(), 4);
     }
 
     #[test]
@@ -888,9 +867,9 @@ mod tests {
         // row-oriented predecessor's behavior), not panic on the column
         // access — on both the scan path and the indexed path.
         let mut r = sample();
-        assert!(r.select(&[(7, &Value::str("Standard"))]).is_empty());
+        assert!(r.probe(&[(7, &Value::str("Standard"))]).is_empty());
         assert!(r
-            .select(&[(0, &Value::str("Standard")), (7, &Value::str("W1"))])
+            .probe(&[(0, &Value::str("Standard")), (7, &Value::str("W1"))])
             .is_empty());
         r.build_index(0);
         let mut ids = vec![99u32];
@@ -918,7 +897,7 @@ mod tests {
         let removed = r.retain(|t| t.get(0) != Some(&Value::str("Intensive")));
         assert_eq!(removed, 1);
         assert_eq!(r.len(), 3);
-        assert!(r.select(&[(1, &Value::str("W3"))]).is_empty());
+        assert!(r.probe(&[(1, &Value::str("W3"))]).is_empty());
     }
 
     #[test]
@@ -999,11 +978,11 @@ mod tests {
 
         let probe = Value::str("Standard");
         let binding = [(0usize, &probe)];
-        let old = r.select_window(&binding, StampWindow::old_up_to(0));
+        let old = r.probe_window(&binding, StampWindow::old_up_to(0));
         assert_eq!(old, vec![Tuple::from_iter(["Standard", "W1"])]);
-        let delta = r.select_window(&binding, StampWindow::delta_after(0));
+        let delta = r.probe_window(&binding, StampWindow::delta_after(0));
         assert_eq!(delta, vec![Tuple::from_iter(["Standard", "W2"])]);
-        let all = r.select_window(&binding, StampWindow::all());
+        let all = r.probe_window(&binding, StampWindow::all());
         assert_eq!(all.len(), 2);
     }
 
@@ -1071,13 +1050,13 @@ mod tests {
         let mut r = sample();
         r.build_index(0);
         r.delete(&Tuple::from_iter(["Standard", "W1"]));
-        let indexed = r.select(&[(0, &Value::str("Standard"))]);
+        let indexed = r.probe(&[(0, &Value::str("Standard"))]);
         assert_eq!(indexed, vec![Tuple::from_iter(["Standard", "W2"])]);
         // Unindexed path (scan) must agree.
-        let scanned = r.select(&[(1, &Value::str("W1"))]);
+        let scanned = r.probe(&[(1, &Value::str("W1"))]);
         assert!(scanned.is_empty());
         // Empty-bindings select skips the tombstone too.
-        assert_eq!(r.select(&[]).len(), 3);
+        assert_eq!(r.probe(&[]).len(), 3);
         assert_eq!(r.iter().count(), 3);
     }
 
@@ -1091,7 +1070,7 @@ mod tests {
         let mut r = sample();
         r.delete(&Tuple::from_iter(["Standard", "W1"]));
         r.build_index(0);
-        let indexed = r.select(&[(0, &Value::str("Standard"))]);
+        let indexed = r.probe(&[(0, &Value::str("Standard"))]);
         assert_eq!(indexed, vec![Tuple::from_iter(["Standard", "W2"])]);
         assert_eq!(r.index(0).unwrap().lookup(&Value::str("Standard")).len(), 1);
     }
@@ -1115,8 +1094,8 @@ mod tests {
         // Stamps of survivors preserved (still sorted).
         assert_eq!(r.stamps(), &[0, 0, 2]);
         // Index rebuilt consistently.
-        assert_eq!(r.select(&[(0, &Value::str("Standard"))]).len(), 1);
-        assert!(r.select(&[(0, &Value::str("Terminal"))]).is_empty());
+        assert_eq!(r.probe(&[(0, &Value::str("Standard"))]).len(), 1);
+        assert!(r.probe(&[(0, &Value::str("Terminal"))]).is_empty());
     }
 
     #[test]
@@ -1162,7 +1141,7 @@ mod tests {
         r.set_epoch(7);
         r.insert(Tuple::from_iter(["Standard", "W1"])).unwrap();
         r.set_epoch(3); // clamped to 7
-        assert_eq!(r.current_epoch(), 7);
+        assert_eq!(r.epoch, 7);
         r.insert(Tuple::from_iter(["Standard", "W2"])).unwrap();
         assert_eq!(r.last_stamp(), Some(7));
         assert!(r.delta_since(6).len() == 2);

@@ -31,7 +31,7 @@ pub enum AttributeType {
 impl AttributeType {
     /// Does `value` conform to this type?  Labeled nulls conform to every
     /// type (they stand for an unknown domain value).
-    pub fn admits(self, value: &Value) -> bool {
+    pub(crate) fn admits(self, value: &Value) -> bool {
         matches!(
             (self, value),
             (_, Value::Null(_))
@@ -84,7 +84,7 @@ impl Attribute {
     }
 
     /// An untyped attribute.
-    pub fn any(name: impl Into<String>) -> Self {
+    pub(crate) fn any(name: impl Into<String>) -> Self {
         Self::new(name, AttributeType::Any)
     }
 }
@@ -141,21 +141,6 @@ impl RelationSchema {
     /// Attribute names in declaration order.
     pub fn attribute_names(&self) -> Vec<&str> {
         self.attributes.iter().map(|a| a.name.as_str()).collect()
-    }
-
-    /// The position of the attribute called `name`, if any.
-    pub fn position_of(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a.name == name)
-    }
-
-    /// The position of the attribute called `name`, or an error naming the
-    /// relation when missing.
-    pub fn require_position(&self, name: &str) -> Result<usize> {
-        self.position_of(name)
-            .ok_or_else(|| RelationalError::UnknownAttribute {
-                relation: self.name.clone(),
-                attribute: name.to_string(),
-            })
     }
 
     /// The attribute at `position`, if in range.
@@ -221,22 +206,7 @@ mod tests {
         assert_eq!(schema.name(), "Measurements");
         assert_eq!(schema.arity(), 3);
         assert_eq!(schema.attribute_names(), vec!["Time", "Patient", "Value"]);
-        assert_eq!(schema.position_of("Patient"), Some(1));
-        assert_eq!(schema.position_of("Nurse"), None);
         assert_eq!(schema.attribute_at(2).unwrap().ty, AttributeType::Double);
-    }
-
-    #[test]
-    fn require_position_errors_on_missing_attribute() {
-        let schema = measurements_schema();
-        let err = schema.require_position("Nurse").unwrap_err();
-        assert_eq!(
-            err,
-            RelationalError::UnknownAttribute {
-                relation: "Measurements".into(),
-                attribute: "Nurse".into()
-            }
-        );
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl Tuple {
         self.values.get(position)
     }
 
-    /// Owned values, consuming the tuple ([`Value`]s are plain scalars, so
-    /// this is a flat copy of the shared storage).
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.to_vec()
-    }
-
     /// `true` when no value in the tuple is a labeled null.
     pub fn is_ground(&self) -> bool {
         self.values.iter().all(Value::is_constant)
@@ -155,12 +149,5 @@ mod tests {
         set.insert(Tuple::from_iter(["a"]));
         assert_eq!(set.len(), 2);
         assert_eq!(set.iter().next().unwrap(), &Tuple::from_iter(["a"]));
-    }
-
-    #[test]
-    fn into_values_round_trips() {
-        let t = Tuple::from_iter([1i64, 2, 3]);
-        let vals = t.clone().into_values();
-        assert_eq!(Tuple::new(vals), t);
     }
 }

@@ -145,7 +145,7 @@ impl Value {
     }
 
     /// The null id, when the value is a labeled null.
-    pub fn as_null(&self) -> Option<NullId> {
+    pub(crate) fn as_null(&self) -> Option<NullId> {
         match self {
             Value::Null(id) => Some(*id),
             _ => None,
@@ -168,32 +168,8 @@ impl Value {
         }
     }
 
-    /// The integer content, when the value is an integer constant.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The double content, when the value is a double constant.
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Value::Double(d) => Some(*d),
-            _ => None,
-        }
-    }
-
-    /// The minutes content, when the value is a timestamp.
-    pub fn as_time(&self) -> Option<i64> {
-        match self {
-            Value::Time(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     /// A human-readable name for the value's kind; used in error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Value::Str(_) => "String",
             Value::Int(_) => "Integer",
@@ -365,6 +341,16 @@ impl From<NullId> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Value {
+        /// The minutes content, when the value is a timestamp.
+        fn as_time(&self) -> Option<i64> {
+            match self {
+                Value::Time(t) => Some(*t),
+                _ => None,
+            }
+        }
+    }
     use std::collections::HashSet;
 
     #[test]

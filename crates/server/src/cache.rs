@@ -51,7 +51,7 @@ pub struct CacheStats {
     pub entries: u64,
     /// Times the cache hit its size bound and ran a second-chance eviction
     /// sweep (cold entries dropped, hot entries retained).
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 /// Default upper bound on resident prepared entries.  Query texts arrive
@@ -108,7 +108,7 @@ impl QueryCache {
     /// arbitrary half is retained — so a client cycling unique query strings
     /// can never wipe the hot working set the way a wholesale reset would
     /// (counted in [`CacheStats::evictions`]).
-    pub fn with_max_entries(max_entries: usize) -> Self {
+    pub(crate) fn with_max_entries(max_entries: usize) -> Self {
         Self {
             entries: Mutex::new(HashMap::new()),
             max_entries: max_entries.max(2),
@@ -122,7 +122,7 @@ impl QueryCache {
     /// Adopt the cache's counters into `registry`, so one `!metrics` scrape
     /// covers them alongside every other layer's instruments.  The counters
     /// stay owned here — `stats()` and the registry read the same atomics.
-    pub fn register_into(&self, registry: &ontodq_obs::Registry) {
+    pub(crate) fn register_into(&self, registry: &ontodq_obs::Registry) {
         registry.adopt_counter(
             "ontodq_cache_hits_total",
             "Answer-layer cache hits (query answered without touching the instance).",
@@ -253,7 +253,7 @@ impl QueryCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),

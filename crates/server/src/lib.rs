@@ -77,16 +77,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Session and writer paths must degrade through typed errors, never panic
 // on a fallible operation; tests are free to unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod cache;
-pub mod error;
-pub mod pool;
-pub mod protocol;
-pub mod service;
-pub mod snapshot;
+mod cache;
+mod error;
+mod pool;
+mod protocol;
+mod service;
+mod snapshot;
 
 pub use cache::{parse_query_text, CacheStats, QueryCache, QueryKind};
 pub use error::ServiceError;

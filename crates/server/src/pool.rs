@@ -134,19 +134,19 @@ impl WorkerPool {
 
     /// The highest in-flight count ever observed (queued + running) — the
     /// queue-depth high-watermark surfaced by `!health` and `!metrics`.
-    pub fn queued_peak(&self) -> usize {
+    pub(crate) fn queued_peak(&self) -> usize {
         self.pending_peak.load(Ordering::SeqCst)
     }
 
     /// The admission bound (`usize::MAX` when unbounded).
-    pub fn queue_bound(&self) -> usize {
+    pub(crate) fn queue_bound(&self) -> usize {
         self.bound
     }
 
     /// The queue-wait histogram: microseconds between a job's admission and
     /// a worker picking it up.  Owned by the pool; adopt it into a
     /// [`ontodq_obs::Registry`] to expose it via `!metrics`.
-    pub fn wait_histogram(&self) -> Arc<Histogram> {
+    pub(crate) fn wait_histogram(&self) -> Arc<Histogram> {
         Arc::clone(&self.wait_histogram)
     }
 

@@ -4,10 +4,10 @@ use crate::cache::{CacheStats, QueryCache, QueryKind};
 use crate::error::ServiceError;
 use crate::pool::WorkerPool;
 use crate::snapshot::Snapshot;
-use ontodq_core::{Context, ContextBuilder, ResumableAssessment};
+use ontodq_core::{Context, ResumableAssessment};
 use ontodq_obs::{Counter, Histogram, Registry, SharedClock, SpanLog, SpanRecord};
 use ontodq_qa::AnswerSet;
-use ontodq_relational::{Database, Tuple};
+use ontodq_relational::{Database, JoinCounters, Tuple};
 use ontodq_store::{BatchKind, ContextImage, Recovery, Store, WalStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,11 +80,11 @@ pub struct HealthReport {
     /// Current state.
     pub state: Health,
     /// Why the service degraded (`None` when healthy).
-    pub reason: Option<String>,
+    pub(crate) reason: Option<String>,
     /// Writes refused while degraded/recovering, process lifetime.
-    pub refused_writes: u64,
+    pub(crate) refused_writes: u64,
     /// Recovery probes attempted, process lifetime.
-    pub probes: u64,
+    pub(crate) probes: u64,
 }
 
 /// Mutable health-machine state behind the service's health lock.
@@ -150,10 +150,8 @@ pub struct RetractReport {
     pub cascaded: usize,
     /// Tuples re-derived from surviving supports.
     pub rederived: usize,
-    /// EGD/constraint violations observed by the re-derivation step.
-    pub violations: usize,
     /// Wall-clock time of expansion + DRed + snapshot swap.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
 }
 
 /// Process-lifetime retraction counters, surfaced by `!stats`.
@@ -163,9 +161,9 @@ pub struct RetractionCounters {
     /// included).
     pub retractions: u64,
     /// Derived tuples condemned by DRed cascades.
-    pub cascaded_deletes: u64,
+    pub(crate) cascaded_deletes: u64,
     /// Tuples re-derived from alternative supports after cascades.
-    pub rederived: u64,
+    pub(crate) rederived: u64,
 }
 
 /// The answers to one query, with the snapshot version they came from.
@@ -197,7 +195,7 @@ pub struct PersistReport {
     /// Contexts snapshotted.
     pub contexts: usize,
     /// WAL segment files deleted by the post-snapshot compaction.
-    pub segments_removed: usize,
+    pub(crate) segments_removed: usize,
 }
 
 /// A concurrent, snapshot-isolated quality-assessment service.
@@ -421,7 +419,7 @@ impl QualityService {
     }
 
     /// `true` when a durable store is attached.
-    pub fn has_store(&self) -> bool {
+    pub(crate) fn has_store(&self) -> bool {
         self.store.is_some()
     }
 
@@ -770,20 +768,6 @@ impl QualityService {
         })
     }
 
-    /// Build and register a context in one step, surfacing
-    /// [`ontodq_core::ContextError`]s (malformed rule texts, …) as
-    /// [`ServiceError::Context`] instead of panicking — the fallible
-    /// registration path for caller-supplied context definitions.
-    pub fn register_built(
-        &self,
-        name: &str,
-        builder: ContextBuilder,
-        instance: Database,
-    ) -> Result<(), ServiceError> {
-        let context = builder.build()?;
-        self.register_context(name, context, instance)
-    }
-
     /// The names of all registered contexts.
     pub fn context_names(&self) -> Vec<String> {
         self.read_contexts().keys().cloned().collect()
@@ -912,7 +896,6 @@ impl QualityService {
             self.dred_delete_micros.observe(dred.delete_micros);
             self.dred_rederive_micros.observe(dred.rederive_micros);
         }
-        let violations = result.chase.violations.len();
         let version = writer.batches_applied();
         // Log even an empty expansion: the version advanced, and recovery
         // checks for per-context sequence gaps.
@@ -943,7 +926,6 @@ impl QualityService {
             retracted: stats.retracted,
             cascaded: stats.cascaded,
             rederived: stats.rederived,
-            violations,
             elapsed: Duration::from_micros(elapsed_micros),
         })
     }
@@ -1048,16 +1030,9 @@ impl QualityService {
         self.cache.stats()
     }
 
-    /// The service-wide metric registry.  Every layer's series live here:
-    /// callers may register additional series, but should prefer
-    /// [`QualityService::render_metrics`] for a consistent scrape.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// The clock the service measures durations on (shared with the store
     /// and every context writer).
-    pub fn clock(&self) -> SharedClock {
+    pub(crate) fn clock(&self) -> SharedClock {
         Arc::clone(&self.clock)
     }
 
@@ -1065,7 +1040,10 @@ impl QualityService {
     /// evaluation counts, join time and kernel choice, EGD and DRed phase
     /// timings — everything the `!profile` verb prints.  Reads under the
     /// writer lock (cheap: the profile is cloned out, no chase work runs).
-    pub fn chase_profile(&self, context: &str) -> Result<ontodq_chase::ChaseProfile, ServiceError> {
+    pub(crate) fn chase_profile(
+        &self,
+        context: &str,
+    ) -> Result<ontodq_chase::ChaseProfile, ServiceError> {
         let entry = self.entry(context)?;
         let writer = entry.writer.lock().map_err(|_| {
             ServiceError::Internal(format!(
@@ -1087,7 +1065,7 @@ impl QualityService {
     /// (`ontodq_request_micros{verb=…}`).  Called by the protocol layer
     /// after every non-empty request, so `!metrics` sees request-level
     /// latency for each verb including errors.
-    pub fn observe_request(&self, verb: &str, micros: u64) {
+    pub(crate) fn observe_request(&self, verb: &str, micros: u64) {
         self.registry
             .histogram(
                 "ontodq_request_micros",
@@ -1100,7 +1078,7 @@ impl QualityService {
     /// Note one completed query for the slow-query log: when a threshold is
     /// armed (`--slow-query-micros`) and `micros` crosses it, the query text
     /// is recorded in the bounded ring surfaced by `!slow`.
-    pub fn note_query(&self, verb: &str, text: &str, micros: u64) {
+    pub(crate) fn note_query(&self, verb: &str, text: &str, micros: u64) {
         let threshold = self.slow_threshold_micros.load(Ordering::Relaxed);
         if threshold == 0 || micros < threshold {
             return;
@@ -1120,12 +1098,12 @@ impl QualityService {
     }
 
     /// The armed slow-query threshold in microseconds (0: disabled).
-    pub fn slow_query_threshold(&self) -> u64 {
+    pub(crate) fn slow_query_threshold(&self) -> u64 {
         self.slow_threshold_micros.load(Ordering::Relaxed)
     }
 
     /// The retained slow-query records, oldest first.
-    pub fn slow_queries(&self) -> Vec<SpanRecord> {
+    pub(crate) fn slow_queries(&self) -> Vec<SpanRecord> {
         self.slow_log.recent()
     }
 
@@ -1203,7 +1181,7 @@ impl QualityService {
                 "Relations deep-copied because a write reached them while a snapshot still shared them.",
                 &[],
             )
-            .raise_to(ontodq_relational::counters::snapshot().relation_copies);
+            .raise_to(JoinCounters::snapshot().relation_copies);
         // Per-context snapshot state and chase profiles.
         let entries: Vec<(String, Arc<ContextEntry>)> = self
             .read_contexts()
@@ -1297,7 +1275,7 @@ impl QualityService {
     /// session-local staged changes — one service-side snapshot of every
     /// counter family, byte-identical to the line the protocol printed
     /// before this consolidation.
-    pub fn stats_line(&self, context: &str, staged: usize) -> Result<String, ServiceError> {
+    pub(crate) fn stats_line(&self, context: &str, staged: usize) -> Result<String, ServiceError> {
         let entry = self.entry(context)?;
         let snapshot = entry.snapshot();
         let cache = self.cache_stats();
@@ -1306,7 +1284,7 @@ impl QualityService {
         // Process-wide join-kernel counters (monotone totals across every
         // chase and query this process ran) and the snapshot's
         // columnar-arena footprint.
-        let joins = ontodq_relational::counters::snapshot();
+        let joins = JoinCounters::snapshot();
         let arena_bytes = snapshot.database.arena_bytes();
         // Tombstones make live vs physical rows distinct: the arena keeps
         // dead rows until compaction, and `reclaimable_bytes` is the share
@@ -1376,7 +1354,6 @@ impl QualityService {
         program: Arc<ontodq_datalog::Program>,
         mut database: Database,
     ) -> Result<Snapshot, ServiceError> {
-        let epoch = database.epoch();
         // These merges re-add the instance's own relations into copies that
         // share its schema, so arity conflicts are impossible by
         // construction — but a broken invariant must surface as a typed
@@ -1394,15 +1371,12 @@ impl QualityService {
             ))
         })?;
         Ok(Snapshot {
-            context: name.to_string(),
             version,
             database,
             base,
             program,
             quality,
             metrics,
-            violations: writer.last_violations().len(),
-            epoch,
         })
     }
 }
@@ -1457,10 +1431,36 @@ mod tests {
     fn malformed_contexts_are_rejected_not_panicked() {
         let service = QualityService::new();
         let builder = Context::builder("broken").contextual_rule("not a rule at all");
-        let err = service
-            .register_built("broken", builder, Database::new())
+        let err = builder
+            .build()
+            .map_err(ServiceError::from)
+            .and_then(|context| service.register_context("broken", context, Database::new()))
             .unwrap_err();
         assert!(matches!(err, ServiceError::Context(_)));
+        assert!(service.context_names().is_empty());
+    }
+
+    #[test]
+    fn conflicting_external_source_is_refused_not_panicked() {
+        // A 2-ary `Shifts` clashes with the hospital ontology's 4-ary
+        // categorical relation of that name.
+        let mut shifts = Database::new();
+        shifts.insert_values("Shifts", ["W1", "Sep/5"]).unwrap();
+        let service = QualityService::new();
+        let err = Context::builder("conflict")
+            .ontology(hospital::ontology())
+            .copy_relation("Measurements")
+            .external_source(shifts)
+            .build()
+            .map_err(ServiceError::from)
+            .and_then(|context| {
+                service.register_context("conflict", context, hospital::measurements_database())
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::Context(ontodq_core::ContextError::ExternalSourceConflict(_))
+        ));
         assert!(service.context_names().is_empty());
     }
 

@@ -16,8 +16,6 @@ use std::sync::Arc;
 /// sees a consistent instance (snapshot isolation).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// Name of the context this snapshot belongs to.
-    pub context: String,
     /// Monotone snapshot version: 0 after registration, +1 per applied
     /// update batch.  Doubles as the prepared-query cache invalidation key.
     pub version: u64,
@@ -40,11 +38,6 @@ pub struct Snapshot {
     pub quality: Database,
     /// Per-relation departure metrics of `D` vs `D^q`.
     pub metrics: QualityMetrics,
-    /// Number of EGD/negative-constraint violations observed by the chase
-    /// step that produced this snapshot.
-    pub violations: usize,
-    /// Chase epoch of the underlying instance when the snapshot was taken.
-    pub epoch: u64,
 }
 
 impl Snapshot {

@@ -44,7 +44,7 @@ impl StoreError {
     /// `Interrupted`/`WouldBlock`/`TimedOut` I/O errors are transient
     /// (injected transient faults use these kinds too); corruption,
     /// schema violations and simulated crashes are not.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         match self {
             StoreError::Io(e) => matches!(
                 e.kind(),
@@ -57,7 +57,7 @@ impl StoreError {
     }
 
     /// Whether this error is an injected process-death simulation.
-    pub fn is_simulated_crash(&self) -> bool {
+    pub(crate) fn is_simulated_crash(&self) -> bool {
         matches!(self, StoreError::SimulatedCrash(_))
     }
 }

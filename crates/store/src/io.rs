@@ -109,7 +109,7 @@ pub enum FaultDecision {
     Pass,
     /// Return an error of this kind without touching the file.  Transience
     /// is encoded in the kind: `Interrupted`, `WouldBlock` and `TimedOut`
-    /// are retryable (see [`StoreError::is_transient`]); everything else
+    /// are retryable (see `StoreError::is_transient`); everything else
     /// is permanent.
     Fail(io::ErrorKind),
     /// Write only the first `keep` bytes of the buffer, then fail
@@ -120,7 +120,7 @@ pub enum FaultDecision {
         keep: usize,
     },
     /// Write the first `keep` bytes, then simulate process death: the
-    /// returned error satisfies [`StoreError::is_simulated_crash`] and the
+    /// returned error satisfies `StoreError::is_simulated_crash` and the
     /// policy refuses all further operations until the harness runs
     /// recovery on a fresh instance.
     Crash {
@@ -142,7 +142,7 @@ pub trait IoPolicy: Send {
 
 /// The production policy: every operation passes through untouched.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PassThrough;
+pub(crate) struct PassThrough;
 
 impl IoPolicy for PassThrough {
     fn decide(&mut self, _op: IoOp, _len: usize) -> FaultDecision {
@@ -156,24 +156,24 @@ pub type SharedIoPolicy = Arc<Mutex<dyn IoPolicy>>;
 
 /// A fresh passthrough policy handle (the default for
 /// [`crate::Store::open`]).
-pub fn passthrough_policy() -> SharedIoPolicy {
+pub(crate) fn passthrough_policy() -> SharedIoPolicy {
     Arc::new(Mutex::new(PassThrough))
 }
 
 /// One planned fault: on the `nth` (0-based) occurrence of `op`, inject
 /// `decision` instead of performing the operation.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannedFault {
+pub(crate) struct PlannedFault {
     /// Which guarded operation to hit.
-    pub op: IoOp,
+    pub(crate) op: IoOp,
     /// Which occurrence of that operation (0-based) to hit.
-    pub nth: u64,
+    pub(crate) nth: u64,
     /// What to inject when it fires.
-    pub decision: FaultDecision,
+    pub(crate) decision: FaultDecision,
 }
 
 /// A deterministic fault schedule: counts occurrences of each guarded
-/// operation and fires each [`PlannedFault`] exactly once when its
+/// operation and fires each `PlannedFault` exactly once when its
 /// occurrence comes up.  After a [`FaultDecision::Crash`] fires, every
 /// subsequent operation fails (the process is "dead") until the harness
 /// abandons the instance.
@@ -196,7 +196,7 @@ impl FaultSchedule {
     }
 
     /// Add one planned fault.
-    pub fn push(&mut self, fault: PlannedFault) -> &mut Self {
+    pub(crate) fn push(&mut self, fault: PlannedFault) -> &mut Self {
         self.plan.push((fault, false));
         self
     }
@@ -246,18 +246,6 @@ impl FaultSchedule {
     /// Whether a crash fault has fired (the instance must be abandoned).
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// How many occurrences of `op` the store has attempted.
-    pub fn observed(&self, op: IoOp) -> u64 {
-        self.seen[op.index()]
-    }
-
-    /// Drop every not-yet-fired fault and clear the crashed flag — the
-    /// harness's "replace the disk and restart" step between runs.
-    pub fn clear(&mut self) {
-        self.plan.clear();
-        self.crashed = false;
     }
 }
 
@@ -428,8 +416,8 @@ mod tests {
         ));
         assert_eq!(s.decide(IoOp::WalFsync, 0), FaultDecision::Pass);
         assert_eq!(s.injected(), 1);
-        assert_eq!(s.observed(IoOp::WalFsync), 4);
-        assert_eq!(s.observed(IoOp::WalWrite), 1);
+        assert_eq!(s.seen[IoOp::WalFsync.index()], 4);
+        assert_eq!(s.seen[IoOp::WalWrite.index()], 1);
     }
 
     #[test]
@@ -446,9 +434,6 @@ mod tests {
             s.decide(IoOp::SnapshotRename, 0),
             FaultDecision::Fail(_)
         ));
-        s.clear();
-        assert!(!s.crashed());
-        assert_eq!(s.decide(IoOp::SnapshotRename, 0), FaultDecision::Pass);
     }
 
     #[test]

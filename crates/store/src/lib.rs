@@ -17,25 +17,25 @@
 //!
 //! The pieces:
 //!
-//! * [`codec`] — an **interner-aware** binary codec.  Global
+//! * `codec` — an **interner-aware** binary codec.  Global
 //!   [`ontodq_relational::Sym`] ids are process-local, so every file carries
 //!   its own local symbol dictionary and data records reference strings by
 //!   file-local id; replay re-interns each distinct string once per file.
 //!   Databases serialize with their epoch and per-row insert stamps, so the
 //!   delta structure the resumable chase depends on survives exactly.
-//! * [`wal`] — an append-only, CRC32-checked, length-prefixed log of
+//! * `wal` — an append-only, CRC32-checked, length-prefixed log of
 //!   applied batches: one fsynced record group per `!flush`, segment
 //!   rotation at a size threshold, and recovery that truncates a torn tail
 //!   record and replays the committed prefix deterministically.
-//! * [`snapshot`] — atomic per-context snapshots
+//! * `snapshot` — atomic per-context snapshots
 //!   ([`PersistedContext`]): the instance under assessment, the chased
 //!   contextual instance, and the [`ontodq_chase::ChaseState`] per-rule
 //!   epoch watermarks and null counter.
-//! * [`io`] — deterministic fault injection: an [`IoPolicy`] consulted at
+//! * `io` — deterministic fault injection: an [`IoPolicy`] consulted at
 //!   every durability edge (WAL writes/fsyncs/rotation, snapshot
 //!   temp+rename), passthrough in production, a seeded [`FaultSchedule`]
 //!   of injected errors, short writes and crash points under test.
-//! * [`store`] — the [`Store`]: one data directory tying both together,
+//! * `store` — the [`Store`]: one data directory tying both together,
 //!   with [`Store::recover`] returning each context's newest snapshot plus
 //!   exactly the committed batches newer than it, and [`Store::compact`]
 //!   deleting segments a fresh round of snapshots has superseded.
@@ -45,26 +45,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Durability code must degrade through typed errors, never panic on a
 // fallible operation; tests are free to unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod codec;
-pub mod error;
-pub mod io;
-pub mod snapshot;
-pub mod store;
-pub mod wal;
+mod codec;
+mod error;
+mod io;
+mod snapshot;
+mod store;
+mod wal;
 
-pub use codec::crc32;
 pub use error::{Result, StoreError};
-pub use io::{
-    passthrough_policy, FaultDecision, FaultSchedule, IoOp, IoPolicy, PassThrough, PlannedFault,
-    SharedIoPolicy,
-};
+pub use io::{FaultDecision, FaultSchedule, IoOp, IoPolicy, SharedIoPolicy};
 pub use snapshot::{ContextImage, PersistedContext};
 pub use store::{Recovery, Store, StoreConfig, StoreMetrics};
-pub use wal::{BatchKind, ReplayedBatch, Wal, WalConfig, WalStats};
+pub use wal::{BatchKind, ReplayedBatch, WalStats};
 
 #[cfg(test)]
 mod send_sync_audit {

@@ -75,7 +75,7 @@ pub struct ContextImage<'a> {
 #[derive(Debug, Clone)]
 pub struct PersistedContext {
     /// Context name (the registration key).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of update batches folded in when the snapshot was taken.
     pub version: u64,
     /// Rule-set fingerprint captured at save time.

@@ -25,14 +25,14 @@ use crate::wal::{ReplayedBatch, Wal, WalConfig, WalStats};
 use ontodq_relational::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Store tuning.
 #[derive(Debug, Clone, Default)]
 pub struct StoreConfig {
     /// Write-ahead-log tuning.
-    pub wal: WalConfig,
+    pub(crate) wal: WalConfig,
 }
 
 /// Everything [`Store::recover`] found on disk, keyed by context name.
@@ -95,7 +95,7 @@ impl Store {
     }
 
     /// [`Store::open`] with an explicit fault-injection policy (see
-    /// [`crate::io`]): every WAL append/fsync/rotation and snapshot
+    /// `crate::io`): every WAL append/fsync/rotation and snapshot
     /// write/fsync/rename consults it, so a test harness can reach every
     /// durability edge deterministically.
     pub fn open_with_policy(
@@ -141,20 +141,9 @@ impl Store {
         self.unclaimed.remove(context);
     }
 
-    /// The directory this store lives in.
-    pub fn data_dir(&self) -> &Path {
-        &self.data_dir
-    }
-
     /// Durability counters (segment count, bytes, batches appended).
     pub fn wal_stats(&self) -> WalStats {
         self.wal.stats()
-    }
-
-    /// Why the WAL is refusing appends, if it is (a failed append poisons
-    /// the log until [`Store::compact`] supersedes it with snapshots).
-    pub fn wal_poisoned(&self) -> Option<&str> {
-        self.wal.poisoned()
     }
 
     /// Append one applied batch for `context` and fsync it; `seq` is the

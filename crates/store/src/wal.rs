@@ -25,8 +25,7 @@
 use crate::codec::{crc32, put_u32, put_u64, Cursor, DictReader, DictWriter};
 use crate::error::{Result, StoreError};
 use crate::io::{
-    guarded_fsync, guarded_sync_dir, guarded_truncate, guarded_write, passthrough_policy, IoOp,
-    SharedIoPolicy,
+    guarded_fsync, guarded_sync_dir, guarded_truncate, guarded_write, IoOp, SharedIoPolicy,
 };
 use ontodq_relational::Tuple;
 use std::fs::{self, File, OpenOptions};
@@ -59,16 +58,16 @@ const FRAME_BYTES: u64 = 8;
 
 /// Write-ahead-log tuning.
 #[derive(Debug, Clone)]
-pub struct WalConfig {
+pub(crate) struct WalConfig {
     /// Rotate to a new segment once the current one exceeds this many bytes.
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
     /// How many times a *transient* append failure (`Interrupted`,
     /// `WouldBlock`, `TimedOut`) is retried — after healing the segment
     /// back to its last good boundary — before the log is poisoned.
-    pub append_retries: u32,
+    pub(crate) append_retries: u32,
     /// Base back-off between append retries (multiplied by the attempt
     /// number).
-    pub retry_backoff: Duration,
+    pub(crate) retry_backoff: Duration,
 }
 
 impl Default for WalConfig {
@@ -91,7 +90,7 @@ pub struct WalStats {
     /// Batches appended through this handle since it was opened.
     pub batches_appended: u64,
     /// Transient append failures healed by retrying into a fresh segment.
-    pub append_retries: u64,
+    pub(crate) append_retries: u64,
 }
 
 /// Whether a replayed batch inserted or retracted its facts.
@@ -107,7 +106,7 @@ pub enum BatchKind {
 #[derive(Debug, Clone)]
 pub struct ReplayedBatch {
     /// The context the batch was applied to.
-    pub context: String,
+    pub(crate) context: String,
     /// The snapshot version the batch produced (per-context, monotone).
     pub seq: u64,
     /// Whether the facts were inserted or retracted.
@@ -118,11 +117,11 @@ pub struct ReplayedBatch {
 
 /// What [`Wal::replay`] saw.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayReport {
+pub(crate) struct ReplayReport {
     /// Batches handed to the visitor.
-    pub batches: usize,
+    pub(crate) batches: usize,
     /// Whether a torn tail record was detected and truncated away.
-    pub truncated_tail: bool,
+    pub(crate) truncated_tail: bool,
 }
 
 /// The active segment being appended to.
@@ -134,7 +133,7 @@ struct OpenSegment {
 }
 
 /// An append-only, CRC-checked, segment-rotated write-ahead log.
-pub struct Wal {
+pub(crate) struct Wal {
     dir: PathBuf,
     config: WalConfig,
     policy: SharedIoPolicy,
@@ -169,17 +168,12 @@ enum AppendOutcome {
 }
 
 impl Wal {
-    /// Open (creating if needed) the log directory with the production
-    /// passthrough I/O policy.  Existing segments are left untouched until
-    /// [`Wal::replay`]; new appends go to a fresh segment numbered after
-    /// the newest existing one.
-    pub fn open(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self> {
-        Self::open_with_policy(dir, config, passthrough_policy())
-    }
-
-    /// [`Wal::open`] with an explicit fault-injection policy (see
-    /// [`crate::io`]).
-    pub fn open_with_policy(
+    /// Open (creating if needed) the log directory under `policy` (the
+    /// production passthrough or a fault-injection schedule, see
+    /// [`crate::io`]).  Existing segments are left untouched until
+    /// [`Wal::replay`]; new appends go to a fresh segment numbered after the
+    /// newest existing one.
+    pub(crate) fn open_with_policy(
         dir: impl Into<PathBuf>,
         config: WalConfig,
         policy: SharedIoPolicy,
@@ -211,18 +205,18 @@ impl Wal {
 
     /// Replace the histogram time source (deterministic tests inject a
     /// virtual clock).
-    pub fn set_clock(&mut self, clock: ontodq_obs::SharedClock) {
+    pub(crate) fn set_clock(&mut self, clock: ontodq_obs::SharedClock) {
         self.clock = clock;
     }
 
     /// The `write(2)` latency histogram (shared handle, adoptable into an
     /// [`ontodq_obs::Registry`]).
-    pub fn write_histogram(&self) -> Arc<ontodq_obs::Histogram> {
+    pub(crate) fn write_histogram(&self) -> Arc<ontodq_obs::Histogram> {
         Arc::clone(&self.write_histogram)
     }
 
     /// The fsync latency histogram (shared handle).
-    pub fn fsync_histogram(&self) -> Arc<ontodq_obs::Histogram> {
+    pub(crate) fn fsync_histogram(&self) -> Arc<ontodq_obs::Histogram> {
         Arc::clone(&self.fsync_histogram)
     }
 
@@ -247,7 +241,7 @@ impl Wal {
     }
 
     /// Durability counters.
-    pub fn stats(&self) -> WalStats {
+    pub(crate) fn stats(&self) -> WalStats {
         let (active_segments, active_bytes) = match &self.current {
             Some(segment) => (1, segment.len),
             None => (0, 0),
@@ -258,11 +252,6 @@ impl Wal {
             batches_appended: self.batches_appended,
             append_retries: self.append_retries,
         }
-    }
-
-    /// Why the log is refusing appends, if it is (see [`Wal::append_batch`]).
-    pub fn poisoned(&self) -> Option<&str> {
-        self.poisoned.as_deref()
     }
 
     /// Append one applied batch and fsync it.  Returns only after the bytes
@@ -279,7 +268,7 @@ impl Wal {
     /// everything acknowledged after it — or punch a hole in the
     /// per-context sequence that bricks recovery.  Failing fast keeps the
     /// on-disk sequence an exact committed prefix.
-    pub fn append_batch(
+    pub(crate) fn append_batch(
         &mut self,
         context: &str,
         seq: u64,
@@ -292,7 +281,7 @@ impl Wal {
     /// expanded concrete deletions.  Same durability and poisoning contract
     /// as [`Wal::append_batch`] — insertions and retractions share one
     /// per-context sequence, so replay interleaves them exactly as applied.
-    pub fn append_retraction(
+    pub(crate) fn append_retraction(
         &mut self,
         context: &str,
         seq: u64,
@@ -449,7 +438,7 @@ impl Wal {
 
     /// Flush and fsync the active segment, if any.  Called on clean
     /// shutdown so the final group is never left to the OS page cache.
-    pub fn sync(&mut self) -> Result<()> {
+    pub(crate) fn sync(&mut self) -> Result<()> {
         if let Some(segment) = &mut self.current {
             segment.file.sync_data()?;
         }
@@ -459,7 +448,10 @@ impl Wal {
     /// Replay every committed batch in segment order, handing each to
     /// `on_batch`.  Detects and truncates a torn tail (see module docs),
     /// then seals the tail segment so subsequent appends start fresh.
-    pub fn replay(&mut self, mut on_batch: impl FnMut(ReplayedBatch)) -> Result<ReplayReport> {
+    pub(crate) fn replay(
+        &mut self,
+        mut on_batch: impl FnMut(ReplayedBatch),
+    ) -> Result<ReplayReport> {
         let segments = Self::segment_paths(&self.dir)?;
         let mut report = ReplayReport::default();
         for (index, (_, path)) in segments.iter().enumerate() {
@@ -569,7 +561,7 @@ impl Wal {
     /// batch in the log is covered by a snapshot — the store enforces that
     /// by compacting only while it holds all writer locks, right after
     /// snapshotting every context.  Returns the number of files removed.
-    pub fn compact(&mut self) -> Result<usize> {
+    pub(crate) fn compact(&mut self) -> Result<usize> {
         if let Some(segment) = self.current.take() {
             segment.file.sync_data()?;
         }
@@ -710,6 +702,14 @@ mod tests {
     use ontodq_relational::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
+
+    impl Wal {
+        /// Open (creating if needed) the log directory with the production
+        /// passthrough I/O policy.
+        fn open(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self> {
+            Self::open_with_policy(dir, config, crate::io::passthrough_policy())
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -969,7 +969,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(wal.stats().append_retries, 1);
-        assert!(wal.poisoned().is_none());
+        assert!(wal.poisoned.is_none());
         // The healed segment plus the fresh one both replay; every batch
         // appears exactly once, in order.
         drop(wal);
@@ -996,7 +996,7 @@ mod tests {
             .append_batch("hospital", 2, &[fact("M", &["a", "2"])])
             .unwrap_err();
         assert!(!err.is_transient());
-        assert!(wal.poisoned().is_some());
+        assert!(wal.poisoned.is_some());
         let fast = wal
             .append_batch("hospital", 3, &[fact("M", &["a", "3"])])
             .unwrap_err();

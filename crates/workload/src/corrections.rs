@@ -65,8 +65,6 @@ impl CorrectionScale {
 /// of insert/retract batches over its `Measurements` relation.
 #[derive(Debug, Clone)]
 pub struct CorrectionWorkload {
-    /// The parameters used.
-    pub scale: CorrectionScale,
     /// The base scaled hospital (ontology, context shape, initial
     /// instance).
     pub base: ScaledHospital,
@@ -96,14 +94,6 @@ impl CorrectionWorkload {
             }
         }
         instance
-    }
-
-    /// Number of retract batches in the stream.
-    pub fn retract_batches(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, CorrectionOp::Retract(_)))
-            .count()
     }
 }
 
@@ -162,11 +152,7 @@ pub fn generate_corrections(scale: &CorrectionScale) -> CorrectionWorkload {
         }
     }
 
-    CorrectionWorkload {
-        scale: scale.clone(),
-        base,
-        ops,
-    }
+    CorrectionWorkload { base, ops }
 }
 
 #[cfg(test)]
@@ -185,7 +171,11 @@ mod tests {
     #[test]
     fn streams_mix_inserts_and_retractions() {
         let workload = generate_corrections(&CorrectionScale::small());
-        let retracts = workload.retract_batches();
+        let retracts = workload
+            .ops
+            .iter()
+            .filter(|op| matches!(op, CorrectionOp::Retract(_)))
+            .count();
         assert!(retracts > 0, "no retraction batches generated");
         assert!(retracts < workload.ops.len(), "no insert batches generated");
     }

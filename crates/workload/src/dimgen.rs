@@ -77,12 +77,12 @@ impl std::error::Error for DimGenError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionParams {
     /// Dimension name; also used as the member-name prefix.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of category levels, bottom to top (≥ 1).
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// Fan-out: each member of level `i+1` has this many children at level
     /// `i`.  The top level has exactly one member.
-    pub fanout: usize,
+    pub(crate) fanout: usize,
 }
 
 impl DimensionParams {
@@ -132,7 +132,7 @@ impl DimensionParams {
     /// # Errors
     /// [`DimGenError::Overflow`] when any level's count — or the sum — does
     /// not fit in `u64`.
-    pub fn total_members(&self) -> Result<u64, DimGenError> {
+    pub(crate) fn total_members(&self) -> Result<u64, DimGenError> {
         let mut total: u64 = 0;
         for level in 0..self.depth {
             total = total.checked_add(self.members_at(level)?).ok_or_else(|| {
@@ -240,12 +240,18 @@ mod tests {
     fn drill_down_returns_fanout_children() {
         let params = DimensionParams::new("Geo", 3, 5);
         let dim = generate_linear_dimension(&params).unwrap();
-        let children = dim.drill_down(
-            &params.category(1),
-            &params.member(1, 0),
-            &params.category(0),
-        );
-        assert_eq!(children.len(), 5);
+        let parent = params.member(1, 0);
+        let children = (0..params.members_at(0).unwrap())
+            .filter(|&i| {
+                dim.roll_up(
+                    &params.category(0),
+                    &params.member(0, i),
+                    &params.category(1),
+                )
+                .contains(&parent)
+            })
+            .count();
+        assert_eq!(children, 5);
     }
 
     #[test]

@@ -91,19 +91,6 @@ pub fn generate_queries(scale: &HospitalScale, per_class: usize, seed: u64) -> V
     queries
 }
 
-/// The most selective single query of the workload — the doctor's shape,
-/// pinned to one deterministic patient.  Used by smoke tests and the
-/// benchmark's headline speedup number.
-pub fn doctors_style_query(scale: &HospitalScale, seed: u64) -> QuerySpec {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let patient = rng.gen_range(0..scale.patients.max(1));
-    QuerySpec {
-        label: format!("doctor-patient-{patient}"),
-        text: format!("Measurements(t, p, v), p = \"Patient_{patient}\""),
-        class: Selectivity::Point,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +128,5 @@ mod tests {
                 assert!(id < scale.patients, "{} out of range", q.text);
             }
         }
-    }
-
-    #[test]
-    fn doctors_query_is_a_point_lookup() {
-        let q = doctors_style_query(&HospitalScale::small(), 7);
-        assert_eq!(q.class, Selectivity::Point);
-        assert!(q.text.starts_with("Measurements"));
     }
 }

@@ -59,11 +59,6 @@ impl HospitalScale {
             seed: 7,
         }
     }
-
-    /// Total number of wards.
-    pub fn ward_count(&self) -> usize {
-        self.units * self.wards_per_unit
-    }
 }
 
 /// A generated scaled-hospital workload.
@@ -303,8 +298,6 @@ mod tests {
 
     #[test]
     fn scale_accessors() {
-        let scale = HospitalScale::small();
-        assert_eq!(scale.ward_count(), 6);
         let big = HospitalScale::with_measurements(1000);
         assert_eq!(big.measurements, 1000);
         assert!(big.patients >= 4);

@@ -72,8 +72,6 @@ impl SkewedScale {
 /// A generated skewed-join workload: the edge instance and its program.
 #[derive(Debug, Clone)]
 pub struct SkewedWorkload {
-    /// The size parameters used.
-    pub scale: SkewedScale,
     /// The edge relations `R`, `S`, `T`.
     pub database: Database,
     /// The triangle + wedge program over the edges.
@@ -110,7 +108,7 @@ impl Zipf {
 /// The program joined over the generated edges: the cyclic triangle rule
 /// (the worst-case-optimal planner's target) and an acyclic wedge rule
 /// (stays on the hash path under the default planner).
-pub fn skewed_program() -> Program {
+pub(crate) fn skewed_program() -> Program {
     parse_program(
         "Tri(x, y, z) :- R(x, y), S(y, z), T(z, x).\n\
          Wedge(x, z) :- R(x, y), S(y, z).\n",
@@ -133,7 +131,6 @@ pub fn generate_skewed(scale: &SkewedScale) -> SkewedWorkload {
         }
     }
     SkewedWorkload {
-        scale: scale.clone(),
         database,
         program: skewed_program(),
     }

@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo run --bin dimensional_navigation`
 
+use ontodq_mdm::compile;
 use ontodq_mdm::fixtures::hospital;
-use ontodq_mdm::{compile, navigation};
 use ontodq_qa::{answer_by_rewriting, ConjunctiveQuery, DeterministicWsqAns, MaterializedEngine};
 use ontodq_relational::Value;
 
@@ -22,7 +22,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Navigation analysis: which rules navigate upward / downward?
     // ------------------------------------------------------------------
-    let report = navigation::report(&ontology);
+    let report = ontodq_mdm::navigation_report(&ontology);
     println!("\n== Navigation analysis ==");
     for (index, direction) in &report.rules {
         let label = ontology.rules()[*index]
@@ -106,7 +106,7 @@ fn main() {
         }
     }
     upward_only.add_rule(hospital::patient_unit_rule());
-    assert!(navigation::is_upward_only(&upward_only));
+    assert!(ontodq_mdm::is_upward_only(&upward_only));
     let compiled_upward = compile(&upward_only);
     let query =
         ConjunctiveQuery::parse("Q(d) :- PatientUnit(Standard, d, p), p = \"Tom Waits\".").unwrap();

@@ -12,9 +12,8 @@
 //!
 //! Run with: `cargo run --bin ontology_analysis`
 
-use ontodq_datalog::analysis;
+use ontodq_mdm::compile;
 use ontodq_mdm::fixtures::hospital;
-use ontodq_mdm::{compile, navigation};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -32,12 +31,12 @@ fn main() {
     );
     println!("  extensional tuples: {}", compiled.database.total_tuples());
 
-    let report = analysis::classify(&compiled.program);
+    let report = ontodq_datalog::classify(&compiled.program);
     println!("\n== Datalog± class membership (Section III claims) ==");
     println!("  {report}");
     assert!(report.weakly_sticky, "the paper's central syntactic claim");
 
-    let separability = analysis::check_program(&compiled.program);
+    let separability = ontodq_datalog::check_program(&compiled.program);
     println!("\n== EGD separability ==");
     for egd in &separability.egds {
         println!(
@@ -56,7 +55,7 @@ fn main() {
     // Navigation directions and rewritability.
     // ------------------------------------------------------------------
     println!("\n== Navigation report ==");
-    let nav = navigation::report(&ontology);
+    let nav = ontodq_mdm::navigation_report(&ontology);
     for (index, direction) in &nav.rules {
         println!("  rule #{index}: {direction}");
     }
@@ -70,7 +69,7 @@ fn main() {
     // ------------------------------------------------------------------
     let extended = hospital::ontology_with_discharge_rule();
     let compiled_ext = compile(&extended);
-    let report_ext = analysis::classify(&compiled_ext.program);
+    let report_ext = ontodq_datalog::classify(&compiled_ext.program);
     println!("\n== With the form-(10) discharge rule (Example 6) ==");
     println!("  {report_ext}");
     assert!(
@@ -85,7 +84,7 @@ fn main() {
         .add_rule_text("u = u2 :- PatientUnit(u, d, p), PatientUnit(u2, d, p).")
         .unwrap();
     let compiled_egd = compile(&with_unit_egd);
-    let separability_ext = analysis::check_program(&compiled_egd.program);
+    let separability_ext = ontodq_datalog::check_program(&compiled_egd.program);
     println!(
         "  a unit-level EGD added on top: all separable = {} (the paper's caveat)",
         separability_ext.all_separable()

@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --bin quickstart`
 
-use ontodq_core::clean_query::{plain_answers, quality_answers};
 use ontodq_core::{assess, scenarios};
+use ontodq_core::{plain_answers, quality_answers};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_relational::Value;
 

@@ -1,6 +1,6 @@
 //! Demand-driven query answering equals full-materialization answering.
 //!
-//! The magic-set chase (`ontodq_datalog::analysis::magic_transform` →
+//! The magic-set chase (`ontodq_datalog::magic_transform` →
 //! `ontodq_chase::ChaseEngine::chase_for_query` → the `?d-` verb of
 //! `ontodq-server`) is a different *evaluation strategy*, not different
 //! semantics: its certain answers must equal those of the fully

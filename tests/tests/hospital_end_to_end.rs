@@ -3,8 +3,8 @@
 //! constraint, the EGD (6), and the quality-assessment pipeline of
 //! Section V (Example 7).
 
-use ontodq_core::clean_query::{plain_answers, quality_answers};
 use ontodq_core::{assess, scenarios};
+use ontodq_core::{plain_answers, quality_answers};
 use ontodq_integration_tests::{compiled_hospital, hospital_engine, query};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_relational::{Tuple, Value};

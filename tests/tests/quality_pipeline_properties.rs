@@ -2,7 +2,7 @@
 //! randomly scaled hospital workloads.
 
 use ontodq_core::assess;
-use ontodq_core::clean_query::{plain_answers, quality_answers};
+use ontodq_core::{plain_answers, quality_answers};
 use ontodq_integration_tests::query;
 use ontodq_workload::{generate, HospitalScale};
 use proptest::prelude::*;
@@ -84,7 +84,7 @@ proptest! {
     fn scaled_ontologies_stay_weakly_sticky(scale in arb_scale()) {
         let workload = generate(&scale);
         let compiled = ontodq_mdm::compile(&workload.ontology);
-        let report = ontodq_datalog::analysis::classify(&compiled.program);
+        let report = ontodq_datalog::classify(&compiled.program);
         prop_assert!(report.weakly_sticky);
         prop_assert!(report.weakly_acyclic);
         let chased = ontodq_chase::chase(&compiled.program, &compiled.database);

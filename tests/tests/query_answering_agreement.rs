@@ -3,10 +3,9 @@
 //! rewriting on the upward-only fragment — plus the class-membership and
 //! separability claims of Section III.
 
-use ontodq_datalog::analysis;
 use ontodq_integration_tests::{compiled_hospital, query};
 use ontodq_mdm::fixtures::hospital;
-use ontodq_mdm::{compile, navigation, MdOntology};
+use ontodq_mdm::{compile, MdOntology};
 use ontodq_qa::{answer_by_rewriting, DeterministicWsqAns, MaterializedEngine};
 
 /// The hospital ontology restricted to the upward rule (7).
@@ -30,7 +29,7 @@ fn upward_only() -> MdOntology {
 #[test]
 fn claim_hospital_ontology_is_weakly_sticky() {
     let compiled = compiled_hospital();
-    let report = analysis::classify(&compiled.program);
+    let report = ontodq_datalog::classify(&compiled.program);
     assert!(report.weakly_sticky);
     // The fixed dimension instances also make it weakly acyclic (terminating
     // chase), which is what makes the materialization oracle usable.
@@ -45,7 +44,7 @@ fn claim_hospital_ontology_is_weakly_sticky() {
 #[test]
 fn claim_egd_6_is_separable() {
     let compiled = compiled_hospital();
-    let separability = analysis::check_program(&compiled.program);
+    let separability = ontodq_datalog::check_program(&compiled.program);
     assert_eq!(separability.egds.len(), 1);
     assert!(separability.all_separable());
 }
@@ -53,7 +52,7 @@ fn claim_egd_6_is_separable() {
 #[test]
 fn claim_form_10_rules_keep_weak_stickiness_but_threaten_separability() {
     let compiled = compile(&hospital::ontology_with_discharge_rule());
-    let report = analysis::classify(&compiled.program);
+    let report = ontodq_datalog::classify(&compiled.program);
     assert!(report.weakly_sticky);
     // A unit-level EGD on PatientUnit is no longer syntactically separable
     // once rule (9) can write nulls into the Unit position.
@@ -62,7 +61,7 @@ fn claim_form_10_rules_keep_weak_stickiness_but_threaten_separability() {
         .add_rule_text("u = u2 :- PatientUnit(u, d, p), PatientUnit(u2, d, p).")
         .unwrap();
     let compiled2 = compile(&extended);
-    assert!(!analysis::check_program(&compiled2.program).all_separable());
+    assert!(!ontodq_datalog::check_program(&compiled2.program).all_separable());
 }
 
 #[test]
@@ -91,7 +90,7 @@ fn resolution_and_materialization_agree_on_the_hospital_ontology() {
 #[test]
 fn rewriting_materialization_and_resolution_agree_on_upward_only_ontologies() {
     let ontology = upward_only();
-    assert!(navigation::is_upward_only(&ontology));
+    assert!(ontodq_mdm::is_upward_only(&ontology));
     let compiled = compile(&ontology);
     let materialized = MaterializedEngine::new(&compiled.program, &compiled.database);
     let resolution = DeterministicWsqAns::new(&compiled.program, &compiled.database);
@@ -114,13 +113,13 @@ fn rewriting_materialization_and_resolution_agree_on_upward_only_ontologies() {
 #[test]
 fn navigation_analysis_matches_the_rules() {
     let ontology = hospital::ontology();
-    let report = navigation::report(&ontology);
+    let report = ontodq_mdm::navigation_report(&ontology);
     assert_eq!(report.rules.len(), 2);
-    assert_eq!(report.rules[0].1, navigation::NavigationDirection::Upward);
-    assert_eq!(report.rules[1].1, navigation::NavigationDirection::Downward);
+    assert_eq!(report.rules[0].1, ontodq_mdm::NavigationDirection::Upward);
+    assert_eq!(report.rules[1].1, ontodq_mdm::NavigationDirection::Downward);
     assert!(!report.upward_only);
     assert!(report.value_invention);
-    assert!(navigation::is_upward_only(&upward_only()));
+    assert!(ontodq_mdm::is_upward_only(&upward_only()));
 }
 
 #[test]

@@ -80,19 +80,18 @@ const QUERIES: [(&str, bool); 5] = [
     ("Shifts(w, d, n, s), n = \"Mark\"", false),
 ];
 
-/// The from-scratch oracle for one version: assess the prefix instance with
-/// the prefix contextual facts as external sources (exactly how the service
-/// folds non-mapped facts in), then answer over chased-instance ∪ instance,
-/// as a snapshot does.
+/// The from-scratch oracle for one version: assess the prefix instance under
+/// the hospital context with the prefix contextual facts as external sources
+/// (exactly how the service folds non-mapped facts in), then answer over
+/// chased-instance ∪ instance, as a snapshot does.
 fn oracle_answers(
     context: &Context,
     instance: &Database,
     contextual_extras: &Database,
 ) -> BTreeMap<(String, bool), AnswerSet> {
-    let mut oracle_context = context.clone();
-    oracle_context
-        .external_sources
-        .merge(contextual_extras)
+    let oracle_context = scenarios::hospital_context_builder()
+        .external_source(contextual_extras.clone())
+        .build()
         .unwrap();
     let assessment = assess(&oracle_context, instance);
     let mut database = assessment.contextual_instance.clone();

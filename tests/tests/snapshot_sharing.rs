@@ -15,7 +15,7 @@
 use ontodq_core::ResumableAssessment;
 use ontodq_datalog::parse_program;
 use ontodq_integration_tests::retraction_program;
-use ontodq_relational::{counters, same_relation, Database, Tuple, Value};
+use ontodq_relational::{same_relation, Database, JoinCounters, Tuple, Value};
 use ontodq_server::QualityService;
 use ontodq_workload::{
     generate, generate_corrections, CorrectionOp, CorrectionScale, HospitalScale,
@@ -35,7 +35,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn copies() -> u64 {
-    counters::snapshot().relation_copies
+    JoinCounters::snapshot().relation_copies
 }
 
 /// A new reading that reaches the quality version: the time and patient of

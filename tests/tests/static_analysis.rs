@@ -9,7 +9,7 @@
 
 use ontodq_chase::{ChaseConfig, ChaseEngine, JoinEngine, TerminationReason};
 use ontodq_core::{lint_context, scenarios, Context, ContextError};
-use ontodq_datalog::analysis::DatalogClass;
+use ontodq_datalog::DatalogClass;
 use ontodq_datalog::{parse_program, Severity, TerminationCertificate};
 use ontodq_mdm::fixtures::hospital;
 use ontodq_relational::{Database, Tuple, Value};

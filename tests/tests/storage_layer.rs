@@ -162,7 +162,8 @@ fn arb_arena_case() -> impl Strategy<Value = ArenaCase> {
 }
 
 proptest! {
-    /// The columnar arena's `select` / `select_window` return exactly what
+    /// The columnar arena's `select_ids_into` probe (rows materialized with
+    /// `row_tuple`) returns exactly what
     /// a row-oriented scan over an `(tuple, stamp)` oracle returns — same
     /// rows, same (insertion) order — for every combination of random
     /// inserts, non-decreasing stamps, indexed and unindexed bindings, and
@@ -210,20 +211,24 @@ proptest! {
                 && case.up_to.map(|u| s <= u).unwrap_or(true)
         };
 
-        let borrowed: Vec<(usize, &Value)> = bindings.iter().map(|(p, v)| (*p, v)).collect();
+        let select = |window: StampWindow| {
+            let mut ids = Vec::new();
+            arena.select_ids_into(&bindings, window, &mut ids);
+            ids.into_iter().map(|r| arena.row_tuple(r)).collect::<Vec<Tuple>>()
+        };
         let expected_all: Vec<Tuple> = oracle
             .iter()
             .filter(|(t, _)| matches(t))
             .map(|(t, _)| t.clone())
             .collect();
-        prop_assert_eq!(arena.select(&borrowed), expected_all);
+        prop_assert_eq!(select(StampWindow::all()), expected_all);
 
         let expected_window: Vec<Tuple> = oracle
             .iter()
             .filter(|(t, s)| matches(t) && in_window(*s))
             .map(|(t, _)| t.clone())
             .collect();
-        prop_assert_eq!(arena.select_window(&borrowed, window), expected_window);
+        prop_assert_eq!(select(window), expected_window);
 
         // The stamp column round-trips the oracle's stamps exactly, in
         // insertion order.
