@@ -97,9 +97,9 @@ pub fn compile_context(context: &Context, instance: &Database) -> (Program, Data
     // 3. External sources become part of the contextual instance.
     //    `ContextBuilder::build` refused every external relation whose arity
     //    differs from the ontology's or that shadows a contextual copy, so
-    //    the merge only adds relations or unions same-arity ones: it has no
-    //    error left to report.
-    let _ = database.merge(&context.external_sources);
+    //    the merge only adds relations or unions same-arity ones.
+    let merged = database.merge(&context.external_sources);
+    debug_assert!(merged.is_ok(), "a built context merges: {merged:?}");
 
     // 4. The context's own rules (contextual predicates, quality predicates,
     //    quality versions) join the program.

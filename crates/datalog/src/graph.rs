@@ -20,8 +20,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub(crate) struct PredicateGraph {
     /// Edges: body predicate → head predicates it can feed.
     edges: BTreeMap<String, BTreeSet<String>>,
-    /// All nodes (predicates), including isolated ones.
-    nodes: BTreeSet<String>,
 }
 
 impl PredicateGraph {
@@ -29,9 +27,6 @@ impl PredicateGraph {
     /// EGDs do not generate data).
     pub(crate) fn build(program: &Program) -> Self {
         let mut graph = PredicateGraph::default();
-        for (pred, _) in program.predicates() {
-            graph.nodes.insert(pred);
-        }
         for tgd in &program.tgds {
             for body_atom in &tgd.body.atoms {
                 for head_atom in &tgd.head {
