@@ -237,7 +237,11 @@ pub struct ResumableAssessment {
     base: Database,
     engine: ChaseEngine,
     state: ChaseState,
-    last: ChaseSummary,
+    /// Violations of the most recent chase step, kept without the instance
+    /// snapshot a full [`ChaseResult`] carries: holding that would pin the
+    /// superseded version of every relation, so the next batch would copy
+    /// each relation it writes even when no snapshot is alive.
+    last_violations: ontodq_chase::Violations,
     batches_applied: u64,
     /// Cumulative per-rule chase profile, merged across the initial chase
     /// and every batch folded in since (see
@@ -262,25 +266,6 @@ struct Extracted {
     sources: BTreeMap<String, [Option<Arc<RelationInstance>>; 2]>,
     quality: Database,
     metrics: QualityMetrics,
-}
-
-/// The statistics/violations of the most recent chase step, kept **without**
-/// the instance snapshot a full [`ChaseResult`] carries — holding it would
-/// pin the superseded version of every relation, so the next batch would
-/// copy each relation it writes even when no snapshot is alive.
-#[derive(Debug, Clone)]
-struct ChaseSummary {
-    stats: ontodq_chase::ChaseStats,
-    violations: ontodq_chase::Violations,
-}
-
-impl ChaseSummary {
-    fn of(result: &ChaseResult) -> Self {
-        Self {
-            stats: result.stats.clone(),
-            violations: result.violations.clone(),
-        }
-    }
 }
 
 impl ResumableAssessment {
@@ -342,7 +327,6 @@ impl ResumableAssessment {
         let engine = certified_engine(lint.certificate.clone(), clock);
         let mut state = ChaseState::new(&program, &database);
         let initial = engine.resume(&program, &mut state);
-        let last = ChaseSummary::of(&initial);
         Self {
             context,
             program,
@@ -350,7 +334,7 @@ impl ResumableAssessment {
             base: database,
             engine,
             state,
-            last,
+            last_violations: initial.violations,
             batches_applied: 0,
             profile: initial.profile,
             lint,
@@ -405,10 +389,7 @@ impl ResumableAssessment {
             base,
             engine: certified_engine(lint.certificate.clone(), clock),
             state,
-            last: ChaseSummary {
-                stats: ontodq_chase::ChaseStats::default(),
-                violations: ontodq_chase::Violations::default(),
-            },
+            last_violations: ontodq_chase::Violations::default(),
             batches_applied,
             profile: ontodq_chase::ChaseProfile::disabled(),
             lint,
@@ -486,15 +467,9 @@ impl ResumableAssessment {
         ontodq_qa::certain_answers_on_demand(&self.program, &self.base, &rewritten)
     }
 
-    /// Chase statistics of the most recent step (initial chase or last
-    /// incremental re-chase).
-    pub fn last_stats(&self) -> &ontodq_chase::ChaseStats {
-        &self.last.stats
-    }
-
     /// Violations observed by the most recent chase step.
     pub fn last_violations(&self) -> &ontodq_chase::Violations {
-        &self.last.violations
+        &self.last_violations
     }
 
     /// Number of update batches folded in since construction.
@@ -572,7 +547,7 @@ impl ResumableAssessment {
                 .expect("the instance side of the batch was validated before application");
         }
         let chase = self.engine.resume(&self.program, &mut self.state);
-        self.last = ChaseSummary::of(&chase);
+        self.last_violations = chase.violations.clone();
         self.profile.merge(&chase.profile);
         self.batches_applied += 1;
         Ok(BatchOutcome { new_facts, chase })
@@ -611,7 +586,7 @@ impl ResumableAssessment {
         let result = self
             .engine
             .retract(&self.program, &mut self.state, &self.base, &seeds);
-        self.last = ChaseSummary::of(&result.chase);
+        self.last_violations = result.chase.violations.clone();
         self.profile.merge(&result.chase.profile);
         self.batches_applied += 1;
         result

@@ -49,22 +49,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// A set of bound argument positions (0-based) of one predicate.
 pub(crate) type BoundSet = BTreeSet<usize>;
 
-/// Aggregate statistics of one [`magic_transform`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DemandStats {
-    /// TGDs of the input program dropped as irrelevant to the query.
-    pub(crate) pruned_tgds: usize,
-    /// Rule copies that carry a magic guard atom.
-    pub(crate) guarded_rules: usize,
-    /// Magic propagation rules emitted.
-    pub(crate) propagation_rules: usize,
-    /// Distinct magic predicates introduced.
-    pub(crate) magic_predicates: usize,
-    /// Intensional predicates demanded without any binding (derived in
-    /// full, relevance-restricted only).
-    pub(crate) fully_demanded: usize,
-}
-
 /// The output of [`magic_transform`]: a query-specialized program plus the
 /// magic seed facts that start the demand propagation.
 #[derive(Debug, Clone)]
@@ -81,16 +65,6 @@ pub struct DemandProgram {
     /// magic predicates): the extensional relations to retain when pruning
     /// the input instance.
     pub relevant: BTreeSet<String>,
-    /// Transformation statistics.
-    pub(crate) stats: DemandStats,
-}
-
-impl DemandProgram {
-    /// `true` when the transformation found at least one usable binding
-    /// (some rule carries a magic guard).
-    pub fn is_guarded(&self) -> bool {
-        self.stats.guarded_rules > 0
-    }
 }
 
 /// The name of the magic predicate for `predicate` under `bound` positions,
@@ -269,7 +243,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     // ------------------------------------------------------------------
     let mut out = Program::new();
     let mut emitted: BTreeSet<String> = BTreeSet::new();
-    let mut stats = DemandStats::default();
     let mut push_rule = |tgd: Tgd, out: &mut Program, emitted: &mut BTreeSet<String>| -> bool {
         let key = tgd.to_string();
         if emitted.insert(key) {
@@ -319,9 +292,7 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
                         body,
                         head: tgd.head.clone(),
                     };
-                    if push_rule(guarded, &mut out, &mut emitted) {
-                        stats.guarded_rules += 1;
-                    }
+                    push_rule(guarded, &mut out, &mut emitted);
                     propagate_body(
                         tgd,
                         &bound_vars,
@@ -337,7 +308,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
                         &mut out,
                         &mut emitted,
                         &mut push_rule,
-                        &mut stats,
                     );
                 }
                 None => {
@@ -366,18 +336,11 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
                         &mut out,
                         &mut emitted,
                         &mut push_rule,
-                        &mut stats,
                     );
                 }
             }
         }
     }
-    stats.propagation_rules = out
-        .tgds
-        .iter()
-        .filter(|t| t.head.len() == 1 && t.head[0].predicate.starts_with("__magic_"))
-        .count();
-    stats.fully_demanded = full_demand.len();
 
     // Relevant facts.
     for fact in &program.facts {
@@ -385,8 +348,6 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
             out.facts.push(fact.clone());
         }
     }
-
-    stats.pruned_tgds = program.tgds.len() - included_tgds.len();
 
     // Magic predicates some emitted rule actually consumes or derives.
     let mut magic_preds: BTreeSet<String> = BTreeSet::new();
@@ -419,13 +380,11 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
             seeds.push((name.clone(), tuple));
         }
     }
-    stats.magic_predicates = magic_preds.len();
 
     DemandProgram {
         program: out,
         seeds,
         relevant,
-        stats,
     }
 }
 
@@ -453,7 +412,6 @@ fn propagate_body(
     out: &mut Program,
     emitted: &mut BTreeSet<String>,
     push_rule: &mut impl FnMut(Tgd, &mut Program, &mut BTreeSet<String>) -> bool,
-    _stats: &mut DemandStats,
 ) {
     for atom in &tgd.body.atoms {
         if !idb.contains(&atom.predicate) {
@@ -513,6 +471,32 @@ mod tests {
     use crate::parser::parse_program;
     use crate::rule::Rule;
 
+    /// Rule copies that carry a magic guard atom (a non-magic head).
+    fn guarded_rules(demand: &DemandProgram) -> usize {
+        demand
+            .program
+            .tgds
+            .iter()
+            .filter(|t| {
+                !t.head[0].predicate.starts_with("__magic_")
+                    && t.body
+                        .atoms
+                        .iter()
+                        .any(|a| a.predicate.starts_with("__magic_"))
+            })
+            .count()
+    }
+
+    /// Magic propagation rules (a magic head).
+    fn propagation_rules(demand: &DemandProgram) -> usize {
+        demand
+            .program
+            .tgds
+            .iter()
+            .filter(|t| t.head.len() == 1 && t.head[0].predicate.starts_with("__magic_"))
+            .count()
+    }
+
     fn hospital_rules() -> Program {
         parse_program(
             "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).\n\
@@ -533,7 +517,6 @@ mod tests {
         let program = hospital_rules();
         let demand = magic_transform(&program, &body_of("PatientUnit(u, d, p)."));
         // The Shifts rule cannot feed PatientUnit.
-        assert_eq!(demand.stats.pruned_tgds, 1);
         assert!(demand
             .program
             .tgds
@@ -548,9 +531,8 @@ mod tests {
     fn unbound_queries_are_relevance_restricted_only() {
         let program = hospital_rules();
         let demand = magic_transform(&program, &body_of("PatientUnit(u, d, p)."));
-        assert!(!demand.is_guarded());
+        assert!(guarded_rules(&demand) == 0);
         assert!(demand.seeds.is_empty());
-        assert_eq!(demand.stats.fully_demanded, 1);
         // The PatientUnit rule survives verbatim.
         assert_eq!(demand.program.tgds.len(), 1);
         assert_eq!(demand.program.tgds[0], program.tgds[0]);
@@ -563,8 +545,8 @@ mod tests {
             &program,
             &body_of("PatientUnit(u, d, p), p = \"Tom Waits\"."),
         );
-        assert!(demand.is_guarded());
-        assert_eq!(demand.stats.guarded_rules, 1);
+        assert!(guarded_rules(&demand) > 0);
+        assert_eq!(guarded_rules(&demand), 1);
         assert_eq!(demand.seeds.len(), 1);
         let (magic, tuple) = &demand.seeds[0];
         assert_eq!(magic, "__magic_PatientUnit_ffb");
@@ -584,7 +566,7 @@ mod tests {
     fn constants_inside_query_atoms_bind_too() {
         let program = hospital_rules();
         let demand = magic_transform(&program, &body_of("PatientUnit(Standard, d, p)."));
-        assert!(demand.is_guarded());
+        assert!(guarded_rules(&demand) > 0);
         assert_eq!(demand.seeds.len(), 1);
         assert_eq!(demand.seeds[0].0, "__magic_PatientUnit_bff");
         assert_eq!(demand.seeds[0].1, Tuple::from_iter(["Standard"]));
@@ -600,8 +582,8 @@ mod tests {
         let demand = magic_transform(&program, &body_of("T(a, y), a = \"n0\"."));
         // Both T rules get guarded copies, and the recursive rule propagates
         // demand back into T (x stays bound across the recursion).
-        assert_eq!(demand.stats.guarded_rules, 2);
-        assert!(demand.stats.propagation_rules >= 1);
+        assert_eq!(guarded_rules(&demand), 2);
+        assert!(propagation_rules(&demand) >= 1);
         let propagation = demand
             .program
             .tgds
@@ -621,7 +603,7 @@ mod tests {
         // suppress null invention — the rule must stay unguarded.
         let program = hospital_rules();
         let demand = magic_transform(&program, &body_of("Shifts(w, d, n, s), s = \"morning\"."));
-        assert!(!demand.is_guarded());
+        assert!(guarded_rules(&demand) == 0);
         assert!(demand.seeds.is_empty());
         assert!(demand
             .program
@@ -637,7 +619,7 @@ mod tests {
         // fine even though the shift position is existential.
         let program = hospital_rules();
         let demand = magic_transform(&program, &body_of("Shifts(W2, d, n, s)."));
-        assert!(demand.is_guarded());
+        assert!(guarded_rules(&demand) > 0);
         assert_eq!(demand.seeds[0].0, "__magic_Shifts_bfff");
         assert_eq!(demand.seeds[0].1, Tuple::from_iter(["W2"]));
     }
@@ -652,7 +634,7 @@ mod tests {
             &program,
             &body_of("PatientUnit(u, d, p), p = \"Tom Waits\"."),
         );
-        assert!(!demand.is_guarded());
+        assert!(guarded_rules(&demand) == 0);
         assert_eq!(demand.program.tgds.len(), 1);
         assert_eq!(demand.program.tgds[0], program.tgds[0]);
     }
@@ -735,7 +717,7 @@ mod tests {
             &program,
             &body_of("PatientUnit(u, d, p), p = \"Tom Waits\", p = \"Lou Reed\"."),
         );
-        assert!(!demand.is_guarded());
+        assert!(guarded_rules(&demand) == 0);
         assert!(demand.seeds.is_empty());
     }
 

@@ -89,13 +89,13 @@ impl Tgd {
 
     /// `true` when the body consists of a single positive atom (the *linear*
     /// shape).
-    pub fn is_linear(&self) -> bool {
+    pub(crate) fn is_linear(&self) -> bool {
         self.body.atoms.len() == 1 && self.body.negated.is_empty()
     }
 
     /// `true` when some body atom contains every body variable (the *guarded*
     /// shape).
-    pub fn is_guarded(&self) -> bool {
+    pub(crate) fn is_guarded(&self) -> bool {
         let body_vars = self.body_variables();
         self.body.atoms.iter().any(|a| {
             let atom_vars: BTreeSet<Variable> = a.variables().into_iter().collect();

@@ -35,13 +35,6 @@ pub struct CompiledOntology {
     pub database: Database,
 }
 
-impl CompiledOntology {
-    /// Convenience: the program's TGDs (the dimensional rules).
-    pub fn tgds(&self) -> &[ontodq_datalog::Tgd] {
-        &self.program.tgds
-    }
-}
-
 /// Compile an ontology (see the module docs for what it produces).
 pub fn compile(ontology: &MdOntology) -> CompiledOntology {
     let mut program = Program::new();
@@ -247,6 +240,6 @@ mod tests {
         assert_eq!(compiled.program.egds.len(), 1);
         // 1 referential + 1 dimensional constraint.
         assert_eq!(compiled.program.constraints.len(), 2);
-        assert_eq!(compiled.tgds().len(), 1);
+        assert_eq!(compiled.program.tgds.len(), 1);
     }
 }

@@ -131,7 +131,7 @@ pub struct UpdateReport {
     /// Tuples derived by the incremental re-chase.
     pub derived: usize,
     /// EGD/constraint violations observed by this step.
-    pub violations: usize,
+    pub(crate) violations: usize,
     /// Wall-clock time of the incremental re-chase + snapshot swap.
     pub elapsed: Duration,
 }
