@@ -44,7 +44,6 @@ use crate::profile::{ChaseProfile, ChaseStats, DredTiming};
 use crate::violation::{EgdViolation, NcViolation, Violations};
 use ontodq_datalog::{magic_transform, DemandProgram};
 use ontodq_datalog::{Assignment, Atom, Conjunction, Program, Term, Tgd};
-use ontodq_datalog::{Diagnostic, Severity, TerminationCertificate};
 use ontodq_obs::SharedClock;
 use ontodq_relational::{
     same_relation, Database, NullGenerator, RelationInstance, StampWindow, Tuple, Value,
@@ -58,7 +57,10 @@ use std::sync::Arc;
 pub struct ChaseConfig {
     /// Maximum number of rounds (a round applies every TGD to every current
     /// trigger); exceeded runs terminate with
-    /// [`TerminationReason::RoundLimit`].
+    /// [`TerminationReason::RoundLimit`].  Both budgets are a safety net:
+    /// a weakly-acyclic program reaches [`TerminationReason::Fixpoint`]
+    /// unless its instance outgrows them, and a caller that needs the whole
+    /// model treats any other reason as an error.
     pub max_rounds: usize,
     /// Maximum number of tuples the chase may add before stopping with
     /// [`TerminationReason::TupleLimit`].
@@ -76,16 +78,6 @@ pub struct ChaseConfig {
     /// clock reads per rule per round; `false` skips every measurement
     /// (the `obs_bench` experiment quantifies the difference).
     pub profile: bool,
-    /// The program's [`TerminationCertificate`] (from `ontodq-lint`'s
-    /// classifier), when the caller ran the analysis.  A certificate that
-    /// certifies termination (`terminating == true`, i.e. the TGD set is
-    /// weakly acyclic) turns a [`TerminationReason::TupleLimit`] stop into
-    /// an **error diagnostic** on the result — the budget firing contradicts
-    /// the certificate, so truncation must not pass silently.  An
-    /// uncertified certificate attaches a warning diagnostic instead: the
-    /// chase may be cut short legitimately.  `None` (the default) attaches
-    /// nothing — plain library callers keep the historical behaviour.
-    pub certificate: Option<TerminationCertificate>,
 }
 
 impl Default for ChaseConfig {
@@ -96,7 +88,6 @@ impl Default for ChaseConfig {
             check_constraints: true,
             join: JoinEngine::Auto,
             profile: true,
-            certificate: None,
         }
     }
 }
@@ -141,17 +132,7 @@ pub struct ChaseResult {
     /// [`ChaseStats`] so stats stay timing-free and comparable across
     /// drivers and join kernels.
     pub profile: ChaseProfile,
-    /// Diagnostics attached by the engine itself — today, the termination
-    /// certificate cross-check: a warning when the run was configured with
-    /// an uncertified [`TerminationCertificate`], an **error** when a
-    /// certified-terminating program nonetheless stopped on
-    /// [`TerminationReason::TupleLimit`] (an invariant violation: either the
-    /// certificate or the chase is wrong).  Empty when
-    /// [`ChaseConfig::certificate`] is `None`.
-    pub diagnostics: Vec<Diagnostic>,
 }
-
-impl ChaseResult {}
 
 /// Statistics of one [`ChaseEngine::retract`] batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -463,7 +444,7 @@ fn memoized_witnesses<'m>(
 /// unshare a relation just to index it.
 pub fn ensure_rule_indexes(program: &Program, db: &mut Database) {
     for tgd in &program.tgds {
-        ensure_indexes(db, &tgd.body);
+        ensure_indexes(db, tgd.body());
         if !tgd.is_full() {
             let frontier = tgd.frontier();
             for atom in &tgd.head {
@@ -498,7 +479,7 @@ pub fn ensure_demand_indexes(program: &Program, db: &mut Database) {
     ensure_rule_indexes(program, db);
     for tgd in &program.tgds {
         if let [head] = &tgd.head[..] {
-            let mut guarded = tgd.body.clone();
+            let mut guarded = tgd.body().clone();
             guarded
                 .atoms
                 .insert(0, Atom::new("__magic_guard", head.terms.clone()));
@@ -537,7 +518,7 @@ fn stage_full_tgd_triggers(
     join: JoinEngine,
 ) -> Vec<Value> {
     let mut staged = Vec::new();
-    for_each_trigger(db, &tgd.body, floor, join, &mut |binder| {
+    for_each_trigger(db, tgd.body(), floor, join, &mut |binder| {
         for atom in &tgd.head {
             for term in &atom.terms {
                 staged.push(match term {
@@ -650,7 +631,7 @@ impl ChaseEngine {
         rule.evaluations += 1;
         rule.delta_rows += delta_rows;
         rule.join_micros += micros;
-        if plan_uses_wco(&tgd.body, self.config.join) {
+        if plan_uses_wco(tgd.body(), self.config.join) {
             rule.wco_evals += 1;
         } else {
             rule.hash_evals += 1;
@@ -676,62 +657,6 @@ impl ChaseEngine {
         rule.tuples_added += (stats.tuples_added - added_before) as u64;
     }
 
-    /// The certificate cross-check diagnostics for a run that stopped with
-    /// `termination` (see [`ChaseConfig::certificate`]), also folding the
-    /// certificate and diagnostic counts into `profile`.
-    fn certificate_diagnostics(
-        &self,
-        termination: TerminationReason,
-        profile: &mut ChaseProfile,
-    ) -> Vec<Diagnostic> {
-        let Some(certificate) = &self.config.certificate else {
-            return Vec::new();
-        };
-        if profile.certificate.is_none() {
-            profile.certificate = Some(certificate.clone());
-        }
-        let mut diagnostics = Vec::new();
-        if certificate.terminating {
-            if termination == TerminationReason::TupleLimit {
-                diagnostics.push(
-                    Diagnostic::new(
-                        "C001",
-                        Severity::Error,
-                        format!(
-                            "invariant violation: program certified terminating ({certificate}) \
-                             but the chase stopped on the tuple budget \
-                             (max_new_tuples={}); the result is truncated",
-                            self.config.max_new_tuples
-                        ),
-                    )
-                    .witnessed(certificate.report.to_string()),
-                );
-            }
-        } else {
-            let mut diag = Diagnostic::new(
-                "C002",
-                Severity::Warn,
-                format!(
-                    "chase ran without a termination certificate ({certificate}); \
-                     budget limits (max_rounds={}, max_new_tuples={}) may truncate the result",
-                    self.config.max_rounds, self.config.max_new_tuples
-                ),
-            );
-            if !certificate.witness_cycle.is_empty() {
-                diag = diag.witnessed(certificate.rendered_cycle());
-            }
-            diagnostics.push(diag);
-        }
-        for diagnostic in &diagnostics {
-            match diagnostic.severity {
-                Severity::Error => profile.lint_errors += 1,
-                Severity::Warn => profile.lint_warnings += 1,
-                Severity::Info => {}
-            }
-        }
-        diagnostics
-    }
-
     /// Run the chase of `program` over `database` (which is not modified; the
     /// result carries the chased instance, sharing with `database` every
     /// relation the chase did not write).
@@ -750,8 +675,8 @@ impl ChaseEngine {
     /// This is the reference oracle the semi-naive driver of
     /// [`ChaseEngine::run`] is tested against: the two reach the same
     /// instance modulo labeled-null renaming, with the same violations.  It
-    /// runs under the engine's own budgets, join kernel, profiler and
-    /// termination certificate.  It never resumes: [`ChaseEngine::resume`]
+    /// runs under the engine's own budgets, join kernel and profiler.  It
+    /// never resumes: [`ChaseEngine::resume`]
     /// and [`ChaseEngine::retract`] are semi-naive only.
     pub fn run_naive(&self, program: &Program, database: &Database) -> ChaseResult {
         let mut state = ChaseState::new(program, database);
@@ -810,15 +735,12 @@ impl ChaseEngine {
         if self.config.check_constraints {
             self.check_constraints(program, state, &mut run);
         }
-
-        let diagnostics = self.certificate_diagnostics(termination, &mut run.profile);
         ChaseResult {
             database: state.database.clone(),
             stats: run.stats,
             violations: run.violations,
             termination,
             profile: run.profile,
-            diagnostics,
         }
     }
 
@@ -894,7 +816,7 @@ impl ChaseEngine {
                 let fired_before = state.stats.triggers_fired;
                 let satisfied_before = state.stats.triggers_satisfied;
                 let added_before = state.stats.tuples_added;
-                let triggers = evaluate_with(db, &tgd.body, self.config.join);
+                let triggers = evaluate_with(db, tgd.body(), self.config.join);
                 if self.config.profile {
                     self.note_eval(
                         &mut state.profile,
@@ -1003,8 +925,8 @@ impl ChaseEngine {
                     }
                 } else {
                     let triggers = match floor {
-                        None => evaluate_with(db, &tgd.body, self.config.join),
-                        Some(floor) => evaluate_delta_with(db, &tgd.body, floor, self.config.join),
+                        None => evaluate_with(db, tgd.body(), self.config.join),
+                        Some(floor) => evaluate_delta_with(db, tgd.body(), floor, self.config.join),
                     };
                     if self.config.profile {
                         self.note_eval(
@@ -1266,21 +1188,13 @@ impl ChaseEngine {
         state.database.compact_sparse();
         // Phase 3: re-open exactly the rules that can write a touched
         // relation, then resume — the restricted chase's dedup makes the
-        // re-evaluation a no-op on everything that survived.  Rules whose
-        // *negated* body atoms read a touched relation are re-opened too: a
-        // deletion can enable their triggers (negation is non-monotone),
-        // and a delta-restricted evaluation would never see them.
+        // re-evaluation a no-op on everything that survived.
         for (index, tgd) in program.tgds.iter().enumerate() {
-            let writes_touched = tgd
+            if tgd
                 .head
                 .iter()
-                .any(|atom| touched.contains(atom.predicate.as_str()));
-            let negation_reads_touched = tgd
-                .body
-                .negated
-                .iter()
-                .any(|atom| touched.contains(atom.predicate.as_str()));
-            if writes_touched || negation_reads_touched {
+                .any(|atom| touched.contains(atom.predicate.as_str()))
+            {
                 state.tgd_floor[index] = None;
             }
         }
@@ -1322,7 +1236,7 @@ impl ChaseEngine {
         while let Some((predicate, tuple)) = queue.pop_front() {
             candidates.clear();
             for tgd in &program.tgds {
-                for (position, atom) in tgd.body.atoms.iter().enumerate() {
+                for (position, atom) in tgd.body().atoms.iter().enumerate() {
                     if atom.predicate != predicate {
                         continue;
                     }
@@ -1330,7 +1244,7 @@ impl ChaseEngine {
                         continue;
                     };
                     let rest: Vec<&Atom> = tgd
-                        .body
+                        .body()
                         .atoms
                         .iter()
                         .enumerate()
@@ -1339,20 +1253,12 @@ impl ChaseEngine {
                         .collect();
                     extend_over_atoms(db, &rest, partial, &mut |assignment| {
                         // `extend_over_atoms` handles positive atoms only;
-                        // comparisons and negated atoms are checked here.
+                        // comparisons are checked here.
                         if !tgd
-                            .body
+                            .body()
                             .comparisons
                             .iter()
                             .all(|cmp| assignment.satisfies_comparison(cmp))
-                        {
-                            return;
-                        }
-                        if tgd
-                            .body
-                            .negated
-                            .iter()
-                            .any(|negated| has_extension(db, &[negated], assignment))
                         {
                             return;
                         }
@@ -2191,36 +2097,6 @@ mod tests {
             let demanded = engine.chase_for_query(&program, &db, &query);
             assert_eq!(certain(&demanded.database, &query), expected);
         }
-    }
-
-    /// Regression: a TGD whose body reads another intensional predicate
-    /// under negation must see that predicate's *full* extension — pruning
-    /// its rules (no positive edge reaches them) made the demand chase
-    /// return extra, unsound answers.
-    #[test]
-    fn demand_chase_respects_negated_intensional_body_atoms() {
-        use ontodq_datalog::{Atom, Tgd};
-        let mut program = parse_program(
-            "Flagged(p) :- Errors(p).\n\
-             M2(p) :- M(p).\n",
-        )
-        .unwrap();
-        program.tgds.push(Tgd {
-            label: None,
-            body: ontodq_datalog::Conjunction::positive(vec![Atom::with_vars("M2", &["p"])])
-                .and_not(Atom::with_vars("Flagged", &["p"])),
-            head: vec![Atom::with_vars("Good", &["p"])],
-        });
-        let mut db = Database::new();
-        db.insert_values("M", ["alice"]).unwrap();
-        db.insert_values("M", ["bob"]).unwrap();
-        db.insert_values("Errors", ["bob"]).unwrap();
-        let query = query_body("Good(p).");
-        let full = chase(&program, &db);
-        let demanded = ChaseEngine::with_defaults().chase_for_query(&program, &db, &query);
-        let expected = certain(&full.database, &query);
-        assert_eq!(expected.len(), 1, "only alice is good");
-        assert_eq!(certain(&demanded.database, &query), expected);
     }
 
     // ------------------------------------------------------------------

@@ -17,7 +17,6 @@
 //! every incremental resume, and the server's `!profile` command reports
 //! the top rules by cumulative join time.
 
-use ontodq_datalog::TerminationCertificate;
 use std::fmt;
 
 /// Aggregate statistics of a chase run.
@@ -144,18 +143,6 @@ pub struct ChaseProfile {
     pub total_micros: u64,
     /// DRed phase timings, when this profile covers retraction batches.
     pub dred: DredTiming,
-    /// The [`TerminationCertificate`] the run(s) were configured with (see
-    /// [`ChaseConfig::certificate`](crate::ChaseConfig::certificate)), when
-    /// any; carried here so `!profile` / `!metrics` can report the class
-    /// next to the timings.  Unlike the timing fields this survives
-    /// `profile: false` runs — certification is not a measurement.
-    pub certificate: Option<TerminationCertificate>,
-    /// Error-severity diagnostics the engine attached across the merged
-    /// runs (certificate invariant violations).
-    pub lint_errors: u64,
-    /// Warning-severity diagnostics the engine attached across the merged
-    /// runs (uncertified-chase warnings).
-    pub lint_warnings: u64,
 }
 
 impl ChaseProfile {
@@ -184,15 +171,8 @@ impl ChaseProfile {
 
     /// Fold `other` into `self`: per-rule sums matched by index (the rule
     /// list grows to cover `other`'s), scalar timings added.  Merging an
-    /// enabled profile into a disabled one enables it.  The certificate and
-    /// diagnostic counts merge even from disabled profiles — they are facts
-    /// about the runs, not measurements.
+    /// enabled profile into a disabled one enables it.
     pub fn merge(&mut self, other: &ChaseProfile) {
-        if self.certificate.is_none() {
-            self.certificate = other.certificate.clone();
-        }
-        self.lint_errors += other.lint_errors;
-        self.lint_warnings += other.lint_warnings;
         if !other.enabled {
             return;
         }

@@ -10,7 +10,7 @@
 use crate::context::{Context, ContextError};
 use crate::metrics::{QualityMetrics, RelationQuality};
 use ontodq_chase::{
-    ensure_demand_indexes, ChaseConfig, ChaseEngine, ChaseResult, ChaseState, RetractResult,
+    ensure_demand_indexes, ChaseEngine, ChaseResult, ChaseState, RetractResult, TerminationReason,
 };
 use ontodq_datalog::{lint_with, LintReport, Program};
 use ontodq_mdm::compile;
@@ -47,15 +47,7 @@ impl AssessmentResult {
 /// Assess `instance` against `context`.
 pub fn assess(context: &Context, instance: &Database) -> AssessmentResult {
     let (program, database) = compile_context(context, instance);
-
-    // Chase, under the program's termination certificate: a
-    // certified-terminating program hitting the tuple budget becomes an
-    // error diagnostic instead of silent truncation.
-    let chase = certified_engine(
-        ontodq_datalog::TerminationCertificate::of_program(&program),
-        ontodq_obs::monotonic(),
-    )
-    .run(&program, &database);
+    let chase = ChaseEngine::with_defaults().run(&program, &database);
 
     // Extract quality versions and metrics.
     let (quality_database, metrics) = extract_quality(context, instance, &chase.database);
@@ -114,26 +106,13 @@ pub fn compile_context(context: &Context, instance: &Database) -> (Program, Data
 /// provides, and the context's goal predicates (its quality predicates and versions) as the
 /// reachability goals.
 ///
-/// The report's [`ontodq_datalog::TerminationCertificate`] is what
-/// [`ResumableAssessment`] hands to the chase engine; its error-severity
-/// diagnostics are what `ontodq-server` rejects registrations over
+/// Its error-severity diagnostics, among them L106 for a program without a
+/// [`ontodq_datalog::TerminationCertificate`], are what
+/// [`ResumableAssessment::admit`] refuses a context over
 /// ([`crate::context::ContextError::Rejected`]).
 pub fn lint_context(context: &Context, instance: &Database) -> LintReport {
     let (program, database) = compile_context(context, instance);
     lint_compiled(context, &program, &database)
-}
-
-/// The default chase engine, running under `certificate` and timing its
-/// profile on `clock`.
-fn certified_engine(
-    certificate: ontodq_datalog::TerminationCertificate,
-    clock: ontodq_obs::SharedClock,
-) -> ChaseEngine {
-    ChaseEngine::new(ChaseConfig {
-        certificate: Some(certificate),
-        ..ChaseConfig::default()
-    })
-    .with_clock(clock)
 }
 
 /// [`lint_context`] for an already-compiled program/instance pair.
@@ -281,18 +260,22 @@ impl ResumableAssessment {
             lint,
             ontodq_obs::monotonic(),
         )
+        .0
     }
 
     /// Admit `context` over `instance`: compile and lint it once, refuse it
     /// when the lint report carries an error-severity diagnostic, and only
-    /// then run the initial full chase.  The profiler times on `clock` (see
-    /// [`ontodq_obs::Clock`]) — the server passes its own clock down so
-    /// deterministic-replay tests freeze every timing at once.
+    /// then run the initial full chase, which must reach a fixpoint.  The
+    /// profiler times on `clock` (see [`ontodq_obs::Clock`]) — the server
+    /// passes its own clock down so deterministic-replay tests freeze every
+    /// timing at once.
     ///
     /// # Errors
     /// [`ContextError::Rejected`] with the full diagnostic list when the
     /// program has an error-severity diagnostic (unsafe rules, arity
-    /// clashes, a non-separable EGD, …); no chase work has run then.
+    /// clashes, a non-separable EGD, no termination certificate, …); no
+    /// chase work has run then.  [`ContextError::Incomplete`] when the
+    /// initial chase stopped on a budget before its fixpoint.
     pub fn admit(
         context: Context,
         instance: Database,
@@ -303,13 +286,16 @@ impl ResumableAssessment {
         if lint.error_count() > 0 {
             return Err(ContextError::Rejected(lint.diagnostics));
         }
-        Ok(Self::chase_compiled(
-            context, instance, program, database, lint, clock,
-        ))
+        let (assessment, reason) =
+            Self::chase_compiled(context, instance, program, database, lint, clock);
+        if reason != TerminationReason::Fixpoint {
+            return Err(ContextError::Incomplete { reason });
+        }
+        Ok(assessment)
     }
 
-    /// Run the initial full chase of a compiled and linted context, under
-    /// the lint report's termination certificate.
+    /// Run the initial full chase of a compiled and linted context; returns
+    /// the assessment and why that chase stopped.
     fn chase_compiled(
         context: Context,
         instance: Database,
@@ -317,17 +303,17 @@ impl ResumableAssessment {
         mut database: Database,
         lint: LintReport,
         clock: ontodq_obs::SharedClock,
-    ) -> Self {
+    ) -> (Self, TerminationReason) {
         // Index before sharing: the chase state below starts as a clone of
         // the base, and every snapshot as a clone of both.  With the
         // indexes in place first, the extensional relations the chase never
         // writes stay one shared copy across base, state and snapshots, and
         // a demand chase over the base finds every index it asks for.
         ensure_demand_indexes(&program, &mut database);
-        let engine = certified_engine(lint.certificate.clone(), clock);
+        let engine = ChaseEngine::with_defaults().with_clock(clock);
         let mut state = ChaseState::new(&program, &database);
         let initial = engine.resume(&program, &mut state);
-        Self {
+        let assessment = Self {
             context,
             program,
             instance,
@@ -339,7 +325,8 @@ impl ResumableAssessment {
             profile: initial.profile,
             lint,
             extracted: Extracted::default(),
-        }
+        };
+        (assessment, initial.termination)
     }
 
     /// Rebuild an assessment from persisted state **without re-chasing**:
@@ -387,7 +374,7 @@ impl ResumableAssessment {
             program,
             instance,
             base,
-            engine: certified_engine(lint.certificate.clone(), clock),
+            engine: ChaseEngine::with_defaults().with_clock(clock),
             state,
             last_violations: ontodq_chase::Violations::default(),
             batches_applied,
@@ -484,8 +471,7 @@ impl ResumableAssessment {
     }
 
     /// The static-analysis report of the compiled program (see
-    /// [`lint_context`]): every diagnostic, the termination certificate the
-    /// chase engine runs under, and the stratification outcome.
+    /// [`lint_context`]): every diagnostic and the termination certificate.
     pub fn lint_report(&self) -> &LintReport {
         &self.lint
     }

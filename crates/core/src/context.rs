@@ -17,6 +17,7 @@
 //! [`crate::assessment::assess`], which compiles everything into one Datalog±
 //! program, chases it, and extracts the quality versions.
 
+use ontodq_chase::TerminationReason;
 use ontodq_datalog::{parse_rule, Diagnostic, Rule, Severity, Tgd};
 use ontodq_mdm::MdOntology;
 use ontodq_relational::Database;
@@ -55,6 +56,13 @@ pub enum ContextError {
     /// **every** diagnostic of the report — errors first — so callers can
     /// show the full picture, not just the first failure.
     Rejected(Vec<Diagnostic>),
+    /// The initial chase stopped on a budget (`max_rounds` or
+    /// `max_new_tuples` of `ontodq_chase::ChaseConfig`) before its fixpoint,
+    /// so quality versions read off it would miss certain answers.
+    Incomplete {
+        /// Why the chase stopped.
+        reason: TerminationReason,
+    },
 }
 
 impl fmt::Display for ContextError {
@@ -80,6 +88,11 @@ impl fmt::Display for ContextError {
                 }
                 Ok(())
             }
+            ContextError::Incomplete { reason } => write!(
+                f,
+                "initial chase stopped short of its fixpoint ({reason:?}): the quality \
+                 versions would be incomplete"
+            ),
         }
     }
 }

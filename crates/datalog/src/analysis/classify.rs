@@ -105,7 +105,7 @@ pub(crate) fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
     tgds.iter().all(|tgd| {
         // Variables of the body that occur only at affected positions.
         let mut var_positions: BTreeMap<&str, Vec<Position>> = BTreeMap::new();
-        for atom in &tgd.body.atoms {
+        for atom in &tgd.body().atoms {
             for (i, term) in atom.terms.iter().enumerate() {
                 if let Term::Var(v) = term {
                     var_positions
@@ -123,7 +123,7 @@ pub(crate) fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
         if dangerous.is_empty() {
             return true;
         }
-        tgd.body.atoms.iter().any(|atom| {
+        tgd.body().atoms.iter().any(|atom| {
             let atom_vars: BTreeSet<&str> = atom
                 .terms
                 .iter()
@@ -139,7 +139,7 @@ pub(crate) fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
 pub(crate) fn is_sticky(tgds: &[Tgd]) -> bool {
     let marking = Marking::compute(tgds);
     tgds.iter().enumerate().all(|(idx, tgd)| {
-        tgd.body
+        tgd.body()
             .repeated_variables()
             .iter()
             .all(|v| !marking.is_marked(idx, v))
@@ -151,12 +151,12 @@ pub(crate) fn is_weakly_sticky_with(tgds: &[Tgd], graph: &PositionGraph) -> bool
     let marking = Marking::compute(tgds);
     let finite = graph.finite_rank_positions();
     tgds.iter().enumerate().all(|(idx, tgd)| {
-        tgd.body.repeated_variables().iter().all(|v| {
+        tgd.body().repeated_variables().iter().all(|v| {
             if !marking.is_marked(idx, v) {
                 return true;
             }
             // Marked and repeated: must occur at some finite-rank position.
-            tgd.body.atoms.iter().any(|atom| {
+            tgd.body().atoms.iter().any(|atom| {
                 atom.terms.iter().enumerate().any(|(i, term)| {
                     term.as_var() == Some(v)
                         && finite.contains(&Position::new(atom.predicate.clone(), i))
@@ -172,7 +172,7 @@ pub(crate) fn is_weakly_sticky_with(tgds: &[Tgd], graph: &PositionGraph) -> bool
 pub(crate) fn schema_positions(tgds: &[Tgd]) -> Vec<Position> {
     let mut arities: BTreeMap<String, usize> = BTreeMap::new();
     for tgd in tgds {
-        for atom in tgd.body.atoms.iter().chain(tgd.head.iter()) {
+        for atom in tgd.body().atoms.iter().chain(tgd.head.iter()) {
             arities
                 .entry(atom.predicate.clone())
                 .or_insert(atom.arity());

@@ -6,10 +6,9 @@
 //! turns the classifiers ([`mod@crate::analysis::classify`]), the position graph
 //! ([`crate::graph::PositionGraph`]) and the separability check
 //! ([`crate::analysis::separability`]) into a single linting pass producing
-//! structured [`Diagnostic`]s, plus a [`TerminationCertificate`] the chase
-//! engine consumes (`ontodq_chase::ChaseConfig`): certified programs turn a
-//! tuple-budget truncation into a loud invariant error, uncertified programs
-//! chase behind an explicit warning.
+//! structured [`Diagnostic`]s, plus a [`TerminationCertificate`].  A program
+//! without one is refused (L106): its chase could stop only on a budget,
+//! short of the model the quality answers are defined over.
 //!
 //! Diagnostic codes (catalogued in `docs/analysis.md`):
 //!
@@ -17,15 +16,14 @@
 //! |------|----------|---------|
 //! | L001 | error | head/equated variable not bound by a positive body atom |
 //! | L002 | error | negated-atom or comparison variable unbound in positive body |
-//! | L003 | error | malformed rule shape (empty head/body, negation in a TGD body) |
+//! | L003 | error | malformed rule shape (empty head, no positive body atom) |
 //! | L004 | error | predicate used with inconsistent arities |
-//! | L005 | error | negation cycle — the program is not stratifiable |
 //! | L101 | warn  | dead rule: a body predicate is fed by no EDB relation and no head |
 //! | L102 | warn  | rule derives only predicates no quality query depends on |
 //! | L103 | warn  | cartesian product: rule body has disconnected variable components |
 //! | L104 | warn  | duplicate rule (shadowed by an identical earlier rule) |
 //! | L105 | error | EGD is not separable from the TGDs (it could meet a labeled null) |
-//! | L106 | warn  | no termination certificate: chase may only stop on budgets |
+//! | L106 | error | no termination certificate: chase may only stop on budgets |
 //! | L201 | info  | class-lattice placement of the program |
 
 use crate::analysis::classify::{classify_tgds, ClassReport, DatalogClass};
@@ -95,7 +93,7 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// A diagnostic with no rule anchor and no witness (builder root; chain
     /// `Diagnostic::at` / [`Diagnostic::witnessed`] to attach them).
-    pub fn new(code: &'static str, severity: Severity, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: &'static str, severity: Severity, message: impl Into<String>) -> Self {
         Self {
             code,
             severity,
@@ -116,7 +114,7 @@ impl Diagnostic {
     }
 
     /// Attach a concrete witness.
-    pub fn witnessed(mut self, witness: impl Into<String>) -> Self {
+    pub(crate) fn witnessed(mut self, witness: impl Into<String>) -> Self {
         self.witness = Some(witness.into());
         self
     }
@@ -223,16 +221,13 @@ impl fmt::Display for TerminationCertificate {
 }
 
 /// The result of linting one program: every diagnostic plus the termination
-/// certificate and the stratification outcome.
+/// certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintReport {
     /// All findings, program order within each check, errors first.
     pub diagnostics: Vec<Diagnostic>,
     /// The chase-termination certificate of the program's TGDs.
     pub certificate: TerminationCertificate,
-    /// Number of strata of the (currently negation-free) predicate
-    /// dependency graph; `None` when the program is not stratifiable.
-    pub strata: Option<usize>,
 }
 
 impl LintReport {
@@ -295,7 +290,6 @@ pub fn lint_with(
     check_arities(program, &mut diagnostics);
     check_shapes(program, &mut diagnostics);
     check_safety(program, &mut diagnostics);
-    let strata = check_stratification(program, &mut diagnostics);
     check_dead_rules(program, edb, &mut diagnostics);
     check_reachability(program, goals, &mut diagnostics);
     check_cartesian_products(program, &mut diagnostics);
@@ -307,7 +301,7 @@ pub fn lint_with(
         diagnostics.push(
             Diagnostic::new(
                 "L106",
-                Severity::Warn,
+                Severity::Error,
                 format!(
                     "no termination certificate: the TGD set is {} (not weakly acyclic), \
                      so the chase may only stop on its round/tuple budgets",
@@ -333,7 +327,6 @@ pub fn lint_with(
     LintReport {
         diagnostics,
         certificate,
-        strata,
     }
 }
 
@@ -348,13 +341,7 @@ fn check_arities(program: &Program, out: &mut Vec<Diagnostic>) {
             .insert(arity);
     };
     for tgd in &program.tgds {
-        for atom in tgd
-            .body
-            .atoms
-            .iter()
-            .chain(tgd.body.negated.iter())
-            .chain(tgd.head.iter())
-        {
+        for atom in tgd.body().atoms.iter().chain(tgd.head.iter()) {
             record(&atom.predicate, atom.arity());
         }
     }
@@ -412,23 +399,13 @@ fn check_shapes(program: &Program, out: &mut Vec<Diagnostic>) {
                 ),
             );
         }
-        if tgd.body.atoms.is_empty() {
+        if tgd.body().atoms.is_empty() {
             out.push(
                 Diagnostic::new("L003", Severity::Error, "TGD has no positive body atoms").at(
                     "tgd",
                     i,
                     tgd.to_string(),
                 ),
-            );
-        }
-        if !tgd.body.negated.is_empty() {
-            out.push(
-                Diagnostic::new(
-                    "L003",
-                    Severity::Error,
-                    "negated body atoms in TGDs are not supported by the chase yet",
-                )
-                .at("tgd", i, tgd.to_string()),
             );
         }
     }
@@ -451,11 +428,11 @@ fn check_shapes(program: &Program, out: &mut Vec<Diagnostic>) {
 /// or in a comparison — must be bound by at least one positive body atom.
 fn check_safety(program: &Program, out: &mut Vec<Diagnostic>) {
     for (i, tgd) in program.tgds.iter().enumerate() {
-        let positive = positive_variables(&tgd.body.atoms);
+        let positive = positive_variables(&tgd.body().atoms);
         for var in tgd.head_variables() {
             // Head variables absent from the whole body are existential
             // (they become fresh labeled nulls); head variables present in
-            // the body but only in a negated atom or comparison are unsafe.
+            // the body but only in a comparison are unsafe.
             if !positive.contains(&var) && tgd.body_variables().contains(&var) {
                 out.push(
                     Diagnostic::new(
@@ -468,7 +445,7 @@ fn check_safety(program: &Program, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        check_body_safety(&tgd.body, &positive, "tgd", i, &tgd.to_string(), out);
+        check_body_safety(tgd.body(), &positive, "tgd", i, &tgd.to_string(), out);
     }
     for (i, egd) in program.egds.iter().enumerate() {
         let positive = positive_variables(&egd.body.atoms);
@@ -572,65 +549,6 @@ fn check_body_safety(
     }
 }
 
-/// L005 + the strata count.  Strata are computed over the predicate
-/// dependency graph with positive edges (`stratum(head) ≥ stratum(body)`)
-/// and negative edges (`stratum(head) > stratum(negated body)`); a program
-/// is stratifiable iff no cycle passes through a negative edge.  TGD bodies
-/// are negation-free today (L003 rejects them), so this pass is the
-/// prerequisite shipped ahead of the negation language feature.
-fn check_stratification(program: &Program, out: &mut Vec<Diagnostic>) -> Option<usize> {
-    let mut predicates: BTreeSet<String> = BTreeSet::new();
-    // (from, to, negative)
-    let mut edges: Vec<(String, String, bool)> = Vec::new();
-    for tgd in &program.tgds {
-        for head in &tgd.head {
-            predicates.insert(head.predicate.clone());
-            for atom in &tgd.body.atoms {
-                predicates.insert(atom.predicate.clone());
-                edges.push((atom.predicate.clone(), head.predicate.clone(), false));
-            }
-            for atom in &tgd.body.negated {
-                predicates.insert(atom.predicate.clone());
-                edges.push((atom.predicate.clone(), head.predicate.clone(), true));
-            }
-        }
-    }
-    let mut stratum: BTreeMap<&str, usize> = predicates.iter().map(|p| (p.as_str(), 0)).collect();
-    let bound = predicates.len().max(1);
-    for _ in 0..=bound {
-        let mut changed = false;
-        for (from, to, negative) in &edges {
-            let floor = stratum[from.as_str()] + usize::from(*negative);
-            if stratum[to.as_str()] < floor {
-                *stratum
-                    .get_mut(to.as_str())
-                    .expect("stratum key inserted above") = floor;
-                changed = true;
-            }
-        }
-        if !changed {
-            let max = stratum.values().copied().max().unwrap_or(0);
-            return Some(max + 1);
-        }
-    }
-    // No fixpoint within |predicates| sweeps: some cycle raises a stratum
-    // unboundedly, which only a negative edge can do.
-    let cycle: Vec<&str> = stratum
-        .iter()
-        .filter(|(_, s)| **s > bound)
-        .map(|(p, _)| *p)
-        .collect();
-    out.push(
-        Diagnostic::new(
-            "L005",
-            Severity::Error,
-            "the program is not stratifiable: a dependency cycle passes through negation",
-        )
-        .witnessed(cycle.join(", ")),
-    );
-    None
-}
-
 /// L101: a rule whose positive body mentions a predicate fed by no EDB
 /// relation, no program fact and no rule head can never fire.
 fn check_dead_rules(program: &Program, edb: Option<&BTreeSet<String>>, out: &mut Vec<Diagnostic>) {
@@ -649,7 +567,7 @@ fn check_dead_rules(program: &Program, edb: Option<&BTreeSet<String>>, out: &mut
         .map(|f| f.atom().predicate.as_str())
         .collect();
     for (i, tgd) in program.tgds.iter().enumerate() {
-        for atom in &tgd.body.atoms {
+        for atom in &tgd.body().atoms {
             let p = atom.predicate.as_str();
             if !edb.contains(p) && !heads.contains(p) && !facts.contains(p) {
                 out.push(
@@ -701,7 +619,7 @@ fn check_reachability(program: &Program, goals: &[String], out: &mut Vec<Diagnos
 /// components multiply instead of joining.
 fn check_cartesian_products(program: &Program, out: &mut Vec<Diagnostic>) {
     for (i, tgd) in program.tgds.iter().enumerate() {
-        if let Some(witness) = cartesian_components(&tgd.body.atoms) {
+        if let Some(witness) = cartesian_components(&tgd.body().atoms) {
             out.push(
                 Diagnostic::new(
                     "L103",
@@ -845,7 +763,6 @@ mod tests {
         );
         assert_eq!(report.warning_count(), 0);
         assert!(report.certificate.terminating);
-        assert_eq!(report.strata, Some(1));
         // The only diagnostic is the L201 class info.
         assert_eq!(codes(&report), vec!["L201"]);
     }
@@ -971,12 +888,12 @@ mod tests {
         let report = lint(&program);
         assert!(!report.certificate.terminating);
         assert!(!report.certificate.witness_cycle.is_empty());
-        let warn = report
-            .diagnostics
-            .iter()
+        let refusal = report
+            .errors()
+            .into_iter()
             .find(|d| d.code == "L106")
-            .expect("uncertified warning");
-        assert!(warn.witness.as_deref().unwrap().contains("R[1]"));
+            .expect("an uncertified program is an error");
+        assert!(refusal.witness.as_deref().unwrap().contains("R[1]"));
         assert!(report.summary().contains("certified=no"));
     }
 
@@ -1011,18 +928,5 @@ mod tests {
         let mut sorted = severities.clone();
         sorted.sort_by(|a, b| b.cmp(a));
         assert_eq!(severities, sorted);
-    }
-
-    #[test]
-    fn negation_free_programs_collapse_to_one_stratum() {
-        // Positive edges only require stratum(head) >= stratum(body), so a
-        // negation-free chain stays in a single stratum.
-        let program = parse_program(
-            "B(x) :- A(x).\n\
-             C(x) :- B(x).\n",
-        )
-        .unwrap();
-        let report = lint(&program);
-        assert_eq!(report.strata, Some(1));
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! 1. **Relevance restriction** — only rules whose head predicates the query
 //!    (transitively) depends on are kept, via the predicate dependency graph
-//!    ([`crate::graph::PredicateGraph::ancestors_of`]), plus the rules of
-//!    every predicate a kept rule reads under negation.
+//!    ([`crate::graph::PredicateGraph::ancestors_of`]).
 //! 2. **Sideways information passing** — the query's bound constants
 //!    (constants in atoms, plus `x = c` comparisons) become *adornments*:
 //!    each demanded predicate `P` with bound positions gets a magic predicate
@@ -23,9 +22,9 @@
 //!      invention), so such rules fall back to unguarded-but-relevant;
 //!    * rules with **conjunctive heads** (form (10)) are never guarded — a
 //!      guard for one head atom would silently starve the others;
-//!    * predicates read under negation (by the query or a kept rule), and
-//!      everything feeding them, are derived **unrestricted**: negation
-//!      reads a predicate's full extension, not just the demanded slice.
+//!    * predicates the query reads under negation, and everything feeding
+//!      them, are derived **unrestricted**: negation reads a predicate's
+//!      full extension, not just the demanded slice.
 //!
 //! The original predicate names are kept (guards are *added*, predicates are
 //! not renamed), so a demanded relation holds the union of all demanded
@@ -118,47 +117,20 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     // ------------------------------------------------------------------
     // Phase 1: relevance closure.
     // ------------------------------------------------------------------
-    let mut relevant: BTreeSet<String> = query
+    let seeds: Vec<&str> = query
         .atoms
         .iter()
         .chain(query.negated.iter())
-        .map(|a| a.predicate.clone())
+        .map(|a| a.predicate.as_str())
         .collect();
-    loop {
-        let seeds: Vec<&str> = relevant.iter().map(String::as_str).collect();
-        let closed = graph.ancestors_of(&seeds);
-        let mut changed = closed.len() != relevant.len();
-        relevant = closed;
-        // Negated body atoms of included TGDs: the predicate graph only
-        // carries positive edges, but negation-as-failure reads the negated
-        // predicate's *full* extension — its rules (and their inputs) are
-        // relevant even though no positive edge reaches the rule's head.
-        for tgd in &program.tgds {
-            if tgd.head.iter().any(|a| relevant.contains(&a.predicate)) {
-                for atom in &tgd.body.negated {
-                    changed |= relevant.insert(atom.predicate.clone());
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let relevant = graph.ancestors_of(&seeds);
 
-    // Predicates that must be derived unrestricted (no magic guards):
-    // ancestors of negated atoms — wherever a query or rule body reads a
-    // predicate under negation, its full extension matters, not just the
-    // demanded slice.
-    let mut unrestricted_seeds: BTreeSet<&str> =
+    // Predicates that must be derived unrestricted (no magic guards): the
+    // ancestors of the query's negated atoms — negation reads a predicate's
+    // full extension, not just the demanded slice.
+    let unrestricted_seeds: Vec<&str> =
         query.negated.iter().map(|a| a.predicate.as_str()).collect();
-    for tgd in &program.tgds {
-        if tgd.head.iter().any(|a| relevant.contains(&a.predicate)) {
-            for atom in &tgd.body.negated {
-                unrestricted_seeds.insert(atom.predicate.as_str());
-            }
-        }
-    }
-    let unrestricted = graph.ancestors_of(&unrestricted_seeds.into_iter().collect::<Vec<_>>());
+    let unrestricted = graph.ancestors_of(&unrestricted_seeds);
 
     let included_tgds: Vec<&Tgd> = program
         .tgds
@@ -285,13 +257,12 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
                         .iter()
                         .filter_map(|&k| head.terms[k].as_var().copied())
                         .collect();
-                    let mut body = tgd.body.clone();
-                    body.atoms.insert(0, guard.clone());
-                    let guarded = Tgd {
-                        label: tgd.label.clone(),
-                        body,
-                        head: tgd.head.clone(),
-                    };
+                    let body = tgd.body();
+                    let mut atoms = vec![guard.clone()];
+                    atoms.extend(body.atoms.iter().cloned());
+                    let mut guarded =
+                        Tgd::with_heads(atoms, body.comparisons.clone(), tgd.head.clone());
+                    guarded.label = tgd.label.clone();
                     push_rule(guarded, &mut out, &mut emitted);
                     propagate_body(
                         tgd,
@@ -352,7 +323,7 @@ pub fn magic_transform(program: &Program, query: &Conjunction) -> DemandProgram 
     // Magic predicates some emitted rule actually consumes or derives.
     let mut magic_preds: BTreeSet<String> = BTreeSet::new();
     for tgd in &out.tgds {
-        for atom in tgd.body.atoms.iter().chain(tgd.head.iter()) {
+        for atom in tgd.body().atoms.iter().chain(tgd.head.iter()) {
             if atom.predicate.starts_with("__magic_") {
                 magic_preds.insert(atom.predicate.clone());
             }
@@ -413,7 +384,7 @@ fn propagate_body(
     emitted: &mut BTreeSet<String>,
     push_rule: &mut impl FnMut(Tgd, &mut Program, &mut BTreeSet<String>) -> bool,
 ) {
-    for atom in &tgd.body.atoms {
+    for atom in &tgd.body().atoms {
         if !idb.contains(&atom.predicate) {
             continue;
         }
@@ -440,11 +411,7 @@ fn propagate_body(
         let magic = magic_name(&atom.predicate, &bs, atom.arity());
         match guard {
             Some(guard) => {
-                let propagation = Tgd {
-                    label: None,
-                    body: Conjunction::positive(vec![guard.clone()]),
-                    head: vec![Atom::new(magic, terms)],
-                };
+                let propagation = Tgd::new(vec![guard.clone()], Atom::new(magic, terms));
                 push_rule(propagation, out, emitted);
             }
             None => {
@@ -479,7 +446,7 @@ mod tests {
             .iter()
             .filter(|t| {
                 !t.head[0].predicate.starts_with("__magic_")
-                    && t.body
+                    && t.body()
                         .atoms
                         .iter()
                         .any(|a| a.predicate.starts_with("__magic_"))
@@ -558,8 +525,8 @@ mod tests {
             .iter()
             .find(|t| t.head_predicates() == vec!["PatientUnit"])
             .unwrap();
-        assert_eq!(guarded.body.atoms[0].predicate, "__magic_PatientUnit_ffb");
-        assert_eq!(guarded.body.atoms[0].terms, vec![Term::var("p")]);
+        assert_eq!(guarded.body().atoms[0].predicate, "__magic_PatientUnit_ffb");
+        assert_eq!(guarded.body().atoms[0].terms, vec![Term::var("p")]);
     }
 
     #[test]
@@ -590,7 +557,7 @@ mod tests {
             .iter()
             .find(|t| t.head[0].predicate.starts_with("__magic_T_"))
             .unwrap();
-        assert_eq!(propagation.body.atoms[0].predicate, "__magic_T_bf");
+        assert_eq!(propagation.body().atoms[0].predicate, "__magic_T_bf");
         assert_eq!(
             demand.seeds,
             vec![("__magic_T_bf".to_string(), Tuple::from_iter(["n0"]),)]
@@ -610,7 +577,7 @@ mod tests {
             .tgds
             .iter()
             .any(|t| t.head_predicates() == vec!["Shifts"]
-                && !t.body.atoms[0].predicate.starts_with("__magic_")));
+                && !t.body().atoms[0].predicate.starts_with("__magic_")));
     }
 
     #[test]
@@ -655,37 +622,7 @@ mod tests {
             .tgds
             .iter()
             .any(|t| t.head_predicates() == vec!["Shifts"]
-                && !t.body.atoms[0].predicate.starts_with("__magic_")));
-    }
-
-    #[test]
-    fn negated_tgd_body_atoms_force_full_derivation_of_their_rules() {
-        // `Good` reads `Flagged` under negation; `Flagged` has no positive
-        // edge into `Good`, but its rules (and their EDB inputs) must stay —
-        // pruning them would make the demand chase return extra (unsound)
-        // answers for everything `Flagged` would have excluded.
-        let program = parse_program(
-            "Flagged(p) :- Errors(p).\n\
-             M2(p) :- M(p).\n",
-        )
-        .unwrap();
-        let mut with_negation = program;
-        with_negation.tgds.push(Tgd {
-            label: None,
-            body: Conjunction::positive(vec![Atom::with_vars("M2", &["p"])])
-                .and_not(Atom::with_vars("Flagged", &["p"])),
-            head: vec![Atom::with_vars("Good", &["p"])],
-        });
-        let demand = magic_transform(&with_negation, &body_of("Good(p)."));
-        assert!(demand.relevant.contains("Flagged"));
-        assert!(demand.relevant.contains("Errors"));
-        // The Flagged rule is emitted, unguarded.
-        assert!(demand
-            .program
-            .tgds
-            .iter()
-            .any(|t| t.head_predicates() == vec!["Flagged"]
-                && !t.body.atoms[0].predicate.starts_with("__magic_")));
+                && !t.body().atoms[0].predicate.starts_with("__magic_")));
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Marking {
         }
         // Record the body positions where the newly marked variable occurs.
         let tgd = &tgds[tgd_index];
-        for atom in &tgd.body.atoms {
+        for atom in &tgd.body().atoms {
             for (i, term) in atom.terms.iter().enumerate() {
                 if let Term::Var(v) = term {
                     if v == &var {

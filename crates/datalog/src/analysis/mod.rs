@@ -10,9 +10,9 @@
 //!   program to one query's bound constants, for goal-directed chase
 //!   evaluation;
 //! * [`mod@lint`] — the `ontodq-lint` diagnostics pass: safety, arity and
-//!   stratification checks, dead/unreachable/cartesian/duplicate rule lints,
+//!   shape checks, dead/unreachable/cartesian/duplicate rule lints,
 //!   EGD-separability surfacing, and the [`lint::TerminationCertificate`]
-//!   the chase engine consumes.
+//!   that admission requires.
 
 pub(crate) mod classify;
 pub(crate) mod lint;

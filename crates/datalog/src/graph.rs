@@ -3,8 +3,7 @@
 //! Two graphs underpin the syntactic analyses:
 //!
 //! * the **predicate graph** (node = predicate, edge body → head) used for
-//!   stratification-style reasoning and for detecting which predicates a
-//!   query can depend on;
+//!   detecting which predicates a query or a quality goal can depend on;
 //! * the **position dependency graph** (node = position, normal edges for
 //!   value propagation, *special* edges for existential-value creation) used
 //!   for weak acyclicity and for the finite-/infinite-rank split that the
@@ -28,7 +27,7 @@ impl PredicateGraph {
     pub(crate) fn build(program: &Program) -> Self {
         let mut graph = PredicateGraph::default();
         for tgd in &program.tgds {
-            for body_atom in &tgd.body.atoms {
+            for body_atom in &tgd.body().atoms {
                 for head_atom in &tgd.head {
                     graph
                         .edges
@@ -103,7 +102,7 @@ impl PositionGraph {
             for var in &frontier {
                 // Body positions of the frontier variable.
                 let mut body_positions = Vec::new();
-                for atom in &tgd.body.atoms {
+                for atom in &tgd.body().atoms {
                     for (i, term) in atom.terms.iter().enumerate() {
                         if let Term::Var(v) = term {
                             if v == var {
@@ -304,7 +303,7 @@ impl PositionGraph {
                 let frontier = tgd.frontier();
                 for var in &frontier {
                     let mut body_positions = Vec::new();
-                    for atom in &tgd.body.atoms {
+                    for atom in &tgd.body().atoms {
                         for (i, term) in atom.terms.iter().enumerate() {
                             if term.as_var() == Some(var) {
                                 body_positions.push(Position::new(atom.predicate.clone(), i));

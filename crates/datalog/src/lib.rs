@@ -82,7 +82,7 @@ mod proptests {
 
     fn arb_tgd() -> impl Strategy<Value = Tgd> {
         (proptest::collection::vec(arb_atom(), 1..3), arb_atom())
-            .prop_map(|(body, head)| Tgd::new(Conjunction::positive(body), head))
+            .prop_map(|(body, head)| Tgd::new(body, head))
     }
 
     proptest! {

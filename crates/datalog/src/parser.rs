@@ -460,7 +460,17 @@ impl Parser {
                         },
                         Some(Token::Implies) => {
                             let body = self.body()?;
-                            return Ok(Rule::Tgd(Tgd::with_heads(body, heads)));
+                            if !body.negated.is_empty() {
+                                return Err(ParseError::new(
+                                    "a TGD body cannot hold 'not' (negation is allowed in \
+                                     constraints, conditional deletes and queries)",
+                                ));
+                            }
+                            return Ok(Rule::Tgd(Tgd::with_heads(
+                                body.atoms,
+                                body.comparisons,
+                                heads,
+                            )));
                         }
                         other => {
                             return Err(ParseError::new(format!(
@@ -529,7 +539,7 @@ mod tests {
             Rule::Tgd(t) => {
                 assert_eq!(t.head.len(), 1);
                 assert_eq!(t.head[0].predicate, "PatientUnit");
-                assert_eq!(t.body.atoms.len(), 2);
+                assert_eq!(t.body().atoms.len(), 2);
                 assert!(t.is_full());
             }
             other => panic!("expected TGD, got {other:?}"),
@@ -620,11 +630,11 @@ mod tests {
         .unwrap();
         match rule {
             Rule::Tgd(t) => {
-                assert_eq!(t.body.comparisons.len(), 5);
-                let time_cmp = &t.body.comparisons[1];
+                assert_eq!(t.body().comparisons.len(), 5);
+                let time_cmp = &t.body().comparisons[1];
                 assert_eq!(time_cmp.op, CompareOp::Ge);
                 assert!(matches!(time_cmp.right, Term::Const(Value::Time(_))));
-                let bool_cmp = &t.body.comparisons[4];
+                let bool_cmp = &t.body().comparisons[4];
                 assert_eq!(bool_cmp.right, Term::constant(Value::bool(true)));
             }
             other => panic!("expected TGD, got {other:?}"),
@@ -636,7 +646,7 @@ mod tests {
         let rule = parse_rule("R(x) :- S(x, 42, 3.5, -7).").unwrap();
         match rule {
             Rule::Tgd(t) => {
-                let atom = &t.body.atoms[0];
+                let atom = &t.body().atoms[0];
                 assert_eq!(atom.terms[1], Term::constant(Value::int(42)));
                 assert_eq!(atom.terms[2], Term::constant(Value::double(3.5)));
                 assert_eq!(atom.terms[3], Term::constant(Value::int(-7)));
@@ -672,6 +682,9 @@ mod tests {
         assert!(parse_rule("R(x).").is_err());
         // EGD equating a variable with a constant is rejected.
         assert!(parse_rule("x = B1 :- R(x).").is_err());
+        // A TGD body cannot hold negation.
+        let negated = parse_rule("Q(x) :- P(x), not R(x).").unwrap_err();
+        assert!(negated.to_string().contains("'not'"), "{negated}");
     }
 
     #[test]
@@ -724,7 +737,7 @@ mod tests {
         let rule = parse_rule("R(x) :- S(x, -7).").unwrap();
         match rule {
             Rule::Tgd(t) => {
-                assert_eq!(t.body.atoms[0].terms[1], Term::constant(Value::int(-7)));
+                assert_eq!(t.body().atoms[0].terms[1], Term::constant(Value::int(-7)));
             }
             other => panic!("expected TGD, got {other:?}"),
         }
@@ -778,7 +791,7 @@ mod tests {
         let rule = parse_rule(r#"R(x) :- S(x, "standard")."#).unwrap();
         match rule {
             Rule::Tgd(t) => {
-                assert_eq!(t.body.atoms[0].terms[1], Term::constant("standard"));
+                assert_eq!(t.body().atoms[0].terms[1], Term::constant("standard"));
             }
             other => panic!("expected TGD, got {other:?}"),
         }

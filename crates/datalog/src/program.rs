@@ -103,8 +103,7 @@ impl Program {
             out.entry(atom.predicate.clone()).or_insert(atom.arity());
         };
         for tgd in &self.tgds {
-            tgd.body.atoms.iter().for_each(&mut record);
-            tgd.body.negated.iter().for_each(&mut record);
+            tgd.body().atoms.iter().for_each(&mut record);
             tgd.head.iter().for_each(&mut record);
         }
         for egd in &self.egds {
@@ -148,8 +147,8 @@ impl Program {
             .collect()
     }
 
-    /// Structural validation: consistent arities, well-formed EGDs, TGD
-    /// bodies without negation.  Returns a list of human-readable problems
+    /// Structural validation: consistent arities, well-formed EGDs, TGDs
+    /// with a head and a positive body atom.  Returns a list of human-readable problems
     /// (empty when the program is well-formed).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -162,8 +161,7 @@ impl Program {
                 .insert(atom.arity());
         };
         for tgd in &self.tgds {
-            tgd.body.atoms.iter().for_each(&mut record);
-            tgd.body.negated.iter().for_each(&mut record);
+            tgd.body().atoms.iter().for_each(&mut record);
             tgd.head.iter().for_each(&mut record);
         }
         for egd in &self.egds {
@@ -193,13 +191,10 @@ impl Program {
         }
         // TGD shape.
         for (i, tgd) in self.tgds.iter().enumerate() {
-            if !tgd.body.negated.is_empty() {
-                problems.push(format!("TGD #{i} has negated body atoms"));
-            }
             if tgd.head.is_empty() {
                 problems.push(format!("TGD #{i} has an empty head"));
             }
-            if tgd.body.atoms.is_empty() {
+            if tgd.body().atoms.is_empty() {
                 problems.push(format!("TGD #{i} has no positive body atoms"));
             }
         }
@@ -336,8 +331,8 @@ mod tests {
     fn validation_flags_bad_tgds_and_egds() {
         let mut p = Program::new();
         p.tgds.push(Tgd::with_heads(
-            Conjunction::positive(vec![Atom::with_vars("P", &["x"])])
-                .and_not(Atom::with_vars("N", &["x"])),
+            vec![Atom::with_vars("P", &["x"])],
+            Vec::new(),
             vec![],
         ));
         p.egds.push(Egd::new(
@@ -346,7 +341,7 @@ mod tests {
             Variable::new("zzz"),
         ));
         let problems = p.validate();
-        assert_eq!(problems.len(), 3);
+        assert_eq!(problems.len(), 2);
     }
 
     #[test]

@@ -19,32 +19,38 @@ use std::fmt;
 /// A tuple-generating dependency: `∃z̄ head ← body`, where the existential
 /// variables `z̄` are exactly the head variables that do not occur in the
 /// body.
+///
+/// A TGD body is positive: relational atoms and comparisons only.  The body
+/// is private and every constructor takes the two lists, so no `Tgd` holds
+/// a negated atom (negation lives in constraints, conditional deletes and
+/// queries).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tgd {
     /// Optional rule label (used in diagnostics and chase profiles).
     pub label: Option<String>,
-    /// The body conjunction.  TGD bodies contain no negated atoms.
-    pub body: Conjunction,
+    /// The body conjunction; its `negated` list is always empty.
+    body: Conjunction,
     /// The head atoms (a conjunction; usually a single atom, but form (10)
     /// heads pair a categorical atom with parent–child atoms).
     pub head: Vec<Atom>,
 }
 
 impl Tgd {
-    /// Construct a TGD with a single head atom.
-    pub fn new(body: Conjunction, head: Atom) -> Self {
-        Self {
-            label: None,
-            body,
-            head: vec![head],
-        }
+    /// Construct a TGD with a single head atom over positive body atoms.
+    pub fn new(body: Vec<Atom>, head: Atom) -> Self {
+        Self::with_heads(body, Vec::new(), vec![head])
     }
 
-    /// Construct a TGD with a conjunctive head.
-    pub(crate) fn with_heads(body: Conjunction, head: Vec<Atom>) -> Self {
+    /// Construct a TGD with a conjunctive head over positive body atoms
+    /// and comparisons.
+    pub fn with_heads(atoms: Vec<Atom>, comparisons: Vec<Comparison>, head: Vec<Atom>) -> Self {
         Self {
             label: None,
-            body,
+            body: Conjunction {
+                atoms,
+                negated: Vec::new(),
+                comparisons,
+            },
             head,
         }
     }
@@ -53,6 +59,11 @@ impl Tgd {
     pub fn labeled(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
+    }
+
+    /// The body: positive atoms and comparisons, never a negated atom.
+    pub fn body(&self) -> &Conjunction {
+        &self.body
     }
 
     /// Variables occurring in the body.
@@ -90,7 +101,7 @@ impl Tgd {
     /// `true` when the body consists of a single positive atom (the *linear*
     /// shape).
     pub(crate) fn is_linear(&self) -> bool {
-        self.body.atoms.len() == 1 && self.body.negated.is_empty()
+        self.body.atoms.len() == 1
     }
 
     /// `true` when some body atom contains every body variable (the *guarded*
@@ -348,7 +359,7 @@ impl fmt::Display for Rule {
 
 /// Convenience constructor for the common "head :- body atoms" TGD shape.
 pub fn tgd(head: Atom, body_atoms: Vec<Atom>) -> Tgd {
-    Tgd::new(Conjunction::positive(body_atoms), head)
+    Tgd::new(body_atoms, head)
 }
 
 #[cfg(test)]
@@ -385,7 +396,8 @@ mod tests {
     /// categorical variable `u` and a parent–child atom in the head.
     fn rule9() -> Tgd {
         Tgd::with_heads(
-            Conjunction::positive(vec![Atom::with_vars("DischargePatients", &["i", "d", "p"])]),
+            vec![Atom::with_vars("DischargePatients", &["i", "d", "p"])],
+            Vec::new(),
             vec![
                 Atom::with_vars("InstitutionUnit", &["i", "u"]),
                 Atom::with_vars("PatientUnit", &["u", "d", "p"]),
@@ -491,11 +503,14 @@ mod tests {
             r.to_string(),
             "PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w)."
         );
-        let with_cmp = Tgd::new(
-            Conjunction::positive(vec![Atom::with_vars("M", &["t", "p", "v"])]).and_compare(
-                Comparison::new(Term::var("p"), CompareOp::Eq, Term::constant("Tom Waits")),
-            ),
-            Atom::with_vars("Q", &["t", "p", "v"]),
+        let with_cmp = Tgd::with_heads(
+            vec![Atom::with_vars("M", &["t", "p", "v"])],
+            vec![Comparison::new(
+                Term::var("p"),
+                CompareOp::Eq,
+                Term::constant("Tom Waits"),
+            )],
+            vec![Atom::with_vars("Q", &["t", "p", "v"])],
         );
         assert_eq!(
             with_cmp.to_string(),

@@ -57,13 +57,13 @@ pub(crate) fn direction_of(ontology: &MdOntology, rule: &Tgd) -> NavigationDirec
     // Split the body into parent–child atoms and "data" atoms (categorical
     // relations or other ordinary predicates).
     let pc_atoms: Vec<&Atom> = rule
-        .body
+        .body()
         .atoms
         .iter()
         .filter(|a| parent_child.contains_key(&a.predicate))
         .collect();
     let data_atoms: Vec<&Atom> = rule
-        .body
+        .body()
         .atoms
         .iter()
         .filter(|a| {

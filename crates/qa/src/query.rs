@@ -37,6 +37,8 @@ impl ConjunctiveQuery {
     ///
     /// The head predicate name becomes the query name and the head variables
     /// become the answer variables (constants in the head are not allowed).
+    /// The text parses as a TGD, so its body holds no `not`; a query with
+    /// negated atoms is built with [`ConjunctiveQuery::new`].
     pub fn parse(text: &str) -> Result<Self, String> {
         let rule = parse_rule(text).map_err(|e| e.to_string())?;
         match rule {
@@ -57,7 +59,7 @@ impl ConjunctiveQuery {
                     }
                 }
                 // Safety: answer variables must occur in the body.
-                let body_vars: BTreeSet<Variable> = tgd.body.variables().into_iter().collect();
+                let body_vars: BTreeSet<Variable> = tgd.body().variables().into_iter().collect();
                 for v in &answer_variables {
                     if !body_vars.contains(v) {
                         return Err(format!("answer variable {v} does not occur in the body"));
@@ -66,7 +68,7 @@ impl ConjunctiveQuery {
                 Ok(Self::new(
                     head.predicate.clone(),
                     answer_variables,
-                    tgd.body,
+                    tgd.body().clone(),
                 ))
             }
             other => Err(format!("not a conjunctive query: {other}")),

@@ -150,7 +150,7 @@ impl<'a> DeterministicWsqAns<'a> {
     fn candidate_domain(&self, query: &ConjunctiveQuery) -> Vec<Value> {
         let mut domain: BTreeSet<Value> = self.database.active_domain();
         for tgd in &self.program.tgds {
-            for atom in tgd.body.atoms.iter().chain(tgd.head.iter()) {
+            for atom in tgd.body().atoms.iter().chain(tgd.head.iter()) {
                 for value in atom.constants() {
                     domain.insert(value);
                 }
@@ -259,7 +259,7 @@ impl<'a> DeterministicWsqAns<'a> {
                 }
                 // The TGD body atoms become new sub-goals, resolved before the
                 // remaining goals (left-to-right, depth-first).
-                let mut new_goals: Vec<Atom> = renamed.body.atoms.clone();
+                let mut new_goals: Vec<Atom> = renamed.body().atoms.clone();
                 new_goals.extend_from_slice(rest);
                 if let Some(result) = self.resolve(
                     &new_goals,
@@ -310,11 +310,11 @@ fn rename_apart(tgd: &Tgd, counter: usize) -> Tgd {
         let bound = unifier.unify_terms(&Term::Var(var), &Term::Var(renamed));
         debug_assert!(bound);
     }
-    Tgd {
-        label: tgd.label.clone(),
-        body: unifier.apply_conjunction(&tgd.body),
-        head: tgd.head.iter().map(|a| unifier.apply_atom(a)).collect(),
-    }
+    let body = unifier.apply_conjunction(tgd.body());
+    let head = tgd.head.iter().map(|a| unifier.apply_atom(a)).collect();
+    let mut renamed = Tgd::with_heads(body.atoms, body.comparisons, head);
+    renamed.label = tgd.label.clone();
+    renamed
 }
 
 #[cfg(test)]

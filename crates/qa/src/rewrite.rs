@@ -217,7 +217,7 @@ fn unfold(
             atoms.push(unifier.apply_atom(other));
         }
     }
-    for body_atom in &renamed.body.atoms {
+    for body_atom in &renamed.body().atoms {
         atoms.push(unifier.apply_atom(body_atom));
     }
     let comparisons: Vec<Comparison> = query
@@ -331,11 +331,11 @@ fn rename_apart(tgd: &Tgd, counter: usize) -> Tgd {
         let bound = unifier.unify_terms(&Term::Var(var), &Term::Var(renamed));
         debug_assert!(bound);
     }
-    Tgd {
-        label: tgd.label.clone(),
-        body: unifier.apply_conjunction(&tgd.body),
-        head: tgd.head.iter().map(|a| unifier.apply_atom(a)).collect(),
-    }
+    let body = unifier.apply_conjunction(tgd.body());
+    let head = tgd.head.iter().map(|a| unifier.apply_atom(a)).collect();
+    let mut renamed = Tgd::with_heads(body.atoms, body.comparisons, head);
+    renamed.label = tgd.label.clone();
+    renamed
 }
 
 #[cfg(test)]

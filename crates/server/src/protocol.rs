@@ -555,19 +555,7 @@ fn session_loop<R: BufRead, W: Write>(
                         for diagnostic in &report.diagnostics {
                             writeln!(writer, "{}", diagnostic.line())?;
                         }
-                        writeln!(
-                            writer,
-                            "ok check context={} class={} certified={} strata={} errors={} warnings={}",
-                            name,
-                            report.certificate.class,
-                            if report.certificate.terminating { "yes" } else { "no" },
-                            report
-                                .strata
-                                .map(|s| s.to_string())
-                                .unwrap_or_else(|| "-".to_string()),
-                            report.error_count(),
-                            report.warning_count(),
-                        )?;
+                        writeln!(writer, "ok check context={name} {}", report.summary())?;
                     }
                     Err(e) => writeln!(writer, "err: {e}")?,
                 }
@@ -625,12 +613,13 @@ fn session_loop<R: BufRead, W: Write>(
                         if let Some(report) = retracted {
                             writeln!(
                                 writer,
-                                "ok retracted requested={} removed={} cascaded={} rederived={} version={} micros={}",
+                                "ok retracted requested={} removed={} cascaded={} rederived={} version={} violations={} micros={}",
                                 report.requested,
                                 report.retracted,
                                 report.cascaded,
                                 report.rederived,
                                 report.version,
+                                report.violations,
                                 report.elapsed.as_micros(),
                             )?;
                         }
@@ -920,6 +909,41 @@ mod tests {
         assert!(out.contains("ok staged=1"));
         assert!(out.contains("requested=4 removed=4"), "got:\n{out}");
         assert!(out.contains("ok answers=0 version=1"), "got:\n{out}");
+    }
+
+    /// A retraction reports the violations of the instance it leaves:
+    /// retracting the category member `Ward(W1)` leaves every `PatientWard`
+    /// row in W1 violating the form (1) referential constraint
+    /// `! :- PatientWard(w, d, p), not Ward(w).`, so the count rises above
+    /// the one the preceding insert reported.
+    #[test]
+    fn retraction_reply_counts_the_violations_it_leaves() {
+        let out = session_output(
+            "+Measurements(@Sep/6-11:05, \"Lou Reed\", 39.9).\n\
+             !flush\n\
+             -Ward(W1).\n\
+             !flush\n\
+             !quit\n",
+        );
+        let violations = |prefix: &str| -> usize {
+            let line = out
+                .lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no '{prefix}' line in:\n{out}"));
+            let field = line
+                .split(' ')
+                .find_map(|kv| kv.strip_prefix("violations="))
+                .unwrap_or_else(|| panic!("no violations= in '{line}'"));
+            field.parse().unwrap()
+        };
+        assert!(
+            out.contains("ok retracted requested=1 removed=1 cascaded=0 rederived=0 version=2 "),
+            "got:\n{out}"
+        );
+        assert!(
+            violations("ok retracted") > violations("ok applied"),
+            "got:\n{out}"
+        );
     }
 
     /// `?d-` answers must equal `?q-` answers line for line — the

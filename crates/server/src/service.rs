@@ -150,6 +150,8 @@ pub struct RetractReport {
     pub cascaded: usize,
     /// Tuples re-derived from surviving supports.
     pub rederived: usize,
+    /// EGD/constraint violations of the instance the retraction left.
+    pub(crate) violations: usize,
     /// Wall-clock time of expansion + DRed + snapshot swap.
     pub(crate) elapsed: Duration,
 }
@@ -251,9 +253,6 @@ pub struct QualityService {
     /// Slow-query threshold in microseconds; 0 disables the log.
     slow_threshold_micros: AtomicU64,
     slow_queries_total: Arc<Counter>,
-    /// Chase runs (initial chase or batch resume) executed for a context
-    /// whose program carries no termination certificate.
-    chase_uncertified: Arc<Counter>,
     /// The health state machine: `Healthy → Degraded (read-only) →
     /// Recovering → Healthy|Degraded`.  Store-wide, because a poisoned WAL
     /// refuses appends for every context.
@@ -318,11 +317,6 @@ impl QualityService {
             "Queries whose end-to-end latency crossed --slow-query-micros.",
             &[],
         );
-        let chase_uncertified = registry.counter(
-            "ontodq_chase_uncertified_total",
-            "Chase runs executed without a termination certificate (program not weakly acyclic).",
-            &[],
-        );
         Self {
             contexts: RwLock::new(BTreeMap::new()),
             cache,
@@ -340,7 +334,6 @@ impl QualityService {
             slow_log: SpanLog::new(128),
             slow_threshold_micros: AtomicU64::new(0),
             slow_queries_total,
-            chase_uncertified,
             health: Mutex::new(HealthState::new()),
         }
     }
@@ -549,7 +542,10 @@ impl QualityService {
     /// # Errors
     /// [`ServiceError::DuplicateContext`] when the name is taken;
     /// [`ontodq_core::ContextError::Rejected`] (before any chase work) when
-    /// static analysis finds an error-severity diagnostic.
+    /// static analysis finds an error-severity diagnostic, a missing
+    /// termination certificate among them;
+    /// [`ontodq_core::ContextError::Incomplete`] when the initial chase
+    /// stops on a budget before its fixpoint.
     pub fn register_context(
         &self,
         name: &str,
@@ -696,11 +692,6 @@ impl QualityService {
             chased,
         )?;
         let lint = writer.lint_report().clone();
-        if !lint.certificate.terminating {
-            // The writer's construction chase (or snapshot restore) ran
-            // without a termination certificate.
-            self.chase_uncertified.inc();
-        }
         let entry = Arc::new(ContextEntry {
             context,
             program,
@@ -813,10 +804,6 @@ impl QualityService {
             ))
         })?;
         let outcome = writer.insert_batch(facts.iter().cloned())?;
-        if !entry.lint.certificate.terminating {
-            // This batch's incremental re-chase ran uncertified.
-            self.chase_uncertified.inc();
-        }
         let version = writer.batches_applied();
         let wal_error = self.append_to_wal(|store| store.append_batch(context, version, &facts));
         let derived = outcome.chase.stats.tuples_added;
@@ -884,12 +871,9 @@ impl QualityService {
             ))
         })?;
         let expanded = writer.expand_retractions(retractions);
-        if !entry.lint.certificate.terminating {
-            // The re-derivation resume of this retraction runs uncertified.
-            self.chase_uncertified.inc();
-        }
         let result = writer.retract_batch(expanded.iter().cloned());
         let stats = result.stats;
+        let violations = result.chase.violations.len();
         let dred = &result.chase.profile.dred;
         if dred.batches > 0 {
             self.dred_cascade_micros.observe(dred.cascade_micros);
@@ -926,6 +910,7 @@ impl QualityService {
             retracted: stats.retracted,
             cascaded: stats.cascaded,
             rederived: stats.rederived,
+            violations,
             elapsed: Duration::from_micros(elapsed_micros),
         })
     }
@@ -1054,8 +1039,8 @@ impl QualityService {
     }
 
     /// The static-analysis report of `context`'s compiled program — the
-    /// `!check` payload: every diagnostic, the termination certificate, and
-    /// the stratification outcome.  Reads the immutable report stored at
+    /// `!check` payload: every diagnostic and the termination certificate.
+    /// Reads the immutable report stored at
     /// registration; no writer lock is touched.
     pub fn check(&self, context: &str) -> Result<ontodq_datalog::LintReport, ServiceError> {
         Ok(self.entry(context)?.lint.clone())

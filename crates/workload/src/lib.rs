@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod corrections;
 mod dimgen;

@@ -127,16 +127,16 @@ pub fn generate(scale: &HospitalScale) -> ScaledHospital {
             let ward_name = format!("Ward_{unit}_{ward}");
             hospital
                 .add_rollup("Ward", ward_name, "Unit", unit_name.clone())
-                .unwrap();
+                .expect("a generated ward rolls up to exactly one unit");
         }
         hospital
             .add_rollup("Unit", unit_name, "Institution", format!("H{}", unit % 2))
-            .unwrap();
+            .expect("a generated unit rolls up to exactly one institution");
     }
     for h in ["H0", "H1"] {
         hospital
             .add_rollup("Institution", h, "AllHospital", "all")
-            .unwrap();
+            .expect("an institution rolls up to the top member");
     }
 
     // Time dimension: minutes → days → months (one month per 30 days).
@@ -146,14 +146,14 @@ pub fn generate(scale: &HospitalScale) -> ScaledHospital {
     for day in 0..scale.days {
         for minute in minutes_per_day {
             time.add_rollup("Time", time_value(day, minute), "Day", day_name(day))
-                .unwrap();
+                .expect("a generated minute rolls up to exactly one day");
         }
         time.add_rollup("Day", day_name(day), "Month", format!("Month_{}", day / 30))
-            .unwrap();
+            .expect("a generated day rolls up to exactly one month");
     }
     for month in 0..=(scale.days.saturating_sub(1) / 30) {
         time.add_rollup("Month", format!("Month_{month}"), "AllTime", "all")
-            .unwrap();
+            .expect("a month rolls up to the top member");
     }
 
     // Ontology with the categorical relations of the running example.
@@ -215,7 +215,7 @@ pub fn generate(scale: &HospitalScale) -> ScaledHospital {
                     "PatientWard",
                     [ward, day_name(day), format!("Patient_{patient}")],
                 )
-                .unwrap();
+                .expect("generated PatientWard rows match the declared schema");
         }
     }
 
@@ -238,17 +238,17 @@ pub fn generate(scale: &HospitalScale) -> ScaledHospital {
                         status.to_string(),
                     ],
                 )
-                .unwrap();
+                .expect("generated WorkingSchedules rows match the declared schema");
         }
     }
 
     // Dimensional rules (7) and (8), same as the paper.
     ontology
         .add_rule_text("PatientUnit(u, d, p) :- PatientWard(w, d, p), UnitWard(u, w).")
-        .unwrap();
+        .expect("rule (7) parses");
     ontology
         .add_rule_text("Shifts(w, d, n, z) :- WorkingSchedules(u, d, n, t), UnitWard(u, w).")
-        .unwrap();
+        .expect("rule (8) parses");
 
     // The instance under assessment: random measurements.
     let mut instance = Database::new();
@@ -266,7 +266,7 @@ pub fn generate(scale: &HospitalScale) -> ScaledHospital {
                     Value::double(temperature),
                 ]),
             )
-            .unwrap();
+            .expect("generated measurements share one arity");
     }
 
     ScaledHospital {

@@ -359,7 +359,6 @@ fn metrics_are_valid_prometheus_and_cover_every_layer() {
         "ontodq_chase_total_micros",
         "ontodq_lint_errors", // static analysis
         "ontodq_lint_warnings",
-        "ontodq_chase_uncertified_total",
         "ontodq_relation_copies_total", // storage layer copy-on-write
     ] {
         let family = families
@@ -388,8 +387,7 @@ fn metrics_are_valid_prometheus_and_cover_every_layer() {
     );
     // Static analysis: the hospital program lints error-free with exactly
     // the expected baseline warning (L102: the Shifts rule is outside the
-    // quality-goal cone), and its certificate means no chase ran
-    // uncertified.
+    // quality-goal cone).
     let lint_errors = &families["ontodq_lint_errors"].samples[0];
     assert!(
         lint_errors
@@ -402,10 +400,6 @@ fn metrics_are_valid_prometheus_and_cover_every_layer() {
     assert_eq!(
         families["ontodq_lint_warnings"].samples[0].value, 1.0,
         "the hospital baseline is exactly one warning (L102 unreachable Shifts rule)"
-    );
-    assert_eq!(
-        families["ontodq_chase_uncertified_total"].samples[0].value, 0.0,
-        "the hospital program is certified terminating, so no chase ran uncertified"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

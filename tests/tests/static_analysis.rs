@@ -1,18 +1,19 @@
-//! End-to-end suite for the `ontodq-lint` static-analysis engine (PR 10):
-//! the shipped fixtures lint clean against a pinned baseline, unsafe
-//! programs are rejected at registration with structured diagnostics,
-//! uncertified (non-weakly-acyclic) programs chase behind an explicit
-//! warning and bump `ontodq_chase_uncertified_total`, the `!check` protocol
-//! verb reports the termination certificate, and — the property — every
+//! End-to-end suite for the `ontodq-lint` static-analysis engine: the
+//! shipped fixtures lint clean against a pinned baseline, unsafe and
+//! uncertified (non-weakly-acyclic) programs are refused at registration
+//! with structured diagnostics, a certified program whose initial chase
+//! stops on a budget is refused as incomplete, the `!check` protocol verb
+//! reports the termination certificate, and — the property — every
 //! randomly generated program the linter *certifies* terminating really
 //! does chase to `Fixpoint` on all three evaluation strategies.
 
 use ontodq_chase::{ChaseConfig, ChaseEngine, JoinEngine, TerminationReason};
 use ontodq_core::{lint_context, scenarios, Context, ContextError};
 use ontodq_datalog::DatalogClass;
-use ontodq_datalog::{parse_program, Severity, TerminationCertificate};
+use ontodq_datalog::{lint, parse_program, Severity, TerminationCertificate};
+use ontodq_mdm::compile;
 use ontodq_mdm::fixtures::hospital;
-use ontodq_relational::{Database, Tuple, Value};
+use ontodq_relational::Database;
 use ontodq_server::{serve_session, QualityService, ServiceError, WorkerPool};
 use ontodq_workload::{generate, HospitalScale};
 use proptest::prelude::*;
@@ -43,32 +44,58 @@ fn unsafe_context() -> Context {
         .expect("the context itself is well-formed; only the linter objects")
 }
 
-/// A context carrying a TGD whose position graph has a cycle through a
-/// special edge (`Reaches[1] ⇒ Reaches[1]`): not weakly acyclic, so the
-/// chase runs without a termination certificate.
-fn cyclic_context() -> Context {
-    Context::builder("cyclic-context")
-        .ontology(hospital::ontology())
-        .copy_relation("Measurements")
-        .contextual_rule("Reaches(y, z) :- Reaches(x, y).")
-        .quality_version(
-            "Measurements",
-            &["Measurements_q(t, p, v) :- Measurements_c(t, p, v)."],
-        )
+/// The hospital context plus an external source `Reaches_c(a, b)` and a
+/// contextual rule whose position graph has a cycle through a special edge
+/// (`Reaches_c[1] ⇒ Reaches_c[1]`): not weakly acyclic, and its chase never
+/// reaches a fixpoint — each round invents one more null.
+fn uncertified_context() -> Context {
+    let mut reaches = Database::new();
+    reaches.insert_values("Reaches_c", ["a", "b"]).unwrap();
+    scenarios::hospital_context_builder()
+        .external_source(reaches)
+        .contextual_rule("Reaches_c(y, z) :- Reaches_c(x, y).")
         .build()
-        .expect("the cyclic context is well-formed; it is merely uncertified")
+        .expect("the context is well-formed; it is merely uncertified")
+}
+
+/// Transitive closure over a copied edge relation: plain Datalog, so
+/// weakly acyclic and certified.
+fn closure_context() -> Context {
+    Context::builder("closure-context")
+        .copy_relation("E")
+        .contextual_rule("T(x, y) :- E_c(x, y).")
+        .contextual_rule("T(x, z) :- T(x, y), E_c(y, z).")
+        .quality_version("E", &["E_q(x, y) :- E_c(x, y), T(x, y)."])
+        .build()
+        .expect("the closure context is well-formed")
 }
 
 // ---------------------------------------------------------------------------
 // Fixture baselines: the programs the repository ships must stay lint-clean.
 // ---------------------------------------------------------------------------
 
-/// The hospital fixture (the paper's running example) lints with zero
+/// Both paper-form ontologies are weakly acyclic with no L105 or L106, and
+/// the hospital fixture (the paper's running example) lints with zero
 /// errors, a weakly-acyclic termination certificate, and exactly the
 /// pinned warning baseline: L102 on the Shifts rule (no quality query
 /// depends on it).
 #[test]
 fn hospital_fixture_is_certified_with_pinned_baseline() {
+    for ontology in [
+        hospital::ontology(),
+        hospital::ontology_with_discharge_rule(),
+    ] {
+        let report = lint(&compile(&ontology).program);
+        assert_eq!(report.certificate.class, DatalogClass::WeaklyAcyclic);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .all(|d| d.code != "L105" && d.code != "L106"),
+            "paper-form ontologies must be separable and certified: {:?}",
+            report.diagnostics
+        );
+    }
     let report = lint_context(
         &scenarios::hospital_context(),
         &hospital::measurements_database(),
@@ -81,7 +108,6 @@ fn hospital_fixture_is_certified_with_pinned_baseline() {
     assert!(report.certificate.terminating, "hospital must be certified");
     assert_eq!(report.certificate.class, DatalogClass::WeaklyAcyclic);
     assert!(report.certificate.witness_cycle.is_empty());
-    assert!(report.strata.is_some(), "hospital must stratify");
     let warnings = report.warnings();
     assert_eq!(
         warnings.len(),
@@ -156,155 +182,58 @@ fn unsafe_rule_is_rejected_at_registration() {
 }
 
 // ---------------------------------------------------------------------------
-// Uncertified programs: warn, count, but still run.
+// Termination: only certified programs whose chase reaches a fixpoint.
 // ---------------------------------------------------------------------------
 
-/// A non-weakly-acyclic context registers fine (warnings are not errors),
-/// `check` reports `certified=no` with the L106 warning and a witness
-/// cycle, and every chase over it bumps `ontodq_chase_uncertified_total`.
+/// A non-weakly-acyclic context is refused at registration with the L106
+/// error and its special-edge witness cycle, and is not registered.
 #[test]
-fn uncertified_context_warns_and_counts_chases() {
-    let service = Arc::new(QualityService::new());
-    service
-        .register_context(
-            "cyclic",
-            cyclic_context(),
-            hospital::measurements_database(),
-        )
-        .expect("uncertified contexts register with warnings, not errors");
-
-    let report = service.check("cyclic").unwrap();
-    assert!(!report.certificate.terminating);
-    assert!(
-        !report.certificate.witness_cycle.is_empty(),
-        "an uncertified program must carry a witness cycle"
+fn uncertified_context_is_refused_at_registration() {
+    let service = QualityService::new();
+    let result = service.register_context(
+        "uncertified",
+        uncertified_context(),
+        hospital::measurements_database(),
     );
-    assert!(
-        report.certificate.rendered_cycle().contains("Reaches"),
-        "the witness cycle must run through Reaches: {}",
-        report.certificate.rendered_cycle()
-    );
-    let l106 = report
-        .diagnostics
+    let Err(ServiceError::Context(ContextError::Rejected(diagnostics))) = result else {
+        panic!("registration must fail with ContextError::Rejected, got {result:?}");
+    };
+    let l106 = diagnostics
         .iter()
         .find(|d| d.code == "L106")
-        .expect("uncertified programs must carry the L106 warning");
-    assert_eq!(l106.severity, Severity::Warn);
-
-    // Registration chased once without a certificate; inserting facts
-    // chases again — the counter must track both.
-    let pool = Arc::new(WorkerPool::new(2));
-    service
-        .insert_facts(
-            "cyclic",
-            vec![(
-                "Measurements".to_string(),
-                Tuple::new(vec![
-                    Value::parse_time("Sep/6-11:05").unwrap(),
-                    Value::str("Lou Reed"),
-                    Value::double(39.9),
-                ]),
-            )],
-        )
-        .expect("inserting into the uncertified context still works");
-    let metrics = service.render_metrics(&pool);
-    let uncertified = metrics
-        .lines()
-        .find(|l| l.starts_with("ontodq_chase_uncertified_total"))
-        .expect("the uncertified-chase counter must be exposed");
-    let value: f64 = uncertified
-        .rsplit(' ')
-        .next()
-        .unwrap()
-        .parse()
-        .expect("counter value parses");
+        .expect("the refusal must carry the L106 diagnostic");
+    assert_eq!(l106.severity, Severity::Error);
     assert!(
-        value >= 2.0,
-        "register + insert must both count as uncertified chases: {uncertified}"
+        l106.witness.as_deref().unwrap_or("").contains("Reaches_c"),
+        "the witness cycle must run through Reaches_c: {:?}",
+        l106.witness
     );
+    assert!(service.check("uncertified").is_err());
 }
 
-// ---------------------------------------------------------------------------
-// Engine-level certificate diagnostics: C001 / C002.
-// ---------------------------------------------------------------------------
-
-/// A certified program that hits the tuple budget is an engine invariant
-/// violation: the result carries the C001 error diagnostic and the profile
-/// counts it.
+/// A certified program whose initial chase stops on the round budget (a
+/// 1,100-edge chain needs 1,100 closure rounds; the default budget is
+/// 1,000) is refused as `Incomplete`, and nothing is registered.
 #[test]
-fn certified_tuple_budget_hit_is_an_invariant_error() {
-    let program = parse_program("B(x) :- A(x).\nC(x) :- B(x).\n").unwrap();
-    let certificate = TerminationCertificate::of_program(&program);
-    assert!(certificate.terminating, "plain Datalog is weakly acyclic");
-    let mut db = Database::new();
-    for i in 0..8 {
-        db.insert_values("A", [format!("a{i}")]).unwrap();
+fn certified_chase_that_stops_short_is_refused() {
+    let mut chain = Database::new();
+    for i in 0..1_100 {
+        chain
+            .insert_values("E", [format!("n{i}"), format!("n{}", i + 1)])
+            .unwrap();
     }
-    let config = ChaseConfig {
-        max_new_tuples: 3,
-        certificate: Some(certificate),
-        ..Default::default()
-    };
-    let result = ChaseEngine::new(config).run(&program, &db);
-    assert_eq!(result.termination, TerminationReason::TupleLimit);
-    let c001 = result
-        .diagnostics
-        .iter()
-        .find(|d| d.code == "C001")
-        .expect("truncating a certified chase must raise C001");
-    assert_eq!(c001.severity, Severity::Error);
-    assert!(c001.message.contains("invariant violation"));
-    assert_eq!(result.profile.lint_errors, 1);
-    assert_eq!(
-        result.profile.certificate.as_ref().map(|c| c.terminating),
-        Some(true),
-        "the profile must carry the certificate the run was configured with"
-    );
-}
+    let context = closure_context();
+    let report = lint_context(&context, &chain);
+    assert_eq!(report.error_count(), 0, "{:?}", report.errors());
+    assert!(report.certificate.terminating);
 
-/// An uncertified program chases behind the C002 pre-chase warning — even
-/// when the run happens to reach a fixpoint — and the warning carries the
-/// special-edge witness cycle.
-#[test]
-fn uncertified_chase_attaches_prechase_warning() {
-    let program = parse_program("Reaches(y, z) :- Reaches(x, y).\n").unwrap();
-    let certificate = TerminationCertificate::of_program(&program);
-    assert!(!certificate.terminating, "the self-feeding TGD is not WA");
-    let mut db = Database::new();
-    // No Reaches facts: the chase reaches a fixpoint immediately, but the
-    // missing certificate must still be reported.
-    db.insert_values("Seed", ["s"]).unwrap();
-    let config = ChaseConfig {
-        certificate: Some(certificate),
-        ..Default::default()
+    let service = QualityService::new();
+    let result = service.register_context("chain", context, chain);
+    let Err(ServiceError::Context(ContextError::Incomplete { reason })) = result else {
+        panic!("registration must fail with ContextError::Incomplete, got {result:?}");
     };
-    let result = ChaseEngine::new(config).run(&program, &db);
-    assert_eq!(result.termination, TerminationReason::Fixpoint);
-    let c002 = result
-        .diagnostics
-        .iter()
-        .find(|d| d.code == "C002")
-        .expect("an uncertified run must raise C002");
-    assert_eq!(c002.severity, Severity::Warn);
-    assert!(
-        c002.witness.as_deref().unwrap_or("").contains("Reaches"),
-        "C002 must carry the witness cycle: {:?}",
-        c002.witness
-    );
-    assert_eq!(result.profile.lint_warnings, 1);
-}
-
-/// With no certificate configured (plain library callers), the engine
-/// attaches no diagnostics at all — historical behavior is unchanged.
-#[test]
-fn chase_without_certificate_attaches_no_diagnostics() {
-    let program = parse_program("B(x) :- A(x).\n").unwrap();
-    let mut db = Database::new();
-    db.insert_values("A", ["a"]).unwrap();
-    let result = ChaseEngine::with_defaults().run(&program, &db);
-    assert_eq!(result.termination, TerminationReason::Fixpoint);
-    assert!(result.diagnostics.is_empty());
-    assert!(result.profile.certificate.is_none());
+    assert_eq!(reason, TerminationReason::RoundLimit);
+    assert!(service.check("chain").is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -387,8 +316,8 @@ proptest! {
 
     /// Soundness of the termination certificate: whenever the linter
     /// certifies a random program weakly acyclic, the restricted chase
-    /// reaches `Fixpoint` — with no diagnostics — on the naive driver and on
-    /// the semi-naive driver under every join kernel alike.
+    /// reaches `Fixpoint` on the naive driver and on the semi-naive driver
+    /// under every join kernel alike.
     #[test]
     fn certified_random_programs_always_reach_fixpoint(
         rules in proptest::collection::vec(arb_rule(), 1..5)
@@ -396,25 +325,16 @@ proptest! {
         let program = parse_program(&rules.join("\n")).unwrap();
         let certificate = TerminationCertificate::of_program(&program);
         if !certificate.terminating {
-            // Uncertified draws are out of scope for this property (their
-            // chases may legitimately run to the budget).
+            // Uncertified draws are out of scope for this property: the
+            // admission door refuses them.
             return Ok(());
         }
         let mut db = Database::new();
         db.insert_values("P", ["a"]).unwrap();
         db.insert_values("Q", ["a", "b"]).unwrap();
         db.insert_values("R", ["b", "a"]).unwrap();
-        let certified = |join| {
-            ChaseEngine::new(ChaseConfig {
-                certificate: Some(certificate.clone()),
-                ..ChaseConfig::with_join(join)
-            })
-        };
-        let engines = [
-            certified(JoinEngine::Auto),
-            certified(JoinEngine::Hash),
-            certified(JoinEngine::Leapfrog),
-        ];
+        let engines = [JoinEngine::Auto, JoinEngine::Hash, JoinEngine::Leapfrog]
+            .map(|join| ChaseEngine::new(ChaseConfig::with_join(join)));
         let results = std::iter::once(engines[0].run_naive(&program, &db))
             .chain(engines.iter().map(|engine| engine.run(&program, &db)));
         for result in results {
@@ -424,11 +344,6 @@ proptest! {
                 "certified program must terminate ({}): {}",
                 certificate,
                 rules.join(" ")
-            );
-            prop_assert!(
-                result.diagnostics.is_empty(),
-                "a certified fixpoint run must be diagnostic-free: {:?}",
-                result.diagnostics
             );
         }
     }
